@@ -17,7 +17,7 @@ from itertools import combinations
 from .errors import CimsetError, DomainError, FormatError
 from .geometry import (affine_dimension_formula, are_neighbors, facet_system_for_child,
                        neighbors, product_structure, vertex_block_vector)
-from .graphs import (enumerate_family, family_from_json, family_to_json,
+from .graphs import (enumerate_family, family_contains, family_from_json,
                      graph_from_json, graph_to_json)
 from .imsets import characteristic_imset, coordinate_index, export_full_vector, \
     imset_text_lines
@@ -148,18 +148,19 @@ def cmd_facets(args) -> int:
 def cmd_neighbors(args) -> int:
     spec = family_from_json(_load_json(args.family, "family"))
     g = graph_from_json(_load_json(args.graph, "graph"))
+    if args.count_only:
+        if not family_contains(spec, g):
+            raise DomainError("graph is not a member of the family")
+        print(spec.degree())
+        return 0
     count = 0
     for h in neighbors(g, spec):
         count += 1
-        if not args.count_only:
-            if args.format == "json":
-                print(json.dumps(graph_to_json(h)))
-            else:
-                print(_graph_text(h))
-    if args.count_only:
-        print(count)
-    else:
-        print(f"{count} neighbors", file=sys.stderr)
+        if args.format == "json":
+            print(json.dumps(graph_to_json(h)))
+        else:
+            print(_graph_text(h))
+    print(f"{count} neighbors", file=sys.stderr)
     return 0
 
 
@@ -182,16 +183,14 @@ def _verify_rows(spec, args, cert_sink):
     if bad:
         raise FormatError(f"unknown checks: {', '.join(bad)}")
 
-    nbr_count = sum(spec.admissible_count(i) - 1 for i in range(spec.n))
     print(f"family: {size} vertices, block dimension {product_structure(spec).total_dimension}, "
-          f"{nbr_count} neighbors each", file=sys.stderr)
+          f"{spec.degree()} neighbors each", file=sys.stderr)
 
     if "product" in checks:
         distinct = len(set(vecs)) == size
         prod = 1
-        for i in range(spec.n):
-            prod *= len({characteristic_imset(g, idx).block_slice_bytes(i)
-                         if spec.ceiling[i] else b"" for g in members})
+        for b in idx.blocks:
+            prod *= len({v[b.offset:b.offset + b.size] for v in vecs})
         ok = distinct and prod == size
         rows.append(("product", ok,
                      f"{size} vertices = product of per-block slice counts" if ok
@@ -293,10 +292,7 @@ def _load_table(args):
         raise FormatError("--data requires --family")
     spec = family_from_json(_load_json(args.family, "family"))
     if args.max_parents is not None:
-        try:
-            spec = dataclasses.replace(spec, max_parents=args.max_parents)
-        except DomainError:
-            raise
+        spec = dataclasses.replace(spec, max_parents=args.max_parents)
     data = load_csv(args.data, spec.ordering)
     return build_score_table(data, spec, args.criterion), spec
 

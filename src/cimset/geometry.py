@@ -208,7 +208,7 @@ def neighbors(g: ParentMap, spec: FamilySpec) -> Iterator[ParentMap]:
     """All polytope neighbors of g: every single-child admissible replacement."""
     if not family_contains(spec, g):
         raise DomainError("graph is not a member of the family")
-    total = sum(spec.admissible_count(i) - 1 for i in range(spec.n))
+    total = spec.degree()
     if total > PER_FAMILY_NEIGHBOR_LIMIT:
         raise ResourceError(
             f"vertex has {total} neighbors, over the limit {PER_FAMILY_NEIGHBOR_LIMIT}"

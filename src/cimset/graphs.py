@@ -12,7 +12,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import DomainError, FormatError, ResourceError
 from .subsets import bits_of, iter_graded_subsets, mask_of
@@ -117,6 +117,8 @@ class FamilySpec:
     floor: tuple
     ceiling: tuple
     max_parents: Optional[int] = None
+    # Per child: its admissible tuple once iter_admissible has built it, else None.
+    _admissible: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "floor", tuple(self.floor))
@@ -143,6 +145,7 @@ class FamilySpec:
                     f"floor of {self.ordering.names[i]!r} exceeds max_parents={cap}; "
                     "the family is empty"
                 )
+        object.__setattr__(self, "_admissible", [None] * n)
 
     @property
     def n(self) -> int:
@@ -158,18 +161,25 @@ class FamilySpec:
         extra = self.max_parents - self.floor[i].bit_count()
         return sum(math.comb(f, j) for j in range(0, min(extra, f) + 1))
 
-    def iter_admissible(self, i: int) -> Iterator[int]:
-        """Admissible parent sets of child i in graded-lex order."""
-        floor = self.floor[i]
-        free = self.free_mask(i)
-        if self.max_parents is None:
+    def iter_admissible(self, i: int) -> Tuple[int, ...]:
+        """Admissible parent sets of child i in graded-lex order, built once per spec."""
+        cached = self._admissible[i]
+        if cached is None:
+            floor = self.floor[i]
+            free = self.free_mask(i)
             budget = free.bit_count()
-        else:
-            budget = min(self.max_parents - floor.bit_count(), free.bit_count())
-        members = bits_of(free)
-        for k in range(0, budget + 1):
-            for combo in itertools.combinations(members, k):
-                yield floor | mask_of(combo)
+            if self.max_parents is not None:
+                budget = min(self.max_parents - floor.bit_count(), budget)
+            members = bits_of(free)
+            cached = tuple(floor | mask_of(combo)
+                           for k in range(budget + 1)
+                           for combo in itertools.combinations(members, k))
+            self._admissible[i] = cached
+        return cached
+
+    def degree(self) -> int:
+        """Polytope neighbors of every member: one per other admissible set of one child."""
+        return sum(self.admissible_count(i) - 1 for i in range(self.n))
 
     def family_size(self) -> int:
         size = 1
@@ -232,9 +242,8 @@ def enumerate_family(spec: FamilySpec, limit: Optional[int] = None) -> Iterator[
         raise ResourceError(
             f"family has {size} members, over the enumeration limit {limit}"
         )
-    per_child = [list(spec.iter_admissible(i)) for i in range(spec.n)]
     ordering = spec.ordering
-    for combo in itertools.product(*per_child):
+    for combo in itertools.product(*(spec.iter_admissible(i) for i in range(spec.n))):
         yield _parent_map_unchecked(ordering, combo)
 
 
@@ -257,13 +266,17 @@ def _name_lists_to_masks(ordering: NodeOrdering, lists, what: str) -> tuple:
     if len(lists) != ordering.n:
         raise FormatError(f"{what} must list one entry per node")
     masks = []
-    for entry in lists:
+    for child, entry in zip(ordering.names, lists):
         if not isinstance(entry, list):
             raise FormatError(f"{what} entries must be lists of node names")
         try:
-            masks.append(ordering.mask_of_names(entry))
+            mask = ordering.mask_of_names(entry)
         except DomainError as exc:
             raise FormatError(str(exc)) from None
+        if mask.bit_count() != len(entry):
+            dup = next(nm for j, nm in enumerate(entry) if nm in entry[:j])
+            raise FormatError(f"{what} entry of {child!r} lists {dup!r} twice")
+        masks.append(mask)
     return tuple(masks)
 
 
@@ -282,7 +295,7 @@ def family_from_json(obj) -> FamilySpec:
     floor = _name_lists_to_masks(ordering, _require(obj, "floor", list, "family"), "floor")
     ceiling = _name_lists_to_masks(ordering, _require(obj, "ceiling", list, "family"), "ceiling")
     cap = obj.get("max_parents")
-    if cap is not None and not isinstance(cap, int):
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int)):
         raise FormatError("max_parents must be an integer or null")
     try:
         return FamilySpec(ordering, floor, ceiling, cap)

@@ -27,9 +27,6 @@ class Block:
     offset: int
     size: int
 
-    def subset_at(self, j: int, subsets_np) -> int:
-        return int(subsets_np[j])
-
 
 class CoordinateIndex:
     """Layout of the stored imset coordinates for one family."""

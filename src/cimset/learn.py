@@ -104,27 +104,12 @@ def k2_forward(table: ScoreTable, spec: FamilySpec) -> LearnResult:
     return _assemble(spec, choices, "k2-forward")
 
 
-def _backward_start(spec: FamilySpec, i: int) -> int:
-    """The ceiling, or under a cap the graded-lex-first admissible maximal set."""
-    cap = spec.max_parents
-    ceiling = spec.ceiling[i]
-    if cap is None or ceiling.bit_count() <= cap:
-        return ceiling
-    p = spec.floor[i]
-    free = spec.free_mask(i)
-    while p.bit_count() < cap:
-        low = free & -free
-        p |= low
-        free ^= low
-    return p
-
-
 def k2_backward(table: ScoreTable, spec: FamilySpec) -> LearnResult:
-    """Greedy single-node removals from the largest admissible set, per child."""
+    """Greedy single-node removals from the graded-lex-first largest admissible set."""
     _check(table, spec)
     choices = []
     for i in range(spec.n):
-        p = _backward_start(spec, i)
+        p = max(spec.iter_admissible(i), key=int.bit_count)
         s = table.local(i, p)
         count = 1
         floor = spec.floor[i]

@@ -88,6 +88,8 @@ def load_csv(path, ordering: NodeOrdering) -> Dataset:
         for name in ordering.names:
             if name not in header:
                 raise FormatError(f"{path}: column '{name}' missing from header")
+            if header.count(name) > 1:
+                raise FormatError(f"{path}: column '{name}' appears more than once in header")
             cols.append(header.index(name))
 
         seen: List[Dict[str, int]] = [{} for _ in ordering.names]
@@ -238,6 +240,11 @@ def score_table_from_json(obj) -> ScoreTable:
                 raise FormatError(f"score entry {k}: bad rational '{v}'") from None
         elif isinstance(v, bool) or not isinstance(v, (int, float)):
             raise FormatError(f"score entry {k}: score must be a number")
+        if mask in entries[i]:
+            raise FormatError(
+                f"score entry {k}: a second score for child {item['child']!r} "
+                f"with parents {list(spec.ordering.names_of_mask(mask))}"
+            )
         entries[i][mask] = v
     try:
         return ScoreTable(spec, entries, str(obj.get("criterion", "custom")))

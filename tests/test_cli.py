@@ -80,6 +80,22 @@ def test_neighbors(diag21, capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
+def test_neighbors_count_only_is_closed_form(tmp_path, capsys):
+    # 2**25 - 1 neighbors: over the limit for listing, but counting builds no list
+    spec = diagnosis_family(25, 1)
+    fam = _write_json(tmp_path / "family.json", family_to_json(spec))
+    graph = _write_json(tmp_path / "graph.json",
+                        graph_to_json(ParentMap(spec.ordering, (0,) * 26)))
+    assert main(["neighbors", "--family", fam, "--graph", graph, "--count-only"]) == 0
+    assert capsys.readouterr().out == f"{(1 << 25) - 1}\n"
+    assert main(["neighbors", "--family", fam, "--graph", graph]) == 1
+    assert "over the limit" in capsys.readouterr().err
+    outsider = _write_json(tmp_path / "outsider.json",
+                           graph_to_json(ParentMap(spec.ordering, (0, 1) + (0,) * 24)))
+    assert main(["neighbors", "--family", fam, "--graph", outsider, "--count-only"]) == 1
+    assert "not a member of the family" in capsys.readouterr().err
+
+
 def test_enumerate(diag21, capsys):
     _, fam, _ = diag21
     assert main(["enumerate", "--family", fam, "--format", "json"]) == 0

@@ -1,10 +1,23 @@
-import pytest
+import contextlib
+import dataclasses
+import io
+import json
+import os
+import tempfile
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cimset.cli import main
 from cimset.errors import DomainError, FormatError, ResourceError
+from cimset.geometry import neighbors
 from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family,
                            enumerate_family, family_contains, family_from_json,
                            family_to_json, full_ordered_family, graph_from_json,
                            graph_to_json)
+from cimset.learn import k2_backward
+from cimset.scoring import ScoreTable
+from cimset.subsets import bits_of
 
 
 def test_ordering_basic():
@@ -137,6 +150,8 @@ def test_graph_json_roundtrip():
         graph_from_json({"ordering": ["a"]})
     with pytest.raises(FormatError):
         graph_from_json({"ordering": ["a", "b"], "parents": [[], ["z"]]})
+    with pytest.raises(FormatError, match="parents entry of 'c' lists 'a' twice"):
+        graph_from_json({"ordering": ["a", "b", "c"], "parents": [[], [], ["a", "b", "a"]]})
 
 
 def test_family_json_roundtrip():
@@ -148,3 +163,89 @@ def test_family_json_roundtrip():
     with pytest.raises(FormatError):
         family_from_json({"ordering": ["a"], "floor": [[]], "ceiling": [[]],
                           "max_parents": "two"})
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"ordering": ["a", "b"], "floor": [[], []], "ceiling": [[], ["a"]],
+      "max_parents": True}, "max_parents"),
+    ({"ordering": ["a", "b"], "floor": [[], ["a", "a"]], "ceiling": [[], ["a"]]},
+     "floor entry of 'b' lists 'a' twice"),
+    ({"ordering": ["a", "b", "c"], "floor": [[], [], []],
+      "ceiling": [[], ["a"], ["b", "a", "b"]]}, "ceiling entry of 'c' lists 'b' twice"),
+])
+def test_family_json_rejects_ambiguous_input(doc, field):
+    with pytest.raises(FormatError, match=field):
+        family_from_json(doc)
+
+
+# --- properties of the per-spec admissible lists ---------------------------
+
+@st.composite
+def family_specs(draw):
+    """Random small families: floor <= ceiling <= predecessors, cap None or 0..n."""
+    n = draw(st.integers(1, 6))
+    cap = draw(st.none() | st.integers(0, n))
+    floor, ceiling = [], []
+    for i in range(n):
+        c = draw(st.integers(0, (1 << i) - 1))
+        f = draw(st.integers(0, (1 << i) - 1)) & c
+        while cap is not None and f.bit_count() > cap:
+            f &= f - 1
+        floor.append(f)
+        ceiling.append(c)
+    ordering = NodeOrdering(tuple(f"v{i}" for i in range(n)))
+    return FamilySpec(ordering, tuple(floor), tuple(ceiling), cap)
+
+
+def _brute_admissible(spec, i, cap):
+    """Submasks of the ceiling that hold the floor and fit the cap, graded-lex."""
+    f, c = spec.floor[i], spec.ceiling[i]
+    found = [p for p in range(c + 1)
+             if p & ~c == 0 and p & f == f and (cap is None or p.bit_count() <= cap)]
+    return sorted(found, key=lambda p: (p.bit_count(), bits_of(p)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(family_specs(), st.data())
+def test_admissible_lists_built_once_per_spec(spec, data):
+    for i in range(spec.n):
+        adm = spec.iter_admissible(i)
+        assert list(adm) == _brute_admissible(spec, i, spec.max_parents)
+        assert len(adm) == spec.admissible_count(i)
+        assert spec.iter_admissible(i) is adm
+    assert spec == dataclasses.replace(spec)
+    k = data.draw(st.integers(max(f.bit_count() for f in spec.floor), spec.n))
+    capped = dataclasses.replace(spec, max_parents=k)
+    for i in range(spec.n):
+        assert list(capped.iter_admissible(i)) == _brute_admissible(spec, i, k)
+        assert list(spec.iter_admissible(i)) == _brute_admissible(spec, i, spec.max_parents)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family_specs(), st.data())
+def test_degree_counts_neighbors(spec, data):
+    g = ParentMap(spec.ordering, tuple(data.draw(st.sampled_from(spec.iter_admissible(i)))
+                                       for i in range(spec.n)))
+    assert sum(1 for _ in neighbors(g, spec)) == spec.degree()
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        fam = os.path.join(tmp, "family.json")
+        graph = os.path.join(tmp, "graph.json")
+        for path, obj in ((fam, family_to_json(spec)), (graph, graph_to_json(g))):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        with contextlib.redirect_stdout(out):
+            assert main(["neighbors", "--family", fam, "--graph", graph, "--count-only"]) == 0
+    assert out.getvalue() == f"{spec.degree()}\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(family_specs())
+def test_k2_backward_starts_at_first_largest_set(spec):
+    brute = [_brute_admissible(spec, i, spec.max_parents) for i in range(spec.n)]
+    table = ScoreTable(spec, tuple({p: 0 for p in adm} for adm in brute))
+    # a constant table offers no strict improvement, so each child keeps its start
+    got = k2_backward(table, spec).graph.parents
+    for i, adm in enumerate(brute):
+        top = max(p.bit_count() for p in adm)
+        assert got[i] == next(p for p in adm if p.bit_count() == top)

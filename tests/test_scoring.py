@@ -86,6 +86,14 @@ def test_load_csv_errors(tmp_path):
     nodata.write_text("a,b\n")
     with pytest.raises(FormatError, match="no data rows"):
         load_csv(nodata, o)
+    twice = tmp_path / "twice.csv"
+    twice.write_text("a,b,a\n1,2,3\n")
+    with pytest.raises(FormatError, match="column 'a' appears more than once"):
+        load_csv(twice, o)
+    # repeats of a column the ordering does not name stay ignored
+    extra = tmp_path / "extra.csv"
+    extra.write_text("a,junk,b,junk\n1,x,2,y\n")
+    assert load_csv(extra, o).rows == ((0, 0),)
 
 
 # --- local scores -----------------------------------------------------------
@@ -176,6 +184,19 @@ def test_score_table_json_roundtrip():
     bad["scores"] = obj["scores"][:-1]
     with pytest.raises(FormatError):
         score_table_from_json(bad)
+
+
+@pytest.mark.parametrize("repeat", [
+    {"child": "a1", "parents": [], "score": 1},
+    {"child": "b1", "parents": ["a2", "a1"], "score": 9},
+])
+def test_score_table_json_rejects_repeated_entry(repeat):
+    spec = diagnosis_family(2, 1)
+    table = ScoreTable(spec, ({0: 0}, {0: 0}, {0: 0, 1: 1, 2: 2, 3: 3}))
+    obj = score_table_to_json(table)
+    obj["scores"].append(repeat)
+    with pytest.raises(FormatError, match=r"score entry 6: a second score"):
+        score_table_from_json(obj)
 
 
 # --- block objective ---------------------------------------------------------
