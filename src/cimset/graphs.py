@@ -269,6 +269,9 @@ def _name_lists_to_masks(ordering: NodeOrdering, lists, what: str) -> tuple:
     for child, entry in zip(ordering.names, lists):
         if not isinstance(entry, list):
             raise FormatError(f"{what} entries must be lists of node names")
+        for nm in entry:
+            if not isinstance(nm, str):
+                raise FormatError(f"{what} entry of {child!r} lists {nm!r}, not a node name")
         try:
             mask = ordering.mask_of_names(entry)
         except DomainError as exc:

@@ -12,15 +12,18 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from .errors import DomainError, FormatError, ResourceError, UnsupportedError
 from .graphs import FamilySpec, NodeOrdering, ParentMap, family_contains, \
     family_from_json, family_to_json
 from .imsets import CharImset, CoordinateIndex
-from .subsets import compress, expand, mobius_subsets_inplace
+from .subsets import bits_of, compress, expand, mobius_subsets_inplace
 
 SCORE_SNAP = 1e-12
 TABLE_CHILD_LIMIT = 1 << 20
@@ -61,6 +64,11 @@ class Dataset:
             if len(row) != n:
                 raise DomainError(f"row {r} has {len(row)} values, expected {n}")
             for j, v in enumerate(row):
+                if type(v) is not int and (isinstance(v, bool)
+                                           or not isinstance(v, numbers.Integral)):
+                    raise DomainError(
+                        f"row {r} column {self.ordering.names[j]}: state {v!r} is not an integer"
+                    )
                 if not 0 <= v < self.cardinalities[j]:
                     raise DomainError(
                         f"row {r} column {self.ordering.names[j]}: state {v} out of range"
@@ -115,6 +123,64 @@ def load_csv(path, ordering: NodeOrdering) -> Dataset:
 
 
 # --- local scores -------------------------------------------------------
+#
+# Counts come from integer row codes: a parent set's code for a row is its
+# mixed-radix parent configuration, so one np.bincount tallies every
+# configuration at once.  Each score is a function of the multiset of
+# counts alone, so row order and state labels cannot change it.
+
+def _columns(data: Dataset) -> np.ndarray:
+    """The dataset as one contiguous int64 array per variable."""
+    return np.ascontiguousarray(np.array(data.rows, dtype=np.int64).T)
+
+
+def _extend(code: np.ndarray, configs: int, column: np.ndarray, card: int):
+    """Row codes after appending one variable; every code lies below `configs`.
+
+    Once `configs` would pass the row count the codes are renumbered
+    densely, so they stay below rows * card and cannot overflow int64.
+    """
+    code = code * card + column
+    configs *= card
+    if configs > len(code):
+        uniq, code = np.unique(code, return_inverse=True)
+        configs = len(uniq)
+    return code, configs
+
+
+def _codes(cols: np.ndarray, cards, parents: int):
+    """Row codes of one parent set, built from its own columns."""
+    code, configs = np.zeros(cols.shape[1], dtype=np.int64), 1
+    for j in bits_of(parents):
+        code, configs = _extend(code, configs, cols[j], cards[j])
+    return code, configs
+
+
+def _clogc(counts: np.ndarray) -> float:
+    """Sum of c ln c over the counts; exactly rounded, so order cannot matter."""
+    c = counts[counts > 1].astype(np.float64)
+    return math.fsum((c * np.log(c)).tolist())
+
+
+def _fit(code: np.ndarray, configs: int, cols: np.ndarray, cards,
+         child: int, parents: int, crit: str) -> float:
+    """Local score of `parents` for `child` from the parent set's row codes."""
+    joint, _ = _extend(code, configs, cols[child], cards[child])
+    ll = _clogc(np.bincount(joint)) - _clogc(np.bincount(code))
+    if crit == "ll":
+        return ll
+    free_params = math.prod(cards[j] for j in bits_of(parents)) * (cards[child] - 1)
+    if crit == "bic":
+        return ll - math.log(len(code)) / 2 * free_params
+    return ll - free_params
+
+
+def _criterion(criterion: str) -> str:
+    crit = criterion.lower()
+    if crit not in CRITERIA:
+        raise DomainError(f"unknown criterion '{criterion}'")
+    return crit
+
 
 def local_score(data: Dataset, child: int, parents: int, criterion: str):
     """Per-child fit of one parent set: ll, bic, or aic.
@@ -123,31 +189,12 @@ def local_score(data: Dataset, child: int, parents: int, criterion: str):
     configurations; bic subtracts (ln N / 2) * q * (r - 1) and aic
     subtracts q * (r - 1), q = product of parent cardinalities.
     """
-    crit = criterion.lower()
-    if crit not in CRITERIA:
-        raise DomainError(f"unknown criterion '{criterion}'")
+    crit = _criterion(criterion)
     if parents & ~((1 << child) - 1):
         raise DomainError("parents must precede the child in the ordering")
-
-    pcols = [j for j in range(child) if parents >> j & 1]
-    joint: Dict[tuple, int] = {}
-    marg: Dict[tuple, int] = {}
-    for row in data.rows:
-        pi = tuple(row[j] for j in pcols)
-        joint[pi + (row[child],)] = joint.get(pi + (row[child],), 0) + 1
-        marg[pi] = marg.get(pi, 0) + 1
-    ll = sum(c * math.log(c) for c in joint.values())
-    ll -= sum(c * math.log(c) for c in marg.values())
-
-    if crit == "ll":
-        return ll
-    q = 1
-    for j in pcols:
-        q *= data.cardinalities[j]
-    free_params = q * (data.cardinalities[child] - 1)
-    if crit == "bic":
-        return ll - math.log(data.n_rows) / 2 * free_params
-    return ll - free_params
+    cols = _columns(data)
+    return _fit(*_codes(cols, data.cardinalities, parents), cols, data.cardinalities,
+                child, parents, crit)
 
 
 # --- score tables -------------------------------------------------------
@@ -182,8 +229,16 @@ class ScoreTable:
 
 
 def build_score_table(data: Dataset, spec: FamilySpec, criterion: str) -> ScoreTable:
+    """Local score of every admissible parent set of every child.
+
+    Each child's lattice is walked in graded-lex order; a parent set's row
+    codes extend those of its predecessor (the set without its highest
+    free bit) by one column, so only the previous size level is kept.
+    """
+    crit = _criterion(criterion)
     if data.ordering.names != spec.ordering.names:
         raise DomainError("dataset and family use different variable orderings")
+    cols, cards = _columns(data), data.cardinalities
     entries = []
     for i in range(spec.ordering.n):
         count = spec.admissible_count(i)
@@ -192,8 +247,20 @@ def build_score_table(data: Dataset, spec: FamilySpec, criterion: str) -> ScoreT
                 f"child {spec.ordering.names[i]} has {count} admissible parent sets, "
                 f"over the score-table limit {TABLE_CHILD_LIMIT}"
             )
-        entries.append({p: local_score(data, i, p, criterion) for p in spec.iter_admissible(i)})
-    return ScoreTable(spec, tuple(entries), criterion.lower())
+        floor, free = spec.floor[i], spec.free_mask(i)
+        cell: Dict[int, float] = {}
+        prev: Dict[int, tuple] = {}
+        level = {floor: _codes(cols, cards, floor)}
+        size = floor.bit_count()
+        for p in spec.iter_admissible(i):
+            if p != floor:
+                if p.bit_count() > size:
+                    prev, level, size = level, {}, p.bit_count()
+                top = (p & free).bit_length() - 1
+                level[p] = _extend(*prev[p ^ 1 << top], cols[top], cards[top])
+            cell[p] = _fit(*level[p], cols, cards, i, p, crit)
+        entries.append(cell)
+    return ScoreTable(spec, tuple(entries), crit)
 
 
 def table_graph_score(table: ScoreTable, g: ParentMap):

@@ -152,6 +152,8 @@ def test_graph_json_roundtrip():
         graph_from_json({"ordering": ["a", "b"], "parents": [[], ["z"]]})
     with pytest.raises(FormatError, match="parents entry of 'c' lists 'a' twice"):
         graph_from_json({"ordering": ["a", "b", "c"], "parents": [[], [], ["a", "b", "a"]]})
+    with pytest.raises(FormatError, match=r"parents entry of 'b' lists \['a'\], not a node name"):
+        graph_from_json({"ordering": ["a", "b"], "parents": [[], [["a"]]]})
 
 
 def test_family_json_roundtrip():
@@ -172,6 +174,12 @@ def test_family_json_roundtrip():
      "floor entry of 'b' lists 'a' twice"),
     ({"ordering": ["a", "b", "c"], "floor": [[], [], []],
       "ceiling": [[], ["a"], ["b", "a", "b"]]}, "ceiling entry of 'c' lists 'b' twice"),
+    ({"ordering": ["a", "b"], "floor": [[], [["a"]]], "ceiling": [[], ["a"]]},
+     r"floor entry of 'b' lists \['a'\], not a node name"),
+    ({"ordering": ["a", "b"], "floor": [[], []], "ceiling": [[], [["a"]]]},
+     r"ceiling entry of 'b' lists \['a'\], not a node name"),
+    ({"ordering": ["a", "b"], "floor": [[], []], "ceiling": [[], [None]]},
+     "ceiling entry of 'b' lists None, not a node name"),
 ])
 def test_family_json_rejects_ambiguous_input(doc, field):
     with pytest.raises(FormatError, match=field):

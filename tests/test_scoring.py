@@ -1,17 +1,22 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cimset.errors import DomainError, FormatError
 from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family,
                            enumerate_family, full_ordered_family)
 from cimset.imsets import characteristic_imset, coordinate_index
-from cimset.scoring import (Dataset, ScoreTable, build_score_table, data_vector_dot,
-                            load_csv, local_score, mobius_data_vector, score_gt,
-                            score_graph, score_table_from_json, score_table_to_json,
-                            table_graph_score)
+from cimset.scoring import (CRITERIA, Dataset, ScoreTable, build_score_table,
+                            data_vector_dot, load_csv, local_score, mobius_data_vector,
+                            score_gt, score_graph, score_table_from_json,
+                            score_table_to_json, table_graph_score)
+from cimset.subsets import bits_of
+from test_graphs import family_specs
 
 
 # --- comparator -----------------------------------------------------------
@@ -52,6 +57,20 @@ def test_dataset_validation():
     with pytest.raises(DomainError):
         Dataset(o, (2, 2), ((0,),))
     assert _ab_dataset().n_rows == 4
+
+
+@pytest.mark.parametrize("state", [0.5, 1.0, True, "1", None, np.float64(1.0), np.bool_(True)])
+def test_dataset_rejects_non_integer_states(state):
+    o = NodeOrdering(("a", "b"))
+    with pytest.raises(DomainError, match="row 1 column b: state .* is not an integer"):
+        Dataset(o, (2, 2), ((0, 0), (1, state)))
+
+
+def test_dataset_accepts_numpy_integer_states():
+    o = NodeOrdering(("a", "b"))
+    data = Dataset(o, (2, 2), ((np.int64(0), np.uint8(1)), (1, np.int32(0))))
+    assert local_score(data, 1, 0b01, "ll") == local_score(
+        Dataset(o, (2, 2), ((0, 1), (1, 0))), 1, 0b01, "ll")
 
 
 def test_load_csv_roundtrip(tmp_path):
@@ -132,6 +151,108 @@ def test_perfect_dependence_prefers_the_parent():
     rows = tuple((i & 1, i & 1) for i in range(8))
     data = Dataset(o, (2, 2), rows)
     assert score_gt(local_score(data, 1, 1, "bic"), local_score(data, 1, 0, "bic"))
+
+
+# --- the count engine --------------------------------------------------------
+
+def _counter_score(data, child, parents, crit):
+    """Reference local score from Counter tallies of explicit configurations."""
+    pcols = bits_of(parents)
+    marg = Counter(tuple(row[j] for j in pcols) for row in data.rows)
+    joint = Counter((tuple(row[j] for j in pcols), row[child]) for row in data.rows)
+    ll = (math.fsum(c * math.log(c) for c in joint.values())
+          - math.fsum(c * math.log(c) for c in marg.values()))
+    free_params = math.prod(data.cardinalities[j] for j in pcols) * (
+        data.cardinalities[child] - 1)
+    return {"ll": ll, "bic": ll - math.log(data.n_rows) / 2 * free_params,
+            "aic": ll - free_params}[crit]
+
+
+def _reorder(data, rng):
+    """The same observations with the rows shuffled and each column's states relabelled."""
+    perms = [rng.sample(range(c), c) for c in data.cardinalities]
+    rows = [tuple(perms[j][v] for j, v in enumerate(row)) for row in data.rows]
+    rng.shuffle(rows)
+    return Dataset(data.ordering, data.cardinalities, tuple(rows))
+
+
+def _tables_identical(a, b):
+    return [list(cell.items()) for cell in a.entries] == [list(cell.items()) for cell in b.entries]
+
+
+@st.composite
+def scored_families(draw):
+    spec = draw(family_specs())
+    cards = tuple(draw(st.integers(1, 4)) for _ in range(spec.n))
+    rows = draw(st.lists(st.tuples(*(st.integers(0, c - 1) for c in cards)),
+                         min_size=1, max_size=40))
+    return Dataset(spec.ordering, cards, tuple(rows)), spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(scored_families(), st.sampled_from(CRITERIA), st.randoms(use_true_random=False))
+def test_table_is_local_score_and_ignores_row_order_and_labels(case, crit, rng):
+    data, spec = case
+    table = build_score_table(data, spec, crit)
+    for i in range(spec.n):
+        for p in spec.iter_admissible(i):
+            assert table.local(i, p) == local_score(data, i, p, crit)
+            assert table.local(i, p) == pytest.approx(_counter_score(data, i, p, crit),
+                                                      rel=1e-12, abs=1e-12)
+    assert _tables_identical(build_score_table(_reorder(data, rng), spec, crit), table)
+
+
+def _dependent_rows(cards, n_rows, rng):
+    """Rows where each variable copies an earlier one or draws at random."""
+    rows = []
+    for _ in range(n_rows):
+        row = []
+        for j, c in enumerate(cards):
+            if j and rng.random() < 0.6:
+                row.append(row[rng.randrange(j)] % c)
+            else:
+                row.append(rng.randrange(c))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("crit", CRITERIA)
+def test_table_bit_identical_under_shuffle_and_relabel(crit):
+    rng = random.Random(21)
+    o = NodeOrdering(tuple(f"v{j}" for j in range(8)))
+    cards = (2, 3, 4, 2, 3, 4, 2, 3)
+    data = Dataset(o, cards, _dependent_rows(cards, 3000, rng))
+    spec = full_ordered_family(o)
+    table = build_score_table(data, spec, crit)
+    rows = list(data.rows)
+    rng.shuffle(rows)
+    shuffled = Dataset(o, cards, tuple(rows))
+    assert _tables_identical(build_score_table(shuffled, spec, crit), table)
+    assert _tables_identical(build_score_table(_reorder(data, rng), spec, crit), table)
+
+
+def test_wide_floor_codes_do_not_wrap():
+    # 5**30 floor configurations overflow int64 unless codes are renumbered
+    rng = random.Random(5)
+    n = 33
+    o = NodeOrdering(tuple(f"v{j}" for j in range(n)))
+    cards = (5,) * 32 + (3,)
+    patterns = [tuple(rng.randrange(5) for _ in range(30)) for _ in range(25)]
+    rows = []
+    for _ in range(400):
+        pat = rng.choice(patterns)
+        free = (rng.randrange(5), rng.randrange(5))
+        child = (pat[0] + free[1]) % 3 if rng.random() < 0.7 else rng.randrange(3)
+        rows.append(pat + free + (child,))
+    data = Dataset(o, cards, tuple(rows))
+    floor = (1 << 30) - 1
+    spec = FamilySpec(o, (0,) * 32 + (floor,), (0,) * 32 + ((1 << 32) - 1,))
+    for crit in CRITERIA:
+        table = build_score_table(data, spec, crit)
+        for p in spec.iter_admissible(32):
+            want = _counter_score(data, 32, p, crit)
+            assert table.local(32, p) == pytest.approx(want, rel=1e-12)
+            assert local_score(data, 32, p, crit) == table.local(32, p)
 
 
 # --- score tables -----------------------------------------------------------
