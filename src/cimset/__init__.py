@@ -21,7 +21,7 @@ from .imsets import (Block, CharImset, CoordinateIndex, block_slice,
                      imset_from_bits, imset_text_lines, imset_to_graph)
 from .learn import (ChildChoice, CompareReport, LearnResult, compare, k2_backward,
                     k2_forward, optimize_exact, structural_hamming)
-from .oracle import (Certificate, affine_dimension, learn_bruteforce,
+from .oracle import (Certificate, VertexCloud, affine_dimension, learn_bruteforce,
                      lemma32_witness, lp_feasible, oracle_adjacent,
                      oracle_facet_check, witness_block_value)
 from .scoring import (DataVector, Dataset, ScoreTable, build_score_table,

@@ -22,7 +22,7 @@ from .graphs import (enumerate_family, family_contains, family_from_json,
 from .imsets import characteristic_imset, coordinate_index, export_full_vector, \
     imset_text_lines
 from .learn import compare, k2_forward, k2_backward, optimize_exact
-from .oracle import affine_dimension, oracle_adjacent, oracle_facet_check
+from .oracle import VertexCloud, affine_dimension, oracle_adjacent, oracle_facet_check
 from .scoring import build_score_table, load_csv, score_table_from_json
 from .subsets import bits_of, iter_graded_subsets
 
@@ -33,6 +33,17 @@ class _Parser(argparse.ArgumentParser):
     # argparse's default SystemExit(2) collides with the verify-failure code
     def error(self, message):
         raise FormatError(message)
+
+
+def _nonnegative_int(text):
+    """argparse type for a nonnegative integer option such as --limit."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _jsonable(v):
@@ -210,8 +221,9 @@ def _verify_rows(spec, args, cert_sink):
             pairs.sort()
             note = f"{args.limit} sampled pairs (seed {args.seed})"
         mismatch = None
+        cloud = VertexCloud(vecs)
         for i, j in pairs:
-            cert = oracle_adjacent(vecs[i], vecs[j], vecs, synthesize_witness=False)
+            cert = oracle_adjacent(vecs[i], vecs[j], cloud, synthesize_witness=False)
             closed = are_neighbors(members[i], members[j], spec)
             if cert_sink is not None:
                 cert_sink.write(json.dumps(_jsonable(
@@ -237,7 +249,7 @@ def _verify_rows(spec, args, cert_sink):
                 skipped.append(spec.ordering.names[i])
                 continue
             sysk = facet_system_for_child(spec, i)
-            cloud = [vertex_block_vector(k, s) for s in range(1 << k)]
+            cloud = VertexCloud(vertex_block_vector(k, s) for s in range(1 << k))
             for s in iter_graded_subsets(sysk.universe, include_empty=True):
                 cert = oracle_facet_check((s, sysk.dense_row(s)), cloud)
                 checked += 1
@@ -403,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("facets", help="print per-child facet systems")
     p.add_argument("--family", required=True)
     p.add_argument("--child", default=None)
-    p.add_argument("--limit", type=int, default=None, help="max rows per child")
+    p.add_argument("--limit", type=_nonnegative_int, default=None, help="max rows per child")
     _add_format(p)
     p.set_defaults(fn=cmd_facets)
 
@@ -418,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--checks", default="all",
                    help="comma list of product,dimension,adjacency,facets")
-    p.add_argument("--limit", type=int, default=2000,
+    p.add_argument("--limit", type=_nonnegative_int, default=2000,
                    help="max adjacency pairs / facet rows per block")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--certificates", default=None, help="write JSON-lines certificates")
@@ -441,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list every family member")
     p.add_argument("--family", required=True)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_nonnegative_int, default=None)
     _add_format(p)
     p.set_defaults(fn=cmd_enumerate)
     return top

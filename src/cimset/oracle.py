@@ -29,7 +29,10 @@ ADJACENCY_CLOUD_MAX = 4096
 BRUTEFORCE_MAX = 1 << 20
 
 
-def _exact(v) -> Fraction:
+def _exact(v):
+    """A plain int unchanged, any other rational as a Fraction; floats refused."""
+    if type(v) is int:
+        return v
     if isinstance(v, float):
         raise DomainError("exact rational arithmetic required; got a float")
     return Fraction(v)
@@ -78,14 +81,13 @@ def _solve_phase1(rows, rhs, eq_flags):
     scales: List[int] = []
     signs: List[int] = []
     for i in range(m):
-        coeffs = [_exact(v) for v in rows[i]]
-        b = _exact(rhs[i])
-        scale = 1
-        for v in coeffs:
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
-        scale = scale * b.denominator // math.gcd(scale, b.denominator)
-        row = [int(v * scale) for v in coeffs]
-        bi = int(b * scale)
+        row, bi, scale = list(rows[i]), rhs[i], 1
+        if type(bi) is not int or any(type(v) is not int for v in row):
+            coeffs = [_exact(v) for v in row]
+            b = _exact(bi)
+            scale = math.lcm(b.denominator, *(v.denominator for v in coeffs))
+            row = [int(v * scale) for v in coeffs]
+            bi = int(b * scale)
         sign = 1
         if bi < 0:
             row = [-v for v in row]
@@ -307,23 +309,62 @@ _REPLAY = {
 
 # --- adjacency ----------------------------------------------------------
 
+class VertexCloud:
+    """A 0/1 vertex cloud converted once for repeated oracle calls.
+
+    Holds the vertices as integer tuples (`vecs`), one bitmask per vertex
+    with bit j set where coordinate j is 1 (`masks`), and the position of
+    each distinct vector (`index`).  Every vertex must be a 0/1 vector and
+    all must have the same length: the pruning in `oracle_adjacent` is
+    only sound for 0/1 vertices.
+    """
+
+    __slots__ = ("vecs", "masks", "index")
+
+    def __init__(self, cloud):
+        vecs: List[Tuple[int, ...]] = []
+        masks: List[int] = []
+        index: Dict[Tuple[int, ...], int] = {}
+        for t, u in enumerate(cloud):
+            raw = u.bits if isinstance(u, CharImset) else tuple(u)
+            if any(e != 0 and e != 1 for e in raw):
+                raise DomainError(f"cloud vertex {t} {raw!r} is not a 0/1 vector")
+            vec = _vec(raw)
+            if vecs and len(vec) != len(vecs[0]):
+                raise DomainError(f"cloud vertex {t} has {len(vec)} coordinates, "
+                                  f"vertex 0 has {len(vecs[0])}")
+            index.setdefault(vec, t)
+            vecs.append(vec)
+            masks.append(sum(1 << j for j, e in enumerate(vec) if e))
+        self.vecs = tuple(vecs)
+        self.masks = tuple(masks)
+        self.index = index
+
+    def __len__(self) -> int:
+        return len(self.vecs)
+
+
 def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certificate:
     """Decide vertex adjacency on conv(cloud) by the midpoint test.
 
     Two distinct vertices of a 0/1 polytope are adjacent exactly when their
     midpoint cannot be written as a convex combination of the remaining
     vertices.  On adjacency, optionally also synthesizes a separating cost
-    vector w with w.v1 = w.v2 >= w.u + 1 for every other vertex u.
+    vector w with w.v1 = w.v2 >= w.u + 1 for every other vertex u.  The
+    cloud is a `VertexCloud` or any iterable of 0/1 vectors; pass a
+    `VertexCloud` to convert it once for many calls.
     """
     b1, b2 = _vec(v1), _vec(v2)
     if b1 == b2:
         raise DegeneratePairError("adjacency oracle called with identical vertices")
-    vecs = [_vec(u) for u in cloud]
-    if len(vecs) > ADJACENCY_CLOUD_MAX:
-        raise ResourceError(f"cloud of {len(vecs)} vertices over the limit {ADJACENCY_CLOUD_MAX}")
-    if b1 not in vecs or b2 not in vecs:
+    if not isinstance(cloud, VertexCloud):
+        cloud = VertexCloud(cloud)
+    if len(cloud) > ADJACENCY_CLOUD_MAX:
+        raise ResourceError(f"cloud of {len(cloud)} vertices over the limit {ADJACENCY_CLOUD_MAX}")
+    if b1 not in cloud.index or b2 not in cloud.index:
         raise DomainError("both query vertices must belong to the cloud")
-    others = [u for u in vecs if u != b1 and u != b2]
+    m1 = cloud.masks[cloud.index[b1]]
+    m2 = cloud.masks[cloud.index[b2]]
 
     target = [a + b for a, b in zip(b1, b2)]
     support = [j for j, t in enumerate(target) if t]
@@ -331,10 +372,13 @@ def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certifica
     # a combination with weight on u needs u to vanish where the midpoint
     # does and to be 1 where both endpoints are
     two_cols = [j for j, t in enumerate(target) if t == 2]
+    outside, both = ~(m1 | m2), m1 & m2
     candidates = []
     excluded = []
-    for u in others:
-        if any(u[j] for j in zero_cols) or any(not u[j] for j in two_cols):
+    for u, mask in zip(cloud.vecs, cloud.masks):
+        if mask == m1 or mask == m2:
+            continue
+        if mask & outside or (mask & both) != both:
             excluded.append(u)
         else:
             candidates.append(u)
@@ -363,6 +407,7 @@ def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certifica
     cert = Certificate("adjacency", payload, False)
     cert.verified = cert.replay()
     if synthesize_witness and cert.verified:
+        others = [u for u, mask in zip(cloud.vecs, cloud.masks) if mask != m1 and mask != m2]
         w = _edge_witness(b1, b2, others)
         payload["witness"] = w
         sep = Certificate("separation", {"witness": w, "v1": b1, "v2": b2,
@@ -479,10 +524,13 @@ def oracle_facet_check(sys_row, cloud) -> Certificate:
     coefficients in the block's graded-lex coordinate order.  The checks:
     the row is nonnegative on every vertex, tight on all of them except
     exactly the vertex whose parent set is s, and the tight set spans an
-    affine space of dimension len(cloud) - 2.
+    affine space of dimension len(cloud) - 2.  The cloud is a
+    `VertexCloud` or any iterable of 0/1 vectors.
     """
     s, coeffs = sys_row
-    vecs = [_vec(v) for v in cloud]
+    if not isinstance(cloud, VertexCloud):
+        cloud = VertexCloud(cloud)
+    vecs = cloud.vecs
     if not vecs:
         raise DomainError("facet check needs a nonempty vertex cloud")
     k = (len(vecs[0]) + 1).bit_length() - 1
@@ -492,12 +540,13 @@ def oracle_facet_check(sys_row, cloud) -> Certificate:
     s_vertex = tuple(1 if (t & s) == t else 0 for t in iter_graded_subsets(universe))
 
     coeffs = [int(c) for c in coeffs]
-    payload = {"s": s, "coefficients": tuple(coeffs), "cloud": tuple(vecs),
+    payload = {"s": s, "coefficients": tuple(coeffs), "cloud": vecs,
                "vertex": s_vertex, "failing": None}
+    const, linear = coeffs[0], coeffs[1:]
     tight = []
     off = []
     for vec in vecs:
-        val = coeffs[0] + sum(c * e for c, e in zip(coeffs[1:], vec))
+        val = const + sum(c * e for c, e in zip(linear, vec))
         if val < 0:
             payload["failing"] = vec
             return Certificate("facet", payload, False)

@@ -129,30 +129,46 @@ def load_csv(path, ordering: NodeOrdering) -> Dataset:
 # configuration at once.  Each score is a function of the multiset of
 # counts alone, so row order and state labels cannot change it.
 
-def _columns(data: Dataset) -> np.ndarray:
-    """The dataset as one contiguous int64 array per variable."""
-    return np.ascontiguousarray(np.array(data.rows, dtype=np.int64).T)
+def _columns(data: Dataset):
+    """The dataset as one contiguous int64 array per variable, and each
+    variable's code radix.
+
+    The radix is the largest observed state plus one, so codes are bounded
+    by the data, not by the declared cardinality; a column whose states
+    pass the row count is first renumbered densely, so every radix is at
+    most the row count.
+    """
+    cols = np.ascontiguousarray(np.array(data.rows, dtype=np.int64).T)
+    radix = []
+    for j, col in enumerate(cols):
+        r = int(col.max()) + 1
+        if r > len(col):
+            uniq, cols[j] = np.unique(col, return_inverse=True)
+            r = len(uniq)
+        radix.append(r)
+    return cols, radix
 
 
-def _extend(code: np.ndarray, configs: int, column: np.ndarray, card: int):
+def _extend(code: np.ndarray, configs: int, column: np.ndarray, radix: int):
     """Row codes after appending one variable; every code lies below `configs`.
 
     Once `configs` would pass the row count the codes are renumbered
-    densely, so they stay below rows * card and cannot overflow int64.
+    densely, so they stay below rows * radix <= rows**2 and cannot
+    overflow int64.
     """
-    code = code * card + column
-    configs *= card
+    code = code * radix + column
+    configs *= radix
     if configs > len(code):
         uniq, code = np.unique(code, return_inverse=True)
         configs = len(uniq)
     return code, configs
 
 
-def _codes(cols: np.ndarray, cards, parents: int):
+def _codes(cols: np.ndarray, radix, parents: int):
     """Row codes of one parent set, built from its own columns."""
     code, configs = np.zeros(cols.shape[1], dtype=np.int64), 1
     for j in bits_of(parents):
-        code, configs = _extend(code, configs, cols[j], cards[j])
+        code, configs = _extend(code, configs, cols[j], radix[j])
     return code, configs
 
 
@@ -162,10 +178,13 @@ def _clogc(counts: np.ndarray) -> float:
     return math.fsum((c * np.log(c)).tolist())
 
 
-def _fit(code: np.ndarray, configs: int, cols: np.ndarray, cards,
+def _fit(code: np.ndarray, configs: int, cols: np.ndarray, radix, cards,
          child: int, parents: int, crit: str) -> float:
-    """Local score of `parents` for `child` from the parent set's row codes."""
-    joint, _ = _extend(code, configs, cols[child], cards[child])
+    """Local score of `parents` for `child` from the parent set's row codes.
+
+    The penalty counts the declared cardinalities `cards`.
+    """
+    joint, _ = _extend(code, configs, cols[child], radix[child])
     ll = _clogc(np.bincount(joint)) - _clogc(np.bincount(code))
     if crit == "ll":
         return ll
@@ -192,8 +211,8 @@ def local_score(data: Dataset, child: int, parents: int, criterion: str):
     crit = _criterion(criterion)
     if parents & ~((1 << child) - 1):
         raise DomainError("parents must precede the child in the ordering")
-    cols = _columns(data)
-    return _fit(*_codes(cols, data.cardinalities, parents), cols, data.cardinalities,
+    cols, radix = _columns(data)
+    return _fit(*_codes(cols, radix, parents), cols, radix, data.cardinalities,
                 child, parents, crit)
 
 
@@ -238,7 +257,7 @@ def build_score_table(data: Dataset, spec: FamilySpec, criterion: str) -> ScoreT
     crit = _criterion(criterion)
     if data.ordering.names != spec.ordering.names:
         raise DomainError("dataset and family use different variable orderings")
-    cols, cards = _columns(data), data.cardinalities
+    (cols, radix), cards = _columns(data), data.cardinalities
     entries = []
     for i in range(spec.ordering.n):
         count = spec.admissible_count(i)
@@ -250,15 +269,15 @@ def build_score_table(data: Dataset, spec: FamilySpec, criterion: str) -> ScoreT
         floor, free = spec.floor[i], spec.free_mask(i)
         cell: Dict[int, float] = {}
         prev: Dict[int, tuple] = {}
-        level = {floor: _codes(cols, cards, floor)}
+        level = {floor: _codes(cols, radix, floor)}
         size = floor.bit_count()
         for p in spec.iter_admissible(i):
             if p != floor:
                 if p.bit_count() > size:
                     prev, level, size = level, {}, p.bit_count()
                 top = (p & free).bit_length() - 1
-                level[p] = _extend(*prev[p ^ 1 << top], cols[top], cards[top])
-            cell[p] = _fit(*level[p], cols, cards, i, p, crit)
+                level[p] = _extend(*prev[p ^ 1 << top], cols[top], radix[top])
+            cell[p] = _fit(*level[p], cols, radix, cards, i, p, crit)
         entries.append(cell)
     return ScoreTable(spec, tuple(entries), crit)
 

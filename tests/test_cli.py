@@ -232,6 +232,17 @@ def test_bad_arguments_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["verify", "facets", "enumerate"])
+def test_negative_limit_refused(diag21, command, capsys):
+    _, fam, _ = diag21
+    assert main([command, "--family", fam, "--limit", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --limit: must be at least 0, got -1" in captured.err
+    assert main([command, "--family", fam, "--limit", "many"]) == 1
+    assert "argument --limit: invalid int value: 'many'" in capsys.readouterr().err
+
+
 def test_missing_file_message(diag21, capsys):
     _, fam, _ = diag21
     assert main(["imset", "--family", fam, "--graph", "/does/not/exist.json"]) == 1

@@ -1,17 +1,20 @@
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cimset.errors import DegeneratePairError, DomainError
 from cimset.geometry import are_neighbors, facet_matrix, vertex_block_vector
 from cimset.graphs import diagnosis_family, enumerate_family
 from cimset.imsets import characteristic_imset, coordinate_index
-from cimset.oracle import (Certificate, affine_dimension, learn_bruteforce,
+from cimset.oracle import (Certificate, VertexCloud, affine_dimension, learn_bruteforce,
                            lemma32_witness, lp_feasible, oracle_adjacent,
                            oracle_facet_check, witness_block_value)
 from cimset.scoring import ScoreTable
 from cimset.subsets import iter_submasks
+from test_graphs import family_specs
 
 
 # --- exact LP -----------------------------------------------------------
@@ -57,6 +60,29 @@ def test_lp_shape_mismatch():
         lp_feasible([[1]], [1, 2])
 
 
+_ENTRY = st.one_of(st.integers(-3, 3), st.booleans(),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(st.lists(_ENTRY, min_size=n, max_size=n), _ENTRY, st.booleans()),
+    min_size=1, max_size=4)))
+def test_lp_mixed_entry_types_give_the_all_fraction_point(system):
+    rows = [r for r, _, _ in system]
+    rhs = [b for _, b, _ in system]
+    eq = [e for _, _, e in system]
+    x = lp_feasible(rows, rhs, eq)
+    # every entry a Fraction takes the general integerizing path throughout
+    assert x == lp_feasible([[Fraction(v) for v in r] for r in rows],
+                            [Fraction(b) for b in rhs], eq)
+    if x is not None:
+        assert all(v >= 0 for v in x)
+        for r, b, e in system:
+            lhs = sum(Fraction(a) * v for a, v in zip(r, x))
+            assert lhs == b if e else lhs <= b
+
+
 # --- adjacency oracle ---------------------------------------------------
 
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -90,6 +116,37 @@ def test_oracle_guards():
         oracle_adjacent((0, 0), (2, 2), SQUARE)
 
 
+def test_vertex_cloud_packs_once():
+    cloud = VertexCloud([(0, 0), (True, False), (0, 1), (1, 1), (0, 1)])
+    assert cloud.vecs == ((0, 0), (1, 0), (0, 1), (1, 1), (0, 1))
+    assert cloud.masks == (0b00, 0b01, 0b10, 0b11, 0b10)
+    assert cloud.index == {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
+    assert len(cloud) == 5
+
+
+@pytest.mark.parametrize("cloud, match", [
+    ([(2, 0), (0, 2), (2, 2), (0, 0)], r"cloud vertex 0 \(2, 0\) is not a 0/1"),
+    ([(0, 0), (1, 0), (0, 1), (1, Fraction(1, 2))], "cloud vertex 3 .* is not a 0/1"),
+    ([(0, 0), (1, 0), (0, 1), (1, 0.5)], "cloud vertex 3 .* is not a 0/1"),
+    ([(0, 0), (1, 0), (0, -1)], "cloud vertex 2 .* is not a 0/1"),
+    ([(0, 0), (1, 0), (1,)], "cloud vertex 2 has 1 coordinates, vertex 0 has 2"),
+    ([(0, 0), (1, 0), (0, 1, 1)], "cloud vertex 2 has 3 coordinates"),
+])
+def test_oracle_refuses_clouds_outside_the_01_domain(cloud, match):
+    with pytest.raises(DomainError, match=match):
+        VertexCloud(cloud)
+    for witness in (False, True):
+        with pytest.raises(DomainError, match=match):
+            oracle_adjacent(cloud[0], cloud[1], cloud, synthesize_witness=witness)
+
+
+def test_facet_check_refuses_clouds_outside_the_01_domain():
+    with pytest.raises(DomainError, match="cloud vertex 1"):
+        oracle_facet_check((0, [1, 0]), [(0,), (2,)])
+    with pytest.raises(DomainError, match="cloud vertex 1 has 2 coordinates"):
+        oracle_facet_check((0, [1, 0]), [(0,), (1, 0)])
+
+
 def test_oracle_matches_combinatorial_rule():
     spec = diagnosis_family(2, 2)
     idx = coordinate_index(spec)
@@ -99,6 +156,46 @@ def test_oracle_matches_combinatorial_rule():
         cert = oracle_adjacent(cloud[i], cloud[j], cloud, synthesize_witness=False)
         assert cert.verified
         assert (cert.kind == "adjacency") == are_neighbors(g1, g2, spec)
+
+
+def _filter_by_definition(b1, b2, vecs):
+    """Candidates and excluded vertices, computed coordinate by coordinate."""
+    candidates, excluded = [], []
+    for u in vecs:
+        if u in (b1, b2):
+            continue
+        vanishes = all(u[j] == 0 for j in range(len(u)) if b1[j] + b2[j] == 0)
+        shares = all(u[j] == 1 for j in range(len(u)) if b1[j] + b2[j] == 2)
+        (candidates if vanishes and shares else excluded).append(u)
+    return tuple(candidates), tuple(excluded)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_specs(), st.data())
+def test_packed_oracle_on_random_families(spec, data):
+    # coordinate geometry covers uncapped families only
+    spec = dataclasses.replace(spec, max_parents=None)
+    assume(2 <= spec.family_size() <= 64)
+    idx = coordinate_index(spec)
+    members = list(enumerate_family(spec))
+    vecs = [tuple(characteristic_imset(g, idx).bits) for g in members]
+    cloud = VertexCloud(vecs)
+    size = len(members)
+    for _ in range(3):
+        i = data.draw(st.integers(0, size - 1))
+        j = (i + data.draw(st.integers(1, size - 1))) % size
+        witness = data.draw(st.booleans())
+        cert = oracle_adjacent(vecs[i], vecs[j], cloud, synthesize_witness=witness)
+        raw = oracle_adjacent(vecs[i], vecs[j], vecs, synthesize_witness=witness)
+        assert (cert.kind, cert.payload) == (raw.kind, raw.payload)
+        assert cert.verified and cert.replay()
+        assert (cert.kind == "adjacency") == are_neighbors(members[i], members[j], spec)
+        candidates, excluded = _filter_by_definition(vecs[i], vecs[j], vecs)
+        if cert.kind == "adjacency":
+            assert cert.payload["candidates"] == candidates
+            assert cert.payload["excluded"] == excluded
+        else:
+            assert all(u in candidates for u, _ in cert.payload["combination"])
 
 
 def test_tampered_certificates_fail_replay():

@@ -255,6 +255,24 @@ def test_wide_floor_codes_do_not_wrap():
             assert local_score(data, 32, p, crit) == table.local(32, p)
 
 
+@pytest.mark.parametrize("cards, rows", [
+    # declared cardinality times the row count past 2**63
+    ((2 ** 70, 2), ((0, 1), (5, 0), (0, 1))),
+    # radix = largest child state + 1 = 2**62 + 8 would wrap (0, 32) and (4, 0)
+    # onto one int64 code; a child whose states pass the row count is renumbered
+    ((5, 2 ** 63), ((0, 32), (4, 0), (1, 2 ** 62 + 7), (2, 5), (3, 5))),
+])
+def test_huge_cardinality_codes_do_not_overflow(cards, rows):
+    o = NodeOrdering(("x", "y"))
+    data = Dataset(o, cards, rows)
+    spec = full_ordered_family(o)
+    for crit in CRITERIA:
+        want = _counter_score(data, 1, 0b1, crit)
+        assert local_score(data, 1, 0b1, crit) == pytest.approx(want, rel=1e-12)
+        assert build_score_table(data, spec, crit).local(1, 0b1) == local_score(
+            data, 1, 0b1, crit)
+
+
 # --- score tables -----------------------------------------------------------
 
 def test_score_table_validation():
