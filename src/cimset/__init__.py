@@ -28,6 +28,7 @@ from .scoring import (DataVector, Dataset, ScoreTable, build_score_table,
                       data_vector_dot, load_csv, local_score, mobius_data_vector,
                       score_gt, score_graph, score_table_from_json,
                       score_table_to_json, table_graph_score)
+from .verify import verify_family
 
 __version__ = "0.1.0"
 

@@ -9,24 +9,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import random
 import sys
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import CimsetError, DomainError, FormatError
-from .geometry import (affine_dimension_formula, are_neighbors, facet_system_for_child,
-                       neighbors, product_structure, vertex_block_vector)
+from .geometry import facet_system_for_child, neighbors, product_structure
 from .graphs import (enumerate_family, family_contains, family_from_json,
                      graph_from_json, graph_to_json)
 from .imsets import characteristic_imset, coordinate_index, export_full_vector, \
     imset_text_lines
 from .learn import compare, k2_forward, k2_backward, optimize_exact
-from .oracle import VertexCloud, affine_dimension, oracle_adjacent, oracle_facet_check
 from .scoring import build_score_table, load_csv, score_table_from_json
 from .subsets import bits_of, iter_graded_subsets
-
-VERIFY_FAMILY_MAX = 1 << 12
+from .verify import CHECKS, verify_family
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,115 +170,25 @@ def cmd_neighbors(args) -> int:
     return 0
 
 
-def _verify_rows(spec, args, cert_sink):
-    size = spec.family_size()
-    if size > VERIFY_FAMILY_MAX:
-        raise DomainError(
-            f"family has {size} members; verify enumerates vertices and "
-            f"refuses families over {VERIFY_FAMILY_MAX}"
-        )
-    idx = coordinate_index(spec)
-    members = list(enumerate_family(spec))
-    vecs = [tuple(characteristic_imset(g, idx).bits) for g in members]
-    rows = []
-
-    checks = args.checks.split(",") if args.checks != "all" else \
-        ["product", "dimension", "adjacency", "facets"]
-    known = {"product", "dimension", "adjacency", "facets"}
-    bad = [c for c in checks if c not in known]
-    if bad:
-        raise FormatError(f"unknown checks: {', '.join(bad)}")
-
-    print(f"family: {size} vertices, block dimension {product_structure(spec).total_dimension}, "
-          f"{spec.degree()} neighbors each", file=sys.stderr)
-
-    if "product" in checks:
-        distinct = len(set(vecs)) == size
-        prod = 1
-        for b in idx.blocks:
-            prod *= len({v[b.offset:b.offset + b.size] for v in vecs})
-        ok = distinct and prod == size
-        rows.append(("product", ok,
-                     f"{size} vertices = product of per-block slice counts" if ok
-                     else "block slices do not factor the vertex set"))
-
-    if "dimension" in checks:
-        want = affine_dimension_formula(spec)
-        got = affine_dimension(vecs)
-        rows.append(("dimension", got == want, f"affine rank {got}, formula {want}"))
-
-    if "adjacency" in checks:
-        pairs = list(combinations(range(size), 2))
-        note = f"all {len(pairs)} pairs"
-        if len(pairs) > args.limit:
-            rng = random.Random(args.seed)
-            pairs = rng.sample(pairs, args.limit)
-            pairs.sort()
-            note = f"{args.limit} sampled pairs (seed {args.seed})"
-        mismatch = None
-        cloud = VertexCloud(vecs)
-        for i, j in pairs:
-            cert = oracle_adjacent(vecs[i], vecs[j], cloud, synthesize_witness=False)
-            closed = are_neighbors(members[i], members[j], spec)
-            if cert_sink is not None:
-                cert_sink.write(json.dumps(_jsonable(
-                    {"kind": cert.kind, "verified": cert.verified,
-                     "pair": [graph_to_json(members[i]), graph_to_json(members[j])]})) + "\n")
-            if not cert.verified or closed != (cert.kind == "adjacency"):
-                mismatch = (i, j)
-                break
-        rows.append(("adjacency", mismatch is None,
-                     note if mismatch is None else
-                     f"mismatch on vertex pair {mismatch[0]},{mismatch[1]}"))
-
-    if "facets" in checks:
-        failures = 0
-        checked = 0
-        skipped = []
-        for i in range(spec.n):
-            free = spec.free_mask(i)
-            k = free.bit_count()
-            if k == 0:
-                continue
-            if (1 << k) > args.limit:
-                skipped.append(spec.ordering.names[i])
-                continue
-            sysk = facet_system_for_child(spec, i)
-            cloud = VertexCloud(vertex_block_vector(k, s) for s in range(1 << k))
-            for s in iter_graded_subsets(sysk.universe, include_empty=True):
-                cert = oracle_facet_check((s, sysk.dense_row(s)), cloud)
-                checked += 1
-                if cert_sink is not None:
-                    s_names = [sysk.member_names[b] for b in bits_of(s)]
-                    cert_sink.write(json.dumps(
-                        {"kind": cert.kind, "verified": cert.verified,
-                         "child": spec.ordering.names[i], "s": s_names}) + "\n")
-                if not cert.verified:
-                    failures += 1
-        detail = f"{checked} rows certified"
-        if skipped:
-            detail += f"; skipped blocks over --limit: {', '.join(skipped)}"
-        rows.append(("facets", failures == 0,
-                     detail if failures == 0 else f"{failures} rows falsified"))
-    return rows
-
-
 def cmd_verify(args) -> int:
     spec = family_from_json(_load_json(args.family, "family"))
-    sink = open(args.certificates, "w", encoding="utf-8") if args.certificates else None
-    try:
-        rows = _verify_rows(spec, args, sink)
-    finally:
-        if sink is not None:
-            sink.close()
-    failed = [name for name, ok, _ in rows if not ok]
+    checks = CHECKS if args.checks == "all" else args.checks.split(",")
+    if args.certificates:
+        with open(args.certificates, "w", encoding="utf-8") as fh:
+            rows = verify_family(spec, checks, args.limit, args.seed,
+                                 lambda record: fh.write(json.dumps(record) + "\n"))
+    else:
+        rows = verify_family(spec, checks, args.limit, args.seed)
+    print(f"family: {spec.family_size()} vertices, block dimension "
+          f"{product_structure(spec).total_dimension}, {spec.degree()} neighbors each",
+          file=sys.stderr)
     if args.format == "json":
         _print_json({"checks": [{"check": n, "pass": ok, "detail": d} for n, ok, d in rows]})
     else:
         width = max(len(n) for n, _, _ in rows)
         for n, ok, d in rows:
             print(f"{n:<{width}}  {'PASS' if ok else 'FAIL'}  {d}")
-    return 2 if failed else 0
+    return 0 if all(ok for _, ok, _ in rows) else 2
 
 
 def _load_table(args):

@@ -13,6 +13,7 @@ fractions.Fraction values; results are Fractions in lowest terms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,9 +40,16 @@ def _exact(v):
 
 
 def _vec(v) -> Tuple[int, ...]:
+    """The entries of a vertex as an int tuple; a float or non-integral rational is refused."""
     if isinstance(v, CharImset):
         return tuple(v.bits)
-    return tuple(int(e) for e in v)
+    t = tuple(v)
+    if type(v) is bytes or set(map(type, t)) <= {int}:
+        return t
+    for e in t:
+        if not (isinstance(e, numbers.Rational) and e.denominator == 1):
+            raise DomainError(f"vertex {t!r} has a non-integer entry {e!r}")
+    return tuple(int(e) for e in t)
 
 
 # --- exact simplex ------------------------------------------------------

@@ -138,7 +138,11 @@ def _columns(data: Dataset):
     pass the row count is first renumbered densely, so every radix is at
     most the row count.
     """
-    cols = np.ascontiguousarray(np.array(data.rows, dtype=np.int64).T)
+    try:
+        cols = np.ascontiguousarray(np.array(data.rows, dtype=np.int64).T)
+    except OverflowError:
+        # a state of 2**63 or more: renumber every column densely first
+        cols = np.array([_dense(col) for col in zip(*data.rows)], dtype=np.int64)
     radix = []
     for j, col in enumerate(cols):
         r = int(col.max()) + 1
@@ -147,6 +151,12 @@ def _columns(data: Dataset):
             r = len(uniq)
         radix.append(r)
     return cols, radix
+
+
+def _dense(column):
+    """States of a column renumbered 0, 1, ... in increasing order."""
+    rank = {v: r for r, v in enumerate(sorted(set(column)))}
+    return [rank[v] for v in column]
 
 
 def _extend(code: np.ndarray, configs: int, column: np.ndarray, radix: int):
@@ -230,8 +240,10 @@ class ScoreTable:
         if len(self.entries) != self.spec.ordering.n:
             raise DomainError("one entry map per child required")
         for i, cell in enumerate(self.entries):
-            admissible = set(self.spec.iter_admissible(i))
-            if set(cell) != admissible:
+            # the count is closed-form, so a wrong-sized table is refused
+            # without listing the child's admissible sets
+            if (len(cell) != self.spec.admissible_count(i)
+                    or set(cell) != set(self.spec.iter_admissible(i))):
                 raise DomainError(
                     f"child {self.spec.ordering.names[i]}: score table keys do not "
                     f"match the admissible parent sets"

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-import cimset.cli as cli
+import cimset.verify
 from cimset.cli import main
 from cimset.graphs import (diagnosis_family, family_to_json, graph_to_json,
                            ParentMap)
@@ -134,7 +134,7 @@ def test_verify_json_format(diag21, capsys):
 def test_verify_exit_2_on_falsified_claim(diag21, capsys, monkeypatch):
     _, fam, _ = diag21
     # force the closed-form adjacency rule to disagree with the oracle
-    monkeypatch.setattr(cli, "are_neighbors", lambda *a, **k: False)
+    monkeypatch.setattr(cimset.verify, "are_neighbors", lambda *a, **k: False)
     assert main(["verify", "--family", fam, "--checks", "adjacency"]) == 2
     assert "FAIL" in capsys.readouterr().out
 

@@ -2,6 +2,7 @@ import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -229,6 +230,23 @@ def test_affine_dimension_duplicates_and_mixed_lengths():
     assert affine_dimension([(1, 2), (1, 2), (1, 2)]) == 0
     with pytest.raises(DomainError):
         affine_dimension([(1, 2), (1, 2, 3)])
+
+
+@pytest.mark.parametrize("half", [0.5, Fraction(1, 2)])
+def test_non_integer_entries_refused_not_truncated(half):
+    # int() would read the vertex (1/2, 0) as (0, 0) and report rank 0
+    with pytest.raises(DomainError, match=r"vertex \(.*\) has a non-integer entry"):
+        affine_dimension([(half, 0), (0, 0)])
+    with pytest.raises(DomainError, match="non-integer entry"):
+        oracle_adjacent((half, 0), (0, 0), SQUARE)
+    with pytest.raises(DomainError, match="non-integer entry"):
+        Certificate("dimension", {"cloud": [(half, 0), (0, 0)], "rank": 0}, False).replay()
+
+
+def test_integral_entries_of_any_type_convert():
+    cloud = [(Fraction(2), np.int64(0)), (True, np.uint8(1)), (0, 0)]
+    assert affine_dimension(cloud) == affine_dimension([(2, 0), (1, 1), (0, 0)]) == 2
+    assert affine_dimension([b"\x00\x01", b"\x01\x01"]) == 1
 
 
 # --- facet certification --------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -258,6 +259,8 @@ def test_wide_floor_codes_do_not_wrap():
 @pytest.mark.parametrize("cards, rows", [
     # declared cardinality times the row count past 2**63
     ((2 ** 70, 2), ((0, 1), (5, 0), (0, 1))),
+    # a state of 2**64 does not fit an int64 at all
+    ((2 ** 70, 2), ((0, 1), (2 ** 64, 0), (0, 1))),
     # radix = largest child state + 1 = 2**62 + 8 would wrap (0, 32) and (4, 0)
     # onto one int64 code; a child whose states pass the row count is renumbered
     ((5, 2 ** 63), ((0, 32), (4, 0), (1, 2 ** 62 + 7), (2, 5), (3, 5))),
@@ -288,6 +291,16 @@ def test_score_table_validation():
     assert table.local(2, 0b10) == 2.0
     with pytest.raises(DomainError):
         table.local(2, 0b100)
+
+
+def test_short_table_for_a_wide_child_is_refused_quickly():
+    # 40 free parents: listing the admissible sets would need 2**40 of them
+    o = NodeOrdering(tuple(f"v{i}" for i in range(41)))
+    spec = FamilySpec(o, (0,) * 41, (0,) * 40 + ((1 << 40) - 1,))
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="score table keys do not match"):
+        ScoreTable(spec, ({0: 0.0},) * 40 + ({0: 0.0, 1: 1.0},))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_build_table_and_graph_score():
