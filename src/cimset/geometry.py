@@ -13,17 +13,19 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from .errors import DegeneratePairError, DomainError, ResourceError, UnsupportedError
 from .graphs import FamilySpec, ParentMap, _parent_map_unchecked, family_contains
 from .imsets import CharImset, coordinate_index
 from .subsets import (
     bits_of,
-    compress,
-    expand,
     graded_rank,
     iter_graded_subsets,
     iter_submasks,
     mobius_supersets_inplace,
+    pdep,
+    pext,
 )
 
 MAX_FACET_GROUND = 22
@@ -257,14 +259,15 @@ def edge_point_decompose(x, spec: FamilySpec) -> Optional[EdgeDecomposition]:
     edge_block = None    # (child, small mask, big mask, weight of small)
     for block in index.blocks:
         k = block.universe.bit_count()
-        arr = [Fraction(0)] * (1 << k)
+        arr = np.empty(1 << k, dtype=object)
         arr[0] = Fraction(1)
-        for j, s in enumerate(index.block_subsets(block.child)):
-            arr[compress(int(s), block.universe)] = vals[block.offset + j]
+        dense = pext(index.block_subsets(block.child), block.universe)
+        arr[dense] = np.array(vals[block.offset:block.offset + block.size], dtype=object)
         # Barycentric coordinates over the block simplex: invert the
         # superset-sum relation x(S) = sum of lambda_P over P containing S.
         mobius_supersets_inplace(arr, k)
-        support = [(expand(cm, block.universe), lam) for cm, lam in enumerate(arr) if lam != 0]
+        nonzero = np.flatnonzero(arr != 0)
+        support = list(zip(pdep(nonzero, block.universe).tolist(), arr[nonzero].tolist()))
         if any(lam < 0 for _, lam in support):
             return None
         if len(support) == 1:

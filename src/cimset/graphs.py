@@ -64,7 +64,14 @@ class NodeOrdering:
             raise DomainError(f"unknown node name {name!r}") from None
 
     def mask_of_names(self, names) -> int:
-        return mask_of(self.index(nm) for nm in names)
+        position = self.position
+        mask = 0
+        for name in names:
+            try:
+                mask |= 1 << position[name]
+            except KeyError:
+                raise DomainError(f"unknown node name {name!r}") from None
+        return mask
 
     def names_of_mask(self, mask: int) -> tuple:
         return tuple(self.names[b] for b in bits_of(mask))

@@ -46,9 +46,14 @@ def _vec(v) -> Tuple[int, ...]:
     t = tuple(v)
     if type(v) is bytes or set(map(type, t)) <= {int}:
         return t
+    return _integers(t, f"vertex {t!r}", "entry")
+
+
+def _integers(t: tuple, owner: str, kind: str) -> Tuple[int, ...]:
+    """t as an int tuple; a float or non-integral rational is refused, naming `owner`."""
     for e in t:
         if not (isinstance(e, numbers.Rational) and e.denominator == 1):
-            raise DomainError(f"vertex {t!r} has a non-integer entry {e!r}")
+            raise DomainError(f"{owner} has a non-integer {kind} {e!r}")
     return tuple(int(e) for e in t)
 
 
@@ -547,8 +552,8 @@ def oracle_facet_check(sys_row, cloud) -> Certificate:
     universe = (1 << k) - 1
     s_vertex = tuple(1 if (t & s) == t else 0 for t in iter_graded_subsets(universe))
 
-    coeffs = [int(c) for c in coeffs]
-    payload = {"s": s, "coefficients": tuple(coeffs), "cloud": vecs,
+    coeffs = _integers(tuple(coeffs), f"facet row {s}", "coefficient")
+    payload = {"s": s, "coefficients": coeffs, "cloud": vecs,
                "vertex": s_vertex, "failing": None}
     const, linear = coeffs[0], coeffs[1:]
     tight = []

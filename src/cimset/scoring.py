@@ -23,7 +23,7 @@ from .errors import DomainError, FormatError, ResourceError, UnsupportedError
 from .graphs import FamilySpec, NodeOrdering, ParentMap, family_contains, \
     family_from_json, family_to_json
 from .imsets import CharImset, CoordinateIndex
-from .subsets import bits_of, compress, expand, mobius_subsets_inplace
+from .subsets import bits_of, mobius_subsets_inplace, pdep, pext
 
 SCORE_SNAP = 1e-12
 TABLE_CHILD_LIMIT = 1 << 20
@@ -380,6 +380,40 @@ class DataVector:
         return total
 
 
+def _fold(cells: list, k: int, source: np.ndarray) -> np.ndarray:
+    """Möbius-fold one block's table cells (listed in lift order) and return
+    the negated results at `source`, as an object array of Python scalars.
+
+    Every value has the type and value the scalar fold over Python objects
+    gives: an all-float block folds in float64 (the same IEEE operations in
+    the same order); an all-int or all-Fraction block is scaled by the lcm
+    of its denominators and folds in int64 while no partial sum can reach
+    2**63, else in Python ints, then divides once; any other block folds as
+    Python objects.
+    """
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        arr = np.array(cells, dtype=np.float64)
+        mobius_subsets_inplace(arr, k)
+        return (-arr[source]).astype(object)
+    if kinds != {int} and kinds != {Fraction}:
+        arr = np.array(cells, dtype=object)
+        mobius_subsets_inplace(arr, k)
+        return -arr[source]
+    scale = 1
+    if kinds == {Fraction}:
+        scale = math.lcm(*(v.denominator for v in cells))
+        cells = [v.numerator * (scale // v.denominator) for v in cells]
+    # after pass j every entry is a signed sum of 2**j inputs
+    bound = max(max(cells), -min(cells))
+    arr = np.array(cells, dtype=np.int64 if bound << k < 1 << 63 else object)
+    mobius_subsets_inplace(arr, k)
+    out = (-arr[source]).astype(object)
+    if kinds == {Fraction}:
+        out[:] = [Fraction(v, scale) for v in out.tolist()]
+    return out
+
+
 def mobius_data_vector(table: ScoreTable, index: CoordinateIndex) -> DataVector:
     """Fold a score table into the block objective by Möbius inversion.
 
@@ -393,21 +427,20 @@ def mobius_data_vector(table: ScoreTable, index: CoordinateIndex) -> DataVector:
     if spec.max_parents is not None:
         raise UnsupportedError("block objectives for capped families are unsupported")
 
-    values: List[object] = [0] * index.total
+    values = np.zeros(index.total, dtype=object)
     offsets = tuple(table.local(i, spec.floor[i]) for i in range(spec.ordering.n))
     for block in index.blocks:
         i = block.child
-        floor = spec.floor[i]
-        free = spec.free_mask(i)
+        floor, free = spec.floor[i], spec.free_mask(i)
         k = free.bit_count()
-        arr: List[object] = [table.local(i, floor | expand(s, free)) for s in range(1 << k)]
-        mobius_subsets_inplace(arr, k)
+        # the child's table cells in transform order, and the block rows of
+        # the minimal lifts (S contains the floor and differs from it)
+        lift = floor | pdep(np.arange(1 << k), free)
+        cells = list(map(table.entries[i].__getitem__, lift.tolist()))
         subs = index.block_subsets(i)
-        for j in range(block.size):
-            s = int(subs[j])
-            if s & floor == floor and s != floor:
-                values[block.offset + j] = -arr[compress(s & free, free)]
-    return DataVector(index, tuple(values), offsets)
+        rows = np.flatnonzero(((subs & floor) == floor) & (subs != floor))
+        values[block.offset + rows] = _fold(cells, k, pext(subs[rows], free))
+    return DataVector(index, tuple(values.tolist()), offsets)
 
 
 def data_vector_dot(dv: DataVector, c: CharImset):
@@ -427,11 +460,12 @@ def score_graph(dv: DataVector, g: ParentMap):
     if not family_contains(spec, g):
         raise DomainError("graph is not a member of the data vector's family")
     total = dv.s_total
+    values = dv.values
     for block in dv.index.blocks:
         pa = g.parents[block.child]
         subs = dv.index.block_subsets(block.child)
-        for j in range(block.size):
-            v = dv.values[block.offset + j]
-            if v != 0 and int(subs[j]) & pa == int(subs[j]):
+        for j in np.flatnonzero((subs & pa) == subs).tolist():
+            v = values[block.offset + j]
+            if v != 0:
                 total = total - v
     return total

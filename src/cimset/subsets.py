@@ -12,6 +12,8 @@ import math
 from itertools import combinations
 from typing import Iterator, List
 
+import numpy as np
+
 
 def bits_of(mask: int) -> List[int]:
     """Indices of the set bits, ascending."""
@@ -74,58 +76,72 @@ def graded_rank(mask: int, universe: int) -> int:
     return base + combination_rank(positions, f)
 
 
-def compress(mask: int, universe: int) -> int:
-    """Re-index a subset of `universe` onto dense bits 0..popcount(universe)-1."""
-    out = 0
+def pext(masks, universe: int) -> np.ndarray:
+    """Re-index subsets of `universe` onto dense bits 0..popcount(universe)-1.
+
+    Vectorised over an array of masks: bit i of the result is the mask's
+    bit at the i-th lowest set bit of `universe`; bits outside it are dropped.
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    out = np.zeros_like(masks)
     for i, b in enumerate(bits_of(universe)):
-        if mask >> b & 1:
-            out |= 1 << i
+        out |= (masks >> b & 1) << i
     return out
 
 
-def expand(cmask: int, universe: int) -> int:
-    """Inverse of compress."""
-    out = 0
+def pdep(dense, universe: int) -> np.ndarray:
+    """Inverse of pext: spread dense bit i onto the i-th lowest set bit of `universe`."""
+    dense = np.asarray(dense, dtype=np.int64)
+    out = np.zeros_like(dense)
     for i, b in enumerate(bits_of(universe)):
-        if cmask >> i & 1:
-            out |= 1 << b
+        out |= (dense >> i & 1) << b
     return out
 
 
-# In-place lattice transforms on dense arrays indexed by submask.  They are
-# type-agnostic: ints, floats and Fractions all work.
+# In-place lattice transforms on arrays indexed by submask (Yates' passes).
+# Pass j pairs every index m without bit j with m | bit j; viewing the first
+# 2**nbits entries as (-1, 2, 2**j) puts the pairs in the middle axis, so a
+# pass is one numpy operation doing the scalar loop's subtractions (or
+# additions) in the same order.  A 1-D array is updated in place in its own
+# dtype; a list is folded as Python objects, so ints, floats and Fractions
+# keep their types, and written back.
+
+def _yates(a, nbits: int, op, subsets: bool) -> None:
+    n = 1 << nbits
+    if len(a) < n:
+        raise ValueError(f"a transform over {nbits} bits needs {n} entries, got {len(a)}")
+    if isinstance(a, np.ndarray):
+        work = np.ascontiguousarray(a[:n])
+    else:
+        work = np.array(a[:n], dtype=object)
+    for j in range(nbits):
+        pairs = work.reshape(-1, 2, 1 << j)
+        without, with_ = pairs[:, 0, :], pairs[:, 1, :]
+        if subsets:
+            op(with_, without, out=with_)
+        else:
+            op(without, with_, out=without)
+    if not isinstance(a, np.ndarray):
+        a[:n] = work.tolist()
+    elif not np.shares_memory(work, a):
+        a[:n] = work
+
 
 def zeta_subsets_inplace(a, nbits: int) -> None:
     """a[m] becomes sum of a[s] over s subset of m."""
-    for j in range(nbits):
-        bit = 1 << j
-        for m in range(1 << nbits):
-            if m & bit:
-                a[m] = a[m] + a[m ^ bit]
+    _yates(a, nbits, np.add, subsets=True)
 
 
 def mobius_subsets_inplace(a, nbits: int) -> None:
     """Inverse of zeta_subsets_inplace: a[m] becomes the signed subset sum."""
-    for j in range(nbits):
-        bit = 1 << j
-        for m in range(1 << nbits):
-            if m & bit:
-                a[m] = a[m] - a[m ^ bit]
+    _yates(a, nbits, np.subtract, subsets=True)
 
 
 def zeta_supersets_inplace(a, nbits: int) -> None:
     """a[m] becomes sum of a[t] over t superset of m."""
-    for j in range(nbits):
-        bit = 1 << j
-        for m in range(1 << nbits):
-            if not m & bit:
-                a[m] = a[m] + a[m | bit]
+    _yates(a, nbits, np.add, subsets=False)
 
 
 def mobius_supersets_inplace(a, nbits: int) -> None:
     """Inverse of zeta_supersets_inplace."""
-    for j in range(nbits):
-        bit = 1 << j
-        for m in range(1 << nbits):
-            if not m & bit:
-                a[m] = a[m] - a[m | bit]
+    _yates(a, nbits, np.subtract, subsets=False)

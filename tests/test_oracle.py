@@ -284,6 +284,23 @@ def test_facet_check_rejects_valid_inequality_that_is_not_a_facet():
     assert not cert.verified
 
 
+@pytest.mark.parametrize("coeff", [Fraction(3, 2), 1.5, 1.0])
+def test_non_integer_facet_coefficients_refused_not_truncated(coeff):
+    # int() would read 3/2 - x, tight at no vertex, as the facet 1 - x
+    cloud = [vertex_block_vector(1, s) for s in range(2)]
+    with pytest.raises(DomainError, match=r"facet row 0 has a non-integer coefficient"):
+        oracle_facet_check((0, [coeff, -1]), cloud)
+
+
+def test_integral_facet_coefficients_of_any_type_convert():
+    cloud = [vertex_block_vector(1, s) for s in range(2)]
+    for row in ([Fraction(1), np.int64(-1)], [True, -1]):
+        cert = oracle_facet_check((0, row), cloud)
+        assert cert.verified and cert.replay()
+        assert cert.payload["coefficients"] == (1, -1)
+        assert all(type(c) is int for c in cert.payload["coefficients"])
+
+
 # --- brute-force search ---------------------------------------------------
 
 def _table(spec, *entries):

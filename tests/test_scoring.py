@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 import time
@@ -405,6 +407,98 @@ def test_mobius_identity_float():
     for g in enumerate_family(spec):
         assert score_graph(dv, g) == pytest.approx(table_graph_score(table, g),
                                                    rel=1e-9, abs=1e-9)
+
+
+def _scalar_fold(table, index):
+    """The block fold with per-subset bit remapping and the pure-Python
+    transform loop, as a reference for mobius_data_vector's values."""
+    spec = table.spec
+    values = [0] * index.total
+    for block in index.blocks:
+        i = block.child
+        floor, members = spec.floor[i], bits_of(spec.free_mask(i))
+        k = len(members)
+
+        def lift(c):
+            return floor | sum(1 << b for t, b in enumerate(members) if c >> t & 1)
+
+        def dense(s):
+            return sum(1 << t for t, b in enumerate(members) if s >> b & 1)
+
+        arr = [table.local(i, lift(c)) for c in range(1 << k)]
+        for j in range(k):
+            for m in range(1 << k):
+                if m >> j & 1:
+                    arr[m] = arr[m] - arr[m ^ 1 << j]
+        for j, s in enumerate(index.block_subsets(i).tolist()):
+            if s & floor == floor and s != floor:
+                values[block.offset + j] = -arr[dense(s)]
+    return values
+
+
+def _scalar_score(dv, g):
+    """sum(offsets) - <r, c_g> by a scan of every block coordinate."""
+    total = 0
+    for v in dv.offsets:
+        total = total + v
+    for block in dv.index.blocks:
+        pa = g.parents[block.child]
+        for j, s in enumerate(dv.index.block_subsets(block.child).tolist()):
+            v = dv.values[block.offset + j]
+            if v != 0 and s & pa == s:
+                total = total - v
+    return total
+
+
+def _same(a, b):
+    """Equal in type and value; floats bit for bit (repr round-trips and keeps -0.0)."""
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+_DRAWS = {
+    "int": lambda rng: rng.randrange(-10 ** 6, 10 ** 6),
+    "fraction": lambda rng: Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 13)),
+    "float": lambda rng: rng.uniform(-1e3, 1e3),
+}
+
+
+def _check_fold(table, members):
+    index = coordinate_index(table.spec)
+    dv = mobius_data_vector(table, index)
+    ref = _scalar_fold(table, index)
+    assert all(_same(v, r) for v, r in zip(dv.values, ref)), (dv.values, ref)
+    exact = all(type(v) is not float for cell in table.entries for v in cell.values())
+    for g in members:
+        got = score_graph(dv, g)
+        assert _same(got, _scalar_score(dv, g))
+        if exact:
+            assert got == table_graph_score(table, g)
+
+
+@settings(max_examples=120, deadline=None)
+@given(family_specs(), st.sampled_from(["int", "fraction", "float", "mixed"]),
+       st.randoms(use_true_random=False))
+def test_fold_matches_the_scalar_fold(spec, kind, rng):
+    spec = dataclasses.replace(spec, max_parents=None)
+    draws = list(_DRAWS.values())
+    entries = tuple({p: (rng.choice(draws) if kind == "mixed" else _DRAWS[kind])(rng)
+                     for p in spec.iter_admissible(i)} for i in range(spec.n))
+    members = list(itertools.islice(enumerate_family(spec), 200))
+    _check_fold(ScoreTable(spec, entries), members)
+
+
+def test_fold_of_ints_past_int64_stays_exact():
+    # partial sums of a 5-bit fold of ints of 2**62 and more leave int64, and
+    # so do Fractions scaled to a common denominator past 2**63: these
+    # blocks must fold in Python ints
+    spec = diagnosis_family(5, 1)
+    rng = random.Random(62)
+    primes = (1000003, 1000033, 1000037, 1000039)
+    for draw in (lambda: rng.randrange(2 ** 62, 2 ** 63),
+                 lambda: -rng.randrange(2 ** 62, 2 ** 70),
+                 lambda: Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.choice(primes))):
+        entries = tuple({p: draw() for p in spec.iter_admissible(i)} for i in range(spec.n))
+        _check_fold(ScoreTable(spec, entries), list(enumerate_family(spec)))
 
 
 def test_data_vector_guards():

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from cimset.subsets import (bits_of, combination_rank, compress, expand, graded_rank,
+from cimset.subsets import (bits_of, combination_rank, graded_rank,
                             iter_graded_subsets, iter_submasks, mask_of,
                             mobius_subsets_inplace, mobius_supersets_inplace,
-                            zeta_subsets_inplace, zeta_supersets_inplace)
+                            pdep, pext, zeta_subsets_inplace, zeta_supersets_inplace)
 
 
 def test_bits_and_mask_roundtrip():
@@ -62,10 +63,12 @@ def test_submasks_complete():
 
 def test_compress_expand_roundtrip():
     universe = 0b101101
-    for s in iter_submasks(universe):
-        c = compress(s, universe)
-        assert expand(c, universe) == s
-    assert compress(0b100, 0b101) == 0b10
+    subs = list(iter_submasks(universe))
+    dense = pext(subs, universe)
+    assert sorted(dense.tolist()) == list(range(1 << universe.bit_count()))
+    assert pdep(dense, universe).tolist() == subs
+    assert pext([0b100], 0b101).tolist() == [0b10]
+    assert pdep([0b10], 0b101).tolist() == [0b100]
 
 
 def test_zeta_mobius_subsets_inverse():
@@ -100,3 +103,23 @@ def test_transforms_stay_exact_with_fractions():
     zeta_subsets_inplace(b, 2)
     mobius_subsets_inplace(b, 2)
     assert b == a and all(isinstance(v, Fraction) for v in b)
+
+
+@pytest.mark.parametrize("transform", [zeta_subsets_inplace, mobius_subsets_inplace,
+                                       zeta_supersets_inplace, mobius_supersets_inplace])
+def test_transforms_on_arrays_match_lists(transform):
+    rng = random.Random(9)
+    k = 5
+    a = [rng.uniform(-50, 50) for _ in range(1 << k)]
+    ref = a + ["tail"]
+    transform(ref, k)  # a list folds as Python floats; entries past 2**k stay
+    assert ref[-1] == "tail" and all(type(v) is float for v in ref[:-1])
+    arr = np.array(a)
+    transform(arr, k)
+    assert arr.tolist() == ref[:-1]
+    strided = np.zeros(2 << k)
+    strided[::2] = a
+    transform(strided[::2], k)  # a non-contiguous view is updated in place too
+    assert strided[::2].tolist() == ref[:-1] and not strided[1::2].any()
+    with pytest.raises(ValueError, match="needs 32 entries"):
+        transform(a[:-1], k)
