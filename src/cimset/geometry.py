@@ -15,7 +15,8 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DegeneratePairError, DomainError, ResourceError, UnsupportedError
+from . import limits
+from .errors import DegeneratePairError, DomainError, UnsupportedError
 from .graphs import FamilySpec, ParentMap, _parent_map_unchecked, family_contains
 from .imsets import CharImset, coordinate_index
 from .subsets import (
@@ -27,10 +28,6 @@ from .subsets import (
     pdep,
     pext,
 )
-
-MAX_FACET_GROUND = 22
-DENSE_MATRIX_MAX = 12
-PER_FAMILY_NEIGHBOR_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -99,8 +96,7 @@ class FacetSystem:
                  fixed_names: Tuple[str, ...] = ()):
         if k < 1:
             raise DomainError("facet system needs a ground set of size >= 1")
-        if k > MAX_FACET_GROUND:
-            raise ResourceError(f"facet ground set of size {k} over the limit {MAX_FACET_GROUND}")
+        limits.check("LATTICE_BITS", k, f"facet ground set of size {k}")
         self.k = k
         self.universe = (1 << k) - 1
         self.member_names = member_names
@@ -138,10 +134,7 @@ class FacetSystem:
 
     def dense_matrix(self) -> List[List[int]]:
         """All rows, graded-lex by s.  Guarded to small ground sets."""
-        if self.k > DENSE_MATRIX_MAX:
-            raise ResourceError(
-                f"dense facet matrix for k={self.k} refused; query rows lazily instead"
-            )
+        limits.check("DENSE_MATRIX_MAX", self.k, f"dense facet matrix for k={self.k}")
         return [self.dense_row(s) for s in iter_graded_subsets(self.universe, include_empty=True)]
 
     def evaluate(self, s: int, block_vector) -> object:
@@ -211,10 +204,7 @@ def neighbors(g: ParentMap, spec: FamilySpec) -> Iterator[ParentMap]:
     if not family_contains(spec, g):
         raise DomainError("graph is not a member of the family")
     total = spec.degree()
-    if total > PER_FAMILY_NEIGHBOR_LIMIT:
-        raise ResourceError(
-            f"vertex has {total} neighbors, over the limit {PER_FAMILY_NEIGHBOR_LIMIT}"
-        )
+    limits.check("NEIGHBOR_LIMIT", total, f"vertex has {total} neighbors")
     ordering = g.ordering
     parents = g.parents
     for i in range(spec.n):

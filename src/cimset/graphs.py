@@ -10,26 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Tuple
 
-from .errors import DomainError, FormatError, ResourceError
+from . import limits
+from .errors import DomainError, FormatError
 from .subsets import bits_of, iter_graded_subsets, mask_of
-
-ENUM_LIMIT_DEFAULT = 1 << 24
-# Cap on the number of admissible parent sets handled for a single child.
-PER_CHILD_LIMIT = 1 << 22
-
-
-def default_enum_limit() -> int:
-    raw = os.environ.get("CIMSET_ENUM_LIMIT")
-    if raw is None:
-        return ENUM_LIMIT_DEFAULT
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise FormatError(f"CIMSET_ENUM_LIMIT must be an integer, got {raw!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -240,15 +226,10 @@ def enumerate_family(spec: FamilySpec, limit: Optional[int] = None) -> Iterator[
     Canonical order: the tuple of parent sets runs through the cartesian
     product of the per-child admissible lists (each in graded-lex order),
     with later children varying fastest.  Refuses families larger than
-    `limit` (default: CIMSET_ENUM_LIMIT or 2**24).
+    `limit` (default: `limits.default_enum_limit()`).
     """
-    if limit is None:
-        limit = default_enum_limit()
     size = spec.family_size()
-    if size > limit:
-        raise ResourceError(
-            f"family has {size} members, over the enumeration limit {limit}"
-        )
+    limits.check("ENUM_LIMIT", size, f"family has {size} members", limit)
     ordering = spec.ordering
     for combo in itertools.product(*(spec.iter_admissible(i) for i in range(spec.n))):
         yield _parent_map_unchecked(ordering, combo)
@@ -269,25 +250,29 @@ def _require(obj, key, kind, what):
     return val
 
 
+def _names_to_mask(ordering: NodeOrdering, entry, what: str, key) -> int:
+    """The mask of one JSON list of distinct node names; errors name it as `what` and `key`."""
+    if not isinstance(entry, list):
+        raise FormatError(f"{what} {key!r} must be a list of node names")
+    try:
+        mask = ordering.mask_of_names(entry)
+    except (DomainError, TypeError) as exc:
+        # names are strings, so a non-string is what failed whenever there is one
+        bad = [nm for nm in entry if not isinstance(nm, str)]
+        if bad:
+            raise FormatError(f"{what} {key!r} lists {bad[0]!r}, not a node name") from None
+        raise FormatError(f"{what} {key!r}: {exc}") from None
+    if mask.bit_count() != len(entry):
+        dup = next(nm for j, nm in enumerate(entry) if nm in entry[:j])
+        raise FormatError(f"{what} {key!r} lists {dup!r} twice")
+    return mask
+
+
 def _name_lists_to_masks(ordering: NodeOrdering, lists, what: str) -> tuple:
     if len(lists) != ordering.n:
         raise FormatError(f"{what} must list one entry per node")
-    masks = []
-    for child, entry in zip(ordering.names, lists):
-        if not isinstance(entry, list):
-            raise FormatError(f"{what} entries must be lists of node names")
-        for nm in entry:
-            if not isinstance(nm, str):
-                raise FormatError(f"{what} entry of {child!r} lists {nm!r}, not a node name")
-        try:
-            mask = ordering.mask_of_names(entry)
-        except DomainError as exc:
-            raise FormatError(str(exc)) from None
-        if mask.bit_count() != len(entry):
-            dup = next(nm for j, nm in enumerate(entry) if nm in entry[:j])
-            raise FormatError(f"{what} entry of {child!r} lists {dup!r} twice")
-        masks.append(mask)
-    return tuple(masks)
+    return tuple(_names_to_mask(ordering, entry, f"{what} entry of", child)
+                 for child, entry in zip(ordering.names, lists))
 
 
 def family_to_json(spec: FamilySpec) -> dict:

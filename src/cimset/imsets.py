@@ -15,8 +15,9 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NotAVertexError, ResourceError, UnsupportedError
-from .graphs import PER_CHILD_LIMIT, FamilySpec, ParentMap, _parent_map_unchecked, family_contains
+from . import limits
+from .errors import DomainError, NotAVertexError, UnsupportedError
+from .graphs import FamilySpec, ParentMap, _parent_map_unchecked, family_contains
 from .subsets import bits_of, graded_rank, iter_graded_subsets
 
 
@@ -41,12 +42,8 @@ class CoordinateIndex:
             if universe == 0:
                 continue
             k = universe.bit_count()
+            limits.check("LATTICE_BITS", k, f"ceiling of {spec.ordering.names[i]!r} has {k} nodes")
             size = (1 << k) - 1
-            if size > PER_CHILD_LIMIT:
-                raise ResourceError(
-                    f"child {spec.ordering.names[i]!r} has {size} coordinates, "
-                    f"over the per-child limit {PER_CHILD_LIMIT}"
-                )
             arr = np.fromiter(iter_graded_subsets(universe), dtype=np.int64, count=size)
             blocks.append(Block(i, universe, offset, size))
             subset_arrays.append(arr)
@@ -183,8 +180,7 @@ def export_full_vector(c: CharImset) -> List[int]:
     """
     spec = c.index.spec
     n = spec.n
-    if n > 22:
-        raise ResourceError(f"full vector over {n} nodes is too large to expand")
+    limits.check("LATTICE_BITS", n, f"full vector over {n} nodes")
     full = (1 << n) - 1
     out = []
     for t in iter_graded_subsets(full):

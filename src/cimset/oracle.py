@@ -18,16 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DegeneratePairError, DomainError, ResourceError
+from . import limits
+from .errors import DegeneratePairError, DomainError
 from .graphs import FamilySpec, ParentMap, enumerate_family
 from .imsets import CharImset
 from .subsets import iter_graded_subsets, iter_submasks
-
-LP_MAX_ROWS = 4096
-LP_MAX_COLS = 4096
-RANK_MAX = 1 << 16
-ADJACENCY_CLOUD_MAX = 4096
-BRUTEFORCE_MAX = 1 << 20
 
 
 def _exact(v):
@@ -81,8 +76,7 @@ def _solve_phase1(rows, rhs, eq_flags):
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    if m > LP_MAX_ROWS or n > LP_MAX_COLS:
-        raise ResourceError(f"LP of size {m}x{n} over the {LP_MAX_ROWS}x{LP_MAX_COLS} limit")
+    limits.check("LP_MAX", max(m, n), f"LP of size {m}x{n}")
     if m == 0:
         return (), None
     if n == 0:
@@ -372,8 +366,7 @@ def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certifica
         raise DegeneratePairError("adjacency oracle called with identical vertices")
     if not isinstance(cloud, VertexCloud):
         cloud = VertexCloud(cloud)
-    if len(cloud) > ADJACENCY_CLOUD_MAX:
-        raise ResourceError(f"cloud of {len(cloud)} vertices over the limit {ADJACENCY_CLOUD_MAX}")
+    limits.check("ADJACENCY_CLOUD_MAX", len(cloud), f"cloud of {len(cloud)} vertices")
     if b1 not in cloud.index or b2 not in cloud.index:
         raise DomainError("both query vertices must belong to the cloud")
     m1 = cloud.masks[cloud.index[b1]]
@@ -465,8 +458,7 @@ def affine_dimension(cloud) -> int:
     if not vecs:
         raise DomainError("affine dimension of an empty cloud is undefined")
     ambient = len(vecs[0])
-    if len(vecs) > RANK_MAX or ambient > RANK_MAX:
-        raise ResourceError(f"cloud of {len(vecs)} x {ambient} over the rank limit {RANK_MAX}")
+    limits.check("RANK_MAX", max(len(vecs), ambient), f"cloud of {len(vecs)} x {ambient}")
     v0 = vecs[0]
     basis: Dict[int, Dict[int, int]] = {}
     for v in vecs[1:]:
@@ -580,8 +572,7 @@ def learn_bruteforce(spec: FamilySpec, table) -> ParentMap:
     from .scoring import score_gt, table_graph_score
 
     size = spec.family_size()
-    if size > BRUTEFORCE_MAX:
-        raise ResourceError(f"family of {size} members over the brute-force limit {BRUTEFORCE_MAX}")
+    limits.check("BRUTEFORCE_MAX", size, f"family of {size} members")
     best = None
     best_score = None
     for g in enumerate_family(spec):

@@ -19,14 +19,14 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, FormatError, ResourceError, UnsupportedError
-from .graphs import FamilySpec, NodeOrdering, ParentMap, family_contains, \
+from . import limits
+from .errors import DomainError, FormatError, UnsupportedError
+from .graphs import FamilySpec, NodeOrdering, ParentMap, _names_to_mask, family_contains, \
     family_from_json, family_to_json
 from .imsets import CharImset, CoordinateIndex
 from .subsets import bits_of, mobius_subsets_inplace, pdep, pext
 
 SCORE_SNAP = 1e-12
-TABLE_CHILD_LIMIT = 1 << 20
 
 CRITERIA = ("ll", "bic", "aic")
 
@@ -273,11 +273,8 @@ def build_score_table(data: Dataset, spec: FamilySpec, criterion: str) -> ScoreT
     entries = []
     for i in range(spec.ordering.n):
         count = spec.admissible_count(i)
-        if count > TABLE_CHILD_LIMIT:
-            raise ResourceError(
-                f"child {spec.ordering.names[i]} has {count} admissible parent sets, "
-                f"over the score-table limit {TABLE_CHILD_LIMIT}"
-            )
+        limits.check("TABLE_CHILD_LIMIT", count,
+                     f"child {spec.ordering.names[i]} has {count} admissible parent sets")
         floor, free = spec.floor[i], spec.free_mask(i)
         cell: Dict[int, float] = {}
         prev: Dict[int, tuple] = {}
@@ -326,10 +323,10 @@ def score_table_from_json(obj) -> ScoreTable:
         if not isinstance(item, dict) or "child" not in item or "score" not in item:
             raise FormatError(f"score entry {k}: needs 'child' and 'score'")
         try:
-            i = spec.ordering.index(item["child"])
-            mask = spec.ordering.mask_of_names(item.get("parents", []))
-        except (DomainError, KeyError, TypeError) as exc:
+            cell = entries[spec.ordering.index(item["child"])]
+        except (DomainError, TypeError) as exc:
             raise FormatError(f"score entry {k}: {exc}") from None
+        mask = _names_to_mask(spec.ordering, item.get("parents", []), "score entry", k)
         v = item["score"]
         if isinstance(v, str):
             try:
@@ -338,12 +335,12 @@ def score_table_from_json(obj) -> ScoreTable:
                 raise FormatError(f"score entry {k}: bad rational '{v}'") from None
         elif isinstance(v, bool) or not isinstance(v, (int, float)):
             raise FormatError(f"score entry {k}: score must be a number")
-        if mask in entries[i]:
+        if mask in cell:
             raise FormatError(
                 f"score entry {k}: a second score for child {item['child']!r} "
                 f"with parents {list(spec.ordering.names_of_mask(mask))}"
             )
-        entries[i][mask] = v
+        cell[mask] = v
     try:
         return ScoreTable(spec, entries, str(obj.get("criterion", "custom")))
     except DomainError as exc:

@@ -9,13 +9,13 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from . import limits
 from .errors import DomainError, FormatError
 from .geometry import (affine_dimension_formula, are_neighbors, facet_system_for_child,
                        vertex_block_vector)
 from .graphs import enumerate_family, graph_to_json
 from .imsets import characteristic_imset, coordinate_index
-from .oracle import (ADJACENCY_CLOUD_MAX, VertexCloud, affine_dimension, oracle_adjacent,
-                     oracle_facet_check)
+from .oracle import VertexCloud, affine_dimension, oracle_adjacent, oracle_facet_check
 from .subsets import bits_of, iter_graded_subsets
 
 CHECKS = ("product", "dimension", "adjacency", "facets")
@@ -32,9 +32,9 @@ def verify_family(spec, checks, limit, seed, emit=None):
     if bad:
         raise FormatError(f"unknown checks: {', '.join(bad)}")
     size = spec.family_size()
-    if size > ADJACENCY_CLOUD_MAX:
+    if size > limits.ADJACENCY_CLOUD_MAX:
         raise DomainError(f"family has {size} members; verify enumerates vertices and "
-                          f"refuses families over {ADJACENCY_CLOUD_MAX}")
+                          f"refuses families over {limits.ADJACENCY_CLOUD_MAX}")
     idx = coordinate_index(spec)
     members = list(enumerate_family(spec))
     vecs = [tuple(characteristic_imset(g, idx).bits) for g in members]

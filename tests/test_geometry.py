@@ -1,6 +1,8 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cimset.errors import (DegeneratePairError, DomainError, ResourceError,
                            UnsupportedError)
@@ -12,6 +14,7 @@ from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family
                            enumerate_family, full_ordered_family)
 from cimset.imsets import characteristic_imset, coordinate_index
 from cimset.subsets import iter_submasks
+from test_graphs import family_specs, members
 
 
 def test_product_structure_diagnosis():
@@ -170,6 +173,20 @@ def test_edge_point_decompose_midpoint():
         va = characteristic_imset(dec.first, idx).bits[i]
         vb = characteristic_imset(dec.second, idx).bits[i]
         assert dec.weight * va + (1 - dec.weight) * vb == mid[i]
+
+
+@settings(max_examples=40, deadline=None)
+@given(family_specs(), st.data())
+def test_every_neighbor_midpoint_decomposes_to_its_edge(spec, data):
+    spec = dataclasses.replace(spec, max_parents=None)
+    g = data.draw(members(spec))
+    idx = coordinate_index(spec)
+    cg = characteristic_imset(g, idx).bits
+    for h in neighbors(g, spec):
+        ch = characteristic_imset(h, idx).bits
+        dec = edge_point_decompose([Fraction(a + b, 2) for a, b in zip(cg, ch)], spec)
+        assert not dec.is_vertex and dec.weight == Fraction(1, 2)
+        assert {dec.first, dec.second} == {g, h}
 
 
 def test_edge_point_decompose_vertex_and_faces():

@@ -132,9 +132,22 @@ def test_enumeration_order_later_children_fastest():
 def test_enumerate_refuses_oversized(monkeypatch):
     monkeypatch.setenv("CIMSET_ENUM_LIMIT", "10")
     spec = diagnosis_family(2, 2)
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match=r"16 members, over the enumeration limit 10 "
+                       r"\(ENUM_LIMIT = 16777216; CIMSET_ENUM_LIMIT or --limit overrides it\)"):
         list(enumerate_family(spec))
     assert len(list(enumerate_family(spec, limit=16))) == 16
+
+
+@pytest.mark.parametrize("raw", ["-3", "ten"])
+def test_enumerate_refuses_a_malformed_limit_variable(monkeypatch, tmp_path, capsys, raw):
+    monkeypatch.setenv("CIMSET_ENUM_LIMIT", raw)
+    message = f"CIMSET_ENUM_LIMIT must be a nonnegative integer, got '{raw}'"
+    with pytest.raises(FormatError, match=message):
+        list(enumerate_family(diagnosis_family(2, 2)))
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps(family_to_json(diagnosis_family(2, 2))))
+    assert main(["enumerate", "--family", str(fam)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_graph_json_roundtrip():
@@ -203,6 +216,12 @@ def family_specs(draw):
         ceiling.append(c)
     ordering = NodeOrdering(tuple(f"v{i}" for i in range(n)))
     return FamilySpec(ordering, tuple(floor), tuple(ceiling), cap)
+
+
+def members(spec):
+    """Strategy for one member of spec: an admissible parent set per child."""
+    return st.tuples(*(st.sampled_from(spec.iter_admissible(i)) for i in range(spec.n))).map(
+        lambda parents: ParentMap(spec.ordering, parents))
 
 
 def _brute_admissible(spec, i, cap):

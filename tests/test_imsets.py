@@ -1,4 +1,7 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cimset.errors import DomainError, NotAVertexError, UnsupportedError
 from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family,
@@ -6,6 +9,7 @@ from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family
 from cimset.imsets import (CharImset, block_slice, characteristic_imset,
                            coordinate_index, export_full_vector, imset_from_bits,
                            imset_text_lines, imset_to_graph)
+from test_graphs import family_specs, members
 
 
 def test_block_layout_diagnosis():
@@ -131,3 +135,11 @@ def test_export_full_vector():
     # dense order over all |T| >= 2: {a1,a2},{a1,b1},{a2,b1},{a1,a2,b1}
     assert len(full) == 2 ** 3 - 4
     assert full == [0, 1, 0, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_specs(), st.data())
+def test_imset_round_trip_on_random_families(spec, data):
+    spec = dataclasses.replace(spec, max_parents=None)
+    g = data.draw(members(spec))
+    assert imset_to_graph(characteristic_imset(g, coordinate_index(spec))) == g

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cimset.errors import DomainError
 from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family,
@@ -10,6 +11,7 @@ from cimset.learn import (METHODS, compare, k2_backward, k2_forward, optimize_ex
                           structural_hamming)
 from cimset.oracle import learn_bruteforce
 from cimset.scoring import ScoreTable, table_graph_score
+from test_graphs import family_specs
 
 
 def _table(spec, *entries, criterion="custom"):
@@ -160,3 +162,31 @@ def test_k2_never_beats_exact_random():
         rep = compare(table, spec)
         for name in ("k2-forward", "k2-backward"):
             assert rep.gaps[name] >= 0
+
+
+# --- properties over random families ----------------------------------------
+
+@st.composite
+def int_tables(draw):
+    """A random family, capped or not, with a score in -3..3 per admissible set: many ties."""
+    spec = draw(family_specs())
+    assume(spec.family_size() <= 4096)
+    cells = tuple({p: draw(st.integers(-3, 3)) for p in spec.iter_admissible(i)}
+                  for i in range(spec.n))
+    return spec, ScoreTable(spec, cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_tables())
+def test_exact_matches_bruteforce_on_random_families(case):
+    spec, table = case
+    assert optimize_exact(table, spec).graph == learn_bruteforce(spec, table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_tables())
+def test_k2_never_scores_above_exact_on_random_families(case):
+    spec, table = case
+    best = optimize_exact(table, spec).total_score
+    assert k2_forward(table, spec).total_score <= best
+    assert k2_backward(table, spec).total_score <= best

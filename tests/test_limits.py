@@ -1,0 +1,92 @@
+"""Every size refusal goes through cimset.limits and names the constant it hit."""
+
+import pytest
+
+from cimset import limits
+from cimset.errors import ResourceError
+from cimset.geometry import FacetSystem, neighbors
+from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family,
+                           enumerate_family)
+from cimset.imsets import characteristic_imset, coordinate_index, export_full_vector
+from cimset.oracle import affine_dimension, learn_bruteforce, lp_feasible, oracle_adjacent
+from cimset.scoring import Dataset, ScoreTable, build_score_table
+
+DIAG = diagnosis_family(2, 1)  # 4 members, each with 3 neighbors
+EMPTY = ParentMap(DIAG.ordering, (0, 0, 0))
+SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+def _one_wide_child(n):
+    """n nodes whose last child may take every other node as a parent."""
+    ordering = NodeOrdering(tuple(f"v{i}" for i in range(n)))
+    return FamilySpec(ordering, (0,) * n, (0,) * (n - 1) + ((1 << n - 1) - 1,))
+
+
+# (constant, a small value for it, a call that the small value refuses)
+REFUSALS = [
+    ("ENUM_LIMIT", 3, lambda: list(enumerate_family(DIAG))),
+    ("LATTICE_BITS", 1, lambda: coordinate_index(DIAG)),
+    ("LATTICE_BITS", 1, lambda: FacetSystem(2)),
+    ("LATTICE_BITS", 2, lambda: export_full_vector(
+        characteristic_imset(EMPTY, coordinate_index(DIAG)))),
+    ("DENSE_MATRIX_MAX", 1, lambda: FacetSystem(2).dense_matrix()),
+    ("NEIGHBOR_LIMIT", 2, lambda: list(neighbors(EMPTY, DIAG))),
+    ("LP_MAX", 1, lambda: lp_feasible([[1], [1]], [1, 1])),
+    ("RANK_MAX", 1, lambda: affine_dimension(SQUARE)),
+    ("ADJACENCY_CLOUD_MAX", 3, lambda: oracle_adjacent((0, 0), (1, 0), SQUARE)),
+    ("BRUTEFORCE_MAX", 3, lambda: learn_bruteforce(
+        DIAG, ScoreTable(DIAG, ({0: 0}, {0: 0}, {0: 0, 1: 0, 2: 0, 3: 0})))),
+    ("TABLE_CHILD_LIMIT", 3, lambda: build_score_table(
+        Dataset(DIAG.ordering, (2, 2, 2), ((0, 1, 1), (1, 0, 1))), DIAG, "ll")),
+]
+
+
+def test_every_constant_has_a_refusal_case():
+    constants = {name for name in vars(limits) if name.isupper()}
+    assert len(constants) == 9
+    assert {name for name, _, _ in REFUSALS} == constants
+
+
+@pytest.mark.parametrize("name, small, call", REFUSALS,
+                         ids=[f"{name}-{k}" for k, (name, _, _) in enumerate(REFUSALS)])
+def test_refusal_names_its_constant(monkeypatch, name, small, call):
+    monkeypatch.delenv("CIMSET_ENUM_LIMIT", raising=False)
+    call()  # within the default limit
+    monkeypatch.setattr(limits, name, small)
+    with pytest.raises(ResourceError, match=rf"\b{name} = {small}\b") as refused:
+        call()
+    if name == "ENUM_LIMIT":
+        assert "enumeration limit" in str(refused.value)
+        assert "CIMSET_ENUM_LIMIT" in str(refused.value) and "--limit" in str(refused.value)
+    else:
+        assert "over the limit" in str(refused.value)
+
+
+# --- merged limits refuse the same inputs as the constants they replace ----
+
+def test_lattice_bits_bounds_facet_ground_sets():
+    assert FacetSystem(22).nrows == 1 << 22
+    with pytest.raises(ResourceError, match="facet ground set of size 23.*LATTICE_BITS = 22"):
+        FacetSystem(23)
+
+
+def test_lattice_bits_bounds_a_block():
+    # the bound it replaces refused a block of 2**k - 1 coordinates over 2**22, so k > 22
+    with pytest.raises(ResourceError, match="ceiling of 'v23' has 23 nodes"):
+        coordinate_index(_one_wide_child(24))
+
+
+def test_lattice_bits_bounds_the_full_vector():
+    spec = FamilySpec(NodeOrdering(tuple(f"v{i}" for i in range(23))), (0,) * 23, (0,) * 23)
+    c = characteristic_imset(ParentMap(spec.ordering, (0,) * 23), coordinate_index(spec))
+    with pytest.raises(ResourceError, match="full vector over 23 nodes"):
+        export_full_vector(c)
+
+
+def test_lp_max_bounds_rows_and_columns():
+    assert lp_feasible([[1] * 4096], [1]) is not None
+    with pytest.raises(ResourceError, match="LP of size 4097x1.*LP_MAX = 4096"):
+        lp_feasible([[1]] * 4097, [1] * 4097)
+    with pytest.raises(ResourceError, match="LP of size 1x4097.*LP_MAX = 4096"):
+        lp_feasible([[1] * 4097], [1])
+

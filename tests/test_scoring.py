@@ -353,6 +353,19 @@ def test_score_table_json_rejects_repeated_entry(repeat):
         score_table_from_json(obj)
 
 
+@pytest.mark.parametrize("parents, problem", [
+    (["a1", "a1"], "lists 'a1' twice"),
+    ("a1", "must be a list of node names"),  # not read as the names 'a' and '1'
+])
+def test_score_table_json_rejects_ambiguous_parents(parents, problem):
+    spec = diagnosis_family(2, 1)
+    obj = score_table_to_json(ScoreTable(spec, ({0: 0}, {0: 0}, {0: 0, 1: 1, 2: 2, 3: 3})))
+    k = next(k for k, e in enumerate(obj["scores"]) if e["parents"] == ["a1"])
+    obj["scores"][k]["parents"] = parents
+    with pytest.raises(FormatError, match=f"score entry {k} {problem}"):
+        score_table_from_json(obj)
+
+
 # --- block objective ---------------------------------------------------------
 
 def _random_table(spec, rng, exact=True):
