@@ -200,20 +200,27 @@ def are_neighbors(g1: ParentMap, g2: ParentMap, spec: FamilySpec) -> bool:
 
 
 def neighbors(g: ParentMap, spec: FamilySpec) -> Iterator[ParentMap]:
-    """All polytope neighbors of g: every single-child admissible replacement."""
+    """All polytope neighbors of g: every single-child admissible replacement.
+
+    A non-member and a vertex over NEIGHBOR_LIMIT are refused at the call,
+    before any neighbor is produced.
+    """
     if not family_contains(spec, g):
         raise DomainError("graph is not a member of the family")
     total = spec.degree()
     limits.check("NEIGHBOR_LIMIT", total, f"vertex has {total} neighbors")
     ordering = g.ordering
     parents = g.parents
-    for i in range(spec.n):
-        current = parents[i]
-        prefix = parents[:i]
-        suffix = parents[i + 1:]
-        for p in spec.iter_admissible(i):
-            if p != current:
-                yield _parent_map_unchecked(ordering, prefix + (p,) + suffix)
+
+    def replacements():
+        for i in range(spec.n):
+            current = parents[i]
+            prefix = parents[:i]
+            suffix = parents[i + 1:]
+            for p in spec.iter_admissible(i):
+                if p != current:
+                    yield _parent_map_unchecked(ordering, prefix + (p,) + suffix)
+    return replacements()
 
 
 @dataclass(frozen=True)

@@ -226,13 +226,14 @@ def enumerate_family(spec: FamilySpec, limit: Optional[int] = None) -> Iterator[
     Canonical order: the tuple of parent sets runs through the cartesian
     product of the per-child admissible lists (each in graded-lex order),
     with later children varying fastest.  Refuses families larger than
-    `limit` (default: `limits.default_enum_limit()`).
+    `limit` (default: `limits.default_enum_limit()`) at the call, before
+    any member is produced.
     """
     size = spec.family_size()
     limits.check("ENUM_LIMIT", size, f"family has {size} members", limit)
     ordering = spec.ordering
-    for combo in itertools.product(*(spec.iter_admissible(i) for i in range(spec.n))):
-        yield _parent_map_unchecked(ordering, combo)
+    return (_parent_map_unchecked(ordering, combo)
+            for combo in itertools.product(*(spec.iter_admissible(i) for i in range(spec.n))))
 
 
 # --- JSON forms ---------------------------------------------------------

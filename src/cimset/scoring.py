@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -44,53 +44,77 @@ def score_gt(a, b) -> bool:
 
 # --- data ---------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Dataset:
-    """Complete discrete observations over the ordering's variables."""
+    """Complete discrete observations over the ordering's variables.
 
-    ordering: NodeOrdering
-    cardinalities: Tuple[int, ...]
-    rows: Tuple[Tuple[int, ...], ...]
+    Held as one int64 code column per variable, which numbers the column's
+    distinct states 0, 1, ..., and each column's radix: its count of them.
+    """
 
-    def __post_init__(self):
-        n = self.ordering.n
-        if len(self.cardinalities) != n:
+    __slots__ = ("ordering", "cardinalities", "_codes", "_radix", "_states")
+
+    def __init__(self, ordering: NodeOrdering, cardinalities, rows):
+        n, cards = ordering.n, tuple(cardinalities)
+        if len(cards) != n:
             raise DomainError("one cardinality per variable required")
-        if any(c < 1 for c in self.cardinalities):
+        if any(c < 1 for c in cards):
             raise DomainError("cardinalities must be at least 1")
-        if not self.rows:
+        if not rows:
             raise DomainError("a dataset needs at least one row")
-        for r, row in enumerate(self.rows):
+        for r, row in enumerate(rows):
             if len(row) != n:
                 raise DomainError(f"row {r} has {len(row)} values, expected {n}")
             for j, v in enumerate(row):
-                if type(v) is not int and (isinstance(v, bool)
-                                           or not isinstance(v, numbers.Integral)):
-                    raise DomainError(
-                        f"row {r} column {self.ordering.names[j]}: state {v!r} is not an integer"
-                    )
-                if not 0 <= v < self.cardinalities[j]:
-                    raise DomainError(
-                        f"row {r} column {self.ordering.names[j]}: state {v} out of range"
-                    )
+                where = f"row {r} column {ordering.names[j]}"
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                    raise DomainError(f"{where}: state {v!r} is not an integer")
+                if not 0 <= v < cards[j]:
+                    raise DomainError(f"{where}: state {v} out of range")
+        states = tuple(zip(*rows))
+        ranks = [{v: k for k, v in enumerate(sorted(set(col)))} for col in states]
+        codes = tuple(np.fromiter(map(rank.__getitem__, col), np.int64, len(col))
+                      for rank, col in zip(ranks, states))
+        self._set(ordering, cards, codes, tuple(map(len, ranks)), states)
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self._codes[0])
+
+    @property
+    def rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """One tuple of states per row, rebuilt from the columns."""
+        return tuple(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                           for c in self._states)))
+
+    def __eq__(self, other):
+        return (isinstance(other, Dataset) and self.ordering == other.ordering
+                and self.cardinalities == other.cardinalities and self.rows == other.rows)
+
+
+_BLOCK = 1024  # CSV rows read and coded at a time, to bound the tokens held
 
 
 def load_csv(path, ordering: NodeOrdering) -> Dataset:
     """Read a header + bare-token CSV, mapping values to dense state indices.
 
     Columns are matched by header name and may appear in any order; extra
-    columns are ignored.  State indices follow first appearance per column.
+    columns are ignored.  Labels are stripped; state indices follow first
+    appearance per column.  Each column's distinct tokens in a block of
+    rows are labelled once.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: empty file")
         header = [h.strip() for h in header]
         cols = []
         for name in ordering.names:
@@ -100,71 +124,47 @@ def load_csv(path, ordering: NodeOrdering) -> Dataset:
                 raise FormatError(f"{path}: column '{name}' appears more than once in header")
             cols.append(header.index(name))
 
-        seen: List[Dict[str, int]] = [{} for _ in ordering.names]
-        rows = []
-        for lineno, raw in enumerate(reader, start=2):
-            row = []
-            for j, c in enumerate(cols):
-                if c >= len(raw):
-                    raise FormatError(
-                        f"{path}: row {lineno} is missing column '{ordering.names[j]}'"
-                    )
-                tok = raw[c].strip()
-                if not tok:
-                    raise FormatError(
-                        f"{path}: empty cell at row {lineno}, column '{ordering.names[j]}'"
-                    )
-                row.append(seen[j].setdefault(tok, len(seen[j])))
-            rows.append(tuple(row))
-    if not rows:
+        labels: List[Dict[str, int]] = [{} for _ in cols]  # stripped label -> state
+        chunks = [[] for _ in cols]  # each column's codes, one array per block
+        start = 2  # file row of the block's first row
+        while block := [raw for _, raw in zip(range(_BLOCK), reader)]:
+            columns = list(zip(*block))  # as many as the shortest row has
+            for label, chunk, c in zip(labels, chunks, cols):
+                if c < len(columns):
+                    code = {tok: label.setdefault(tok.strip(), len(label))
+                            for tok in dict.fromkeys(columns[c])}
+                    chunk.append(np.fromiter(map(code.__getitem__, columns[c]), np.int64,
+                                             len(block)))
+            if len(columns) <= max(cols) or any("" in label for label in labels):
+                _raise_bad_cell(path, ordering, cols, block, start)
+            start += len(block)
+    if start == 2:
         raise FormatError(f"{path}: no data rows")
-    cards = tuple(len(s) for s in seen)
-    return Dataset(ordering, cards, tuple(rows))
+    cards, codes = tuple(map(len, labels)), tuple(map(np.concatenate, chunks))
+    return object.__new__(Dataset)._set(ordering, cards, codes, cards, codes)
+
+
+def _raise_bad_cell(path, ordering, cols, block, first_row):
+    """Raise the error of the first short row or empty cell of `block`."""
+    for lineno, raw in enumerate(block, first_row):
+        for name, c in zip(ordering.names, cols):
+            if c >= len(raw):
+                raise FormatError(f"{path}: row {lineno} is missing column '{name}'")
+            if not raw[c].strip():
+                raise FormatError(f"{path}: empty cell at row {lineno}, column '{name}'")
 
 
 # --- local scores -------------------------------------------------------
 #
-# Counts come from integer row codes: a parent set's code for a row is its
-# mixed-radix parent configuration, so one np.bincount tallies every
-# configuration at once.  Each score is a function of the multiset of
-# counts alone, so row order and state labels cannot change it.
-
-def _columns(data: Dataset):
-    """The dataset as one contiguous int64 array per variable, and each
-    variable's code radix.
-
-    The radix is the largest observed state plus one, so codes are bounded
-    by the data, not by the declared cardinality; a column whose states
-    pass the row count is first renumbered densely, so every radix is at
-    most the row count.
-    """
-    try:
-        cols = np.ascontiguousarray(np.array(data.rows, dtype=np.int64).T)
-    except OverflowError:
-        # a state of 2**63 or more: renumber every column densely first
-        cols = np.array([_dense(col) for col in zip(*data.rows)], dtype=np.int64)
-    radix = []
-    for j, col in enumerate(cols):
-        r = int(col.max()) + 1
-        if r > len(col):
-            uniq, cols[j] = np.unique(col, return_inverse=True)
-            r = len(uniq)
-        radix.append(r)
-    return cols, radix
-
-
-def _dense(column):
-    """States of a column renumbered 0, 1, ... in increasing order."""
-    rank = {v: r for r, v in enumerate(sorted(set(column)))}
-    return [rank[v] for v in column]
-
+# H(S) is the exactly rounded sum of c ln c over the counts of a node set's
+# configurations (one np.bincount of its mixed-radix row codes), so neither
+# row order nor state labels change it.  ll(child i, parents P) = H(P | {i}) - H(P).
 
 def _extend(code: np.ndarray, configs: int, column: np.ndarray, radix: int):
     """Row codes after appending one variable; every code lies below `configs`.
 
-    Once `configs` would pass the row count the codes are renumbered
-    densely, so they stay below rows * radix <= rows**2 and cannot
-    overflow int64.
+    Codes are renumbered densely once `configs` would pass the row count, so
+    they stay below rows * radix <= rows**2 and cannot overflow int64.
     """
     code = code * radix + column
     configs *= radix
@@ -174,33 +174,43 @@ def _extend(code: np.ndarray, configs: int, column: np.ndarray, radix: int):
     return code, configs
 
 
-def _codes(cols: np.ndarray, radix, parents: int):
-    """Row codes of one parent set, built from its own columns."""
-    code, configs = np.zeros(cols.shape[1], dtype=np.int64), 1
-    for j in bits_of(parents):
-        code, configs = _extend(code, configs, cols[j], radix[j])
-    return code, configs
-
-
-def _clogc(counts: np.ndarray) -> float:
-    """Sum of c ln c over the counts; exactly rounded, so order cannot matter."""
-    c = counts[counts > 1].astype(np.float64)
+def _clogc(code: np.ndarray) -> float:
+    """H of a node set from its row codes."""
+    c = np.bincount(code)
+    c = c[c > 1].astype(np.float64)
     return math.fsum((c * np.log(c)).tolist())
 
 
-def _fit(code: np.ndarray, configs: int, cols: np.ndarray, radix, cards,
-         child: int, parents: int, crit: str) -> float:
-    """Local score of `parents` for `child` from the parent set's row codes.
+def _clogc_of_sets(data: Dataset, needed) -> Dict[int, float]:
+    """H(S) for every node set S in `needed`, one count pass each.  Sets are
+    built by size, the codes of S extending those of S minus its top bit by
+    one column and kept until the last set that extends them is built."""
+    built = {0, *needed} | {s & (1 << b) - 1 for s in needed for b in bits_of(s)}
+    order = sorted(built, key=int.bit_count)
+    last = {s ^ 1 << s.bit_length() - 1: s for s in order if s}  # each base's last extension
+    codes, h = {0: (np.zeros(data.n_rows, dtype=np.int64), 1)}, {}
+    for s in order:
+        if s:
+            top = s.bit_length() - 1
+            codes[s] = _extend(*codes[s ^ 1 << top], data._codes[top], data._radix[top])
+            if last[s ^ 1 << top] == s:
+                del codes[s ^ 1 << top]
+        if s in needed:
+            h[s] = _clogc(codes[s][0])
+        if s not in last:
+            del codes[s]
+    return h
 
-    The penalty counts the declared cardinalities `cards`.
-    """
-    joint, _ = _extend(code, configs, cols[child], radix[child])
-    ll = _clogc(np.bincount(joint)) - _clogc(np.bincount(code))
+
+def _score(data: Dataset, child: int, parents: int, crit: str, h) -> float:
+    """Local score from the table of H; the penalty counts declared cardinalities."""
+    ll = h[parents | 1 << child] - h[parents]
     if crit == "ll":
         return ll
+    cards = data.cardinalities
     free_params = math.prod(cards[j] for j in bits_of(parents)) * (cards[child] - 1)
     if crit == "bic":
-        return ll - math.log(len(code)) / 2 * free_params
+        return ll - math.log(data.n_rows) / 2 * free_params
     return ll - free_params
 
 
@@ -221,9 +231,8 @@ def local_score(data: Dataset, child: int, parents: int, criterion: str):
     crit = _criterion(criterion)
     if parents & ~((1 << child) - 1):
         raise DomainError("parents must precede the child in the ordering")
-    cols, radix = _columns(data)
-    return _fit(*_codes(cols, radix, parents), cols, radix, data.cardinalities,
-                child, parents, crit)
+    return _score(data, child, parents, crit,
+                  _clogc_of_sets(data, {parents, parents | 1 << child}))
 
 
 # --- score tables -------------------------------------------------------
@@ -262,33 +271,22 @@ class ScoreTable:
 def build_score_table(data: Dataset, spec: FamilySpec, criterion: str) -> ScoreTable:
     """Local score of every admissible parent set of every child.
 
-    Each child's lattice is walked in graded-lex order; a parent set's row
-    codes extend those of its predecessor (the set without its highest
-    free bit) by one column, so only the previous size level is kept.
+    The node sets P and P | {child} of all children are counted once each.
     """
     crit = _criterion(criterion)
     if data.ordering.names != spec.ordering.names:
         raise DomainError("dataset and family use different variable orderings")
-    (cols, radix), cards = _columns(data), data.cardinalities
-    entries = []
+    lattices = []
     for i in range(spec.ordering.n):
         count = spec.admissible_count(i)
         limits.check("TABLE_CHILD_LIMIT", count,
                      f"child {spec.ordering.names[i]} has {count} admissible parent sets")
-        floor, free = spec.floor[i], spec.free_mask(i)
-        cell: Dict[int, float] = {}
-        prev: Dict[int, tuple] = {}
-        level = {floor: _codes(cols, radix, floor)}
-        size = floor.bit_count()
-        for p in spec.iter_admissible(i):
-            if p != floor:
-                if p.bit_count() > size:
-                    prev, level, size = level, {}, p.bit_count()
-                top = (p & free).bit_length() - 1
-                level[p] = _extend(*prev[p ^ 1 << top], cols[top], radix[top])
-            cell[p] = _fit(*level[p], cols, radix, cards, i, p, crit)
-        entries.append(cell)
-    return ScoreTable(spec, tuple(entries), crit)
+        lattices.append(spec.iter_admissible(i))
+    h = _clogc_of_sets(data, {s for i, lattice in enumerate(lattices)
+                              for p in lattice for s in (p, p | 1 << i)})
+    entries = tuple({p: _score(data, i, p, crit, h) for p in lattice}
+                    for i, lattice in enumerate(lattices))
+    return ScoreTable(spec, entries, crit)
 
 
 def table_graph_score(table: ScoreTable, g: ParentMap):

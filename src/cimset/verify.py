@@ -34,7 +34,8 @@ def verify_family(spec, checks, limit, seed, emit=None):
     size = spec.family_size()
     if size > limits.ADJACENCY_CLOUD_MAX:
         raise DomainError(f"family has {size} members; verify enumerates vertices and "
-                          f"refuses families over {limits.ADJACENCY_CLOUD_MAX}")
+                          f"refuses families over {limits.ADJACENCY_CLOUD_MAX} "
+                          f"(ADJACENCY_CLOUD_MAX = {limits.ADJACENCY_CLOUD_MAX})")
     idx = coordinate_index(spec)
     members = list(enumerate_family(spec))
     vecs = [tuple(characteristic_imset(g, idx).bits) for g in members]

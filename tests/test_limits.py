@@ -3,7 +3,7 @@
 import pytest
 
 from cimset import limits
-from cimset.errors import ResourceError
+from cimset.errors import DomainError, ResourceError
 from cimset.geometry import FacetSystem, neighbors
 from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family,
                            enumerate_family)
@@ -60,6 +60,25 @@ def test_refusal_names_its_constant(monkeypatch, name, small, call):
         assert "CIMSET_ENUM_LIMIT" in str(refused.value) and "--limit" in str(refused.value)
     else:
         assert "over the limit" in str(refused.value)
+
+
+# --- the lazy producers refuse at the call, before their first item --------
+
+@pytest.mark.parametrize("name, call", [
+    ("ENUM_LIMIT", lambda: enumerate_family(DIAG)),
+    ("NEIGHBOR_LIMIT", lambda: neighbors(EMPTY, DIAG)),
+])
+def test_bare_call_refuses(monkeypatch, name, call):
+    monkeypatch.delenv("CIMSET_ENUM_LIMIT", raising=False)
+    monkeypatch.setattr(limits, name, 2)
+    with pytest.raises(ResourceError, match=rf"\b{name} = 2\b"):
+        call()
+
+
+def test_bare_neighbors_call_refuses_a_non_member():
+    # a2 may have no parents in DIAG
+    with pytest.raises(DomainError, match="graph is not a member of the family"):
+        neighbors(ParentMap(DIAG.ordering, (0, 0b01, 0)), DIAG)
 
 
 # --- merged limits refuse the same inputs as the constants they replace ----

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cimset.scoring
 from cimset.errors import DomainError, FormatError
 from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family,
                            enumerate_family, full_ordered_family)
@@ -116,6 +117,76 @@ def test_load_csv_errors(tmp_path):
     extra = tmp_path / "extra.csv"
     extra.write_text("a,junk,b,junk\n1,x,2,y\n")
     assert load_csv(extra, o).rows == ((0, 0),)
+
+
+def test_load_csv_merges_padded_labels(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("a,b\n yes,x\nyes ,y\nno,x \n")
+    data = load_csv(p, NodeOrdering(("a", "b")))
+    assert data.rows == ((0, 0), (0, 1), (1, 0))
+    assert data.cardinalities == (2, 2)
+
+
+def test_load_csv_reads_crlf_and_quoted_commas(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b'a,b\r\n"x,1",p\r\ny,q\r\n"x,1",q\r\n')
+    data = load_csv(p, NodeOrdering(("a", "b")))
+    assert data.rows == ((0, 0), (1, 1), (0, 1))
+    assert data.cardinalities == (2, 2)
+
+
+def _first_appearance(rows):
+    """Rows relabelled so each column's states follow first appearance."""
+    codes = [{} for _ in rows[0]]
+    return tuple(tuple(c.setdefault(v, len(c)) for c, v in zip(codes, row)) for row in rows)
+
+
+def _write_csv(path, names, rows):
+    path.write_text(",".join(names) + "\n"
+                    + "".join(",".join(f"s{v}" for v in row) + "\n" for row in rows))
+
+
+def test_load_csv_codes_follow_first_appearance_across_blocks(tmp_path):
+    block = cimset.scoring._BLOCK
+    # states 2 and 3 of column a first appear in the second block, 3 before 2
+    rows = [(k % 2, k % 3) for k in range(block)] + [(3, 0), (0, 1), (2, 2)] * 5
+    p = tmp_path / "d.csv"
+    _write_csv(p, ("a", "b"), rows)
+    data = load_csv(p, NodeOrdering(("a", "b")))
+    assert data.n_rows == block + 15
+    assert data.rows == _first_appearance(rows)
+    assert data.rows[block] == (2, 0) and data.cardinalities == (4, 3)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("s1", "row {row} is missing column 'b'"),
+    ("s1,", "empty cell at row {row}, column 'b'"),
+    ("  ,s1", "empty cell at row {row}, column 'a'"),
+])
+def test_load_csv_error_after_the_first_block_names_its_file_row(tmp_path, bad, message):
+    block = cimset.scoring._BLOCK
+    good = [(k % 2, k % 3) for k in range(block + 7)]
+    p = tmp_path / "d.csv"
+    _write_csv(p, ("a", "b"), good)
+    p.write_text(p.read_text() + bad + "\ns0,s0\n")
+    # the header is file row 1 and the data rows follow it
+    with pytest.raises(FormatError, match=message.format(row=block + 9)):
+        load_csv(p, NodeOrdering(("a", "b")))
+
+
+def test_load_csv_equals_the_row_constructor(tmp_path):
+    rng = random.Random(8)
+    o = NodeOrdering(tuple(f"v{j}" for j in range(5)))
+    cards = (2, 3, 4, 3, 2)
+    rows = _first_appearance(_dependent_rows(cards, 2500, rng))
+    p = tmp_path / "d.csv"
+    _write_csv(p, o.names, rows)
+    loaded, built = load_csv(p, o), Dataset(o, cards, rows)
+    assert loaded == built and loaded.n_rows == 2500
+    spec = full_ordered_family(o)
+    for crit in CRITERIA:
+        assert _tables_identical(build_score_table(loaded, spec, crit),
+                                 build_score_table(built, spec, crit))
 
 
 # --- local scores -----------------------------------------------------------
@@ -256,6 +327,45 @@ def test_wide_floor_codes_do_not_wrap():
             want = _counter_score(data, 32, p, crit)
             assert table.local(32, p) == pytest.approx(want, rel=1e-12)
             assert local_score(data, 32, p, crit) == table.local(32, p)
+
+
+def test_table_counts_each_node_set_once(monkeypatch):
+    rng = random.Random(3)
+    spec = diagnosis_family(5, 3)
+    cards = (2,) * spec.n
+    data = Dataset(spec.ordering, cards, _dependent_rows(cards, 500, rng))
+    calls = 0
+    h = cimset.scoring._clogc
+
+    def counted(code):
+        nonlocal calls
+        calls += 1
+        return h(code)
+    monkeypatch.setattr(cimset.scoring, "_clogc", counted)
+    table = build_score_table(data, spec, "bic")
+    node_sets = {s for i in range(spec.n) for p in spec.iter_admissible(i)
+                 for s in (p, p | 1 << i)}
+    assert calls == len(node_sets) == 128
+    monkeypatch.undo()
+    for i in range(spec.n):
+        for p in spec.iter_admissible(i):
+            assert table.local(i, p) == local_score(data, i, p, "bic")
+
+
+def test_floor_above_the_free_parents():
+    # child v3 always has v2, a higher node than its optional parents v0 and v1
+    rng = random.Random(4)
+    o = NodeOrdering(("v0", "v1", "v2", "v3"))
+    spec = FamilySpec(o, (0, 0, 0, 0b100), (0, 0, 0, 0b111))
+    cards = (3, 2, 4, 3)
+    data = Dataset(o, cards, _dependent_rows(cards, 300, rng))
+    for crit in CRITERIA:
+        table = build_score_table(data, spec, crit)
+        assert sorted(table.entries[3]) == [0b100, 0b101, 0b110, 0b111]
+        for p in spec.iter_admissible(3):
+            assert table.local(3, p) == local_score(data, 3, p, crit)
+            assert table.local(3, p) == pytest.approx(_counter_score(data, 3, p, crit),
+                                                      rel=1e-12)
 
 
 @pytest.mark.parametrize("cards, rows", [

@@ -34,8 +34,10 @@ def test_unknown_check_refused_before_enumeration():
 
 
 def test_size_guard():
-    with pytest.raises(DomainError, match="has 65536 members; .* refuses families over 4096"):
+    with pytest.raises(DomainError,
+                       match="has 65536 members; .* refuses families over 4096") as refused:
         verify_family(diagnosis_family(4, 4), CHECKS, 2000, 0)
+    assert str(refused.value).endswith("(ADJACENCY_CLOUD_MAX = 4096)")
     assert verify_family(diagnosis_family(4, 3), ["product"], 0, 0)[0][1]
 
 
