@@ -213,13 +213,15 @@ def neighbors(g: ParentMap, spec: FamilySpec) -> Iterator[ParentMap]:
     parents = g.parents
 
     def replacements():
+        # _parent_map_unchecked inlined: one C call per neighbor
+        new, pm = tuple.__new__, ParentMap
         for i in range(spec.n):
             current = parents[i]
             prefix = parents[:i]
             suffix = parents[i + 1:]
             for p in spec.iter_admissible(i):
                 if p != current:
-                    yield _parent_map_unchecked(ordering, prefix + (p,) + suffix)
+                    yield new(pm, (ordering, prefix + (p,) + suffix))
     return replacements()
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -63,24 +64,35 @@ class NodeOrdering:
         return tuple(self.names[b] for b in bits_of(mask))
 
 
-@dataclass(frozen=True)
-class ParentMap:
-    """One DAG compatible with the ordering: parents[i] is a bitmask of indices < i."""
+class ParentMap(tuple):
+    """One DAG compatible with the ordering: parents[i] is a bitmask of indices < i.
 
-    ordering: NodeOrdering
-    parents: tuple
+    An immutable `(ordering, parents)` pair; hash and equality are the pair's.
+    """
 
-    def __post_init__(self):
-        parents = tuple(self.parents)
-        object.__setattr__(self, "parents", parents)
-        n = self.ordering.n
+    __slots__ = ()
+
+    def __new__(cls, ordering: NodeOrdering, parents):
+        parents = tuple(parents)
+        n = ordering.n
         if len(parents) != n:
             raise DomainError(f"expected {n} parent sets, got {len(parents)}")
         for i, p in enumerate(parents):
             if p & ~((1 << i) - 1):
                 raise DomainError(
-                    f"child {self.ordering.names[i]!r} lists a non-predecessor parent"
+                    f"child {ordering.names[i]!r} lists a non-predecessor parent"
                 )
+        return tuple.__new__(cls, (ordering, parents))
+
+    ordering = property(operator.itemgetter(0))
+    parents = property(operator.itemgetter(1))
+
+    # copy and pickle rebuild through __new__, which needs both arguments
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"ParentMap(ordering={self.ordering!r}, parents={self.parents!r})"
 
     def parent_names(self, i: int) -> tuple:
         return self.ordering.names_of_mask(self.parents[i])
@@ -96,10 +108,7 @@ class ParentMap:
 
 def _parent_map_unchecked(ordering: NodeOrdering, parents: tuple) -> ParentMap:
     # Internal fast path for streams that produce already-valid parent tuples.
-    pm = object.__new__(ParentMap)
-    object.__setattr__(pm, "ordering", ordering)
-    object.__setattr__(pm, "parents", parents)
-    return pm
+    return tuple.__new__(ParentMap, (ordering, parents))
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,7 @@ class CharImset:
             raise DomainError(
                 f"expected {self.index.total} coordinates, got {len(self.bits)}"
             )
-        if any(b > 1 for b in self.bits):
+        if self.bits.translate(None, b"\x00\x01"):
             raise DomainError("imset entries must be 0 or 1")
 
     def bit(self, child: int, subset_mask: int) -> int:

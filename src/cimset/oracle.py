@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import limits
@@ -460,12 +462,14 @@ def affine_dimension(cloud) -> int:
     ambient = len(vecs[0])
     limits.check("RANK_MAX", max(len(vecs), ambient), f"cloud of {len(vecs)} x {ambient}")
     v0 = vecs[0]
+    columns = range(ambient)
     basis: Dict[int, Dict[int, int]] = {}
     for v in vecs[1:]:
+        # checked first: map() would stop silently at the shorter vector
         if len(v) != ambient:
             raise DomainError("cloud vectors have mixed lengths")
-        r = {j: d for j, d in enumerate(a - b for a, b in zip(v, v0)) if d}
-        r = _eliminate(r, basis)
+        d = list(map(operator.sub, v, v0))
+        r = _eliminate(dict(zip(compress(columns, d), filter(None, d))), basis)
         if r:
             _normalize_sparse(r)
             basis[min(r)] = r

@@ -10,7 +10,7 @@ import random
 from itertools import combinations
 
 from . import limits
-from .errors import DomainError, FormatError
+from .errors import FormatError
 from .geometry import (affine_dimension_formula, are_neighbors, facet_system_for_child,
                        vertex_block_vector)
 from .graphs import enumerate_family, graph_to_json
@@ -32,10 +32,8 @@ def verify_family(spec, checks, limit, seed, emit=None):
     if bad:
         raise FormatError(f"unknown checks: {', '.join(bad)}")
     size = spec.family_size()
-    if size > limits.ADJACENCY_CLOUD_MAX:
-        raise DomainError(f"family has {size} members; verify enumerates vertices and "
-                          f"refuses families over {limits.ADJACENCY_CLOUD_MAX} "
-                          f"(ADJACENCY_CLOUD_MAX = {limits.ADJACENCY_CLOUD_MAX})")
+    limits.check("ADJACENCY_CLOUD_MAX", size, "verify refuses families over the "
+                 f"vertex-cloud limit: family has {size} members")
     idx = coordinate_index(spec)
     members = list(enumerate_family(spec))
     vecs = [tuple(characteristic_imset(g, idx).bits) for g in members]

@@ -159,6 +159,20 @@ def test_learn_from_scores(capsys):
     assert doc["k2-forward"]["score"] == 7
 
 
+def test_learn_json_graphs_are_name_lists(capsys):
+    # cli._jsonable flattens tuples, so a ParentMap must never reach it
+    assert main(["learn", "--scores", f"{FIX}/example_k2_forward.json",
+                 "--method", "all", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(doc) == ["exact", "k2-backward", "k2-forward"]
+    for result in doc.values():
+        graph = result["graph"]
+        assert sorted(graph) == ["ordering", "parents"]
+        assert graph["ordering"] == ["a1", "a2", "a3", "b1"]
+        assert len(graph["parents"]) == 4
+        assert all(isinstance(name, str) for ps in graph["parents"] for name in ps)
+
+
 def test_learn_writes_graph(tmp_path, capsys):
     out = tmp_path / "g.json"
     assert main(["learn", "--scores", f"{FIX}/example_k2_forward.json",

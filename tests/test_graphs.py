@@ -1,8 +1,10 @@
 import contextlib
+import copy
 import dataclasses
 import io
 import json
 import os
+import pickle
 import tempfile
 
 import pytest
@@ -55,6 +57,37 @@ def test_parent_map_equality_and_hash():
     assert ParentMap(o, (0, 1)) == ParentMap(o, (0, 1))
     assert hash(ParentMap(o, (0, 1))) == hash(ParentMap(o, (0, 1)))
     assert ParentMap(o, (0, 1)) != ParentMap(o, (0, 0))
+
+
+def test_parent_map_is_an_ordering_parents_pair():
+    o = NodeOrdering(("a", "b", "c"))
+    g = ParentMap(o, [0, 0b1, 0b11])
+    assert len(g) == 2
+    assert tuple(g) == (o, (0, 0b1, 0b11))
+    ordering, parents = g
+    assert ordering is g.ordering and parents == g.parents
+    # equal to, and hashed as, the plain pair it holds
+    assert g == (o, (0, 0b1, 0b11))
+    assert hash(g) == hash((o, (0, 0b1, 0b11)))
+    assert repr(g) == ("ParentMap(ordering=NodeOrdering(names=('a', 'b', 'c')), "
+                       "parents=(0, 1, 3))")
+    with pytest.raises(AttributeError):
+        g.parents = (0, 0, 0)
+    # the validating constructor still refuses a wrong count and a non-predecessor
+    with pytest.raises(DomainError, match="expected 3 parent sets, got 2"):
+        ParentMap(o, (0, 0))
+    with pytest.raises(DomainError, match="child 'b' lists a non-predecessor parent"):
+        ParentMap(o, (0, 0b10, 0))
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda g: pickle.loads(pickle.dumps(g))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_parent_map_copies_and_pickles(clone):
+    g = ParentMap(NodeOrdering(("a", "b")), (0, 1))
+    h = clone(g)
+    assert type(h) is ParentMap and h == g and hash(h) == hash(g)
+    assert h.parents == (0, 1) and h.parent_names(1) == ("a",)
 
 
 def test_diagnosis_family_shape():

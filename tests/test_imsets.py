@@ -109,6 +109,15 @@ def test_imset_from_bits_validation():
         imset_from_bits(idx, [2, 0, 0])
 
 
+@pytest.mark.parametrize("bad", [b"\x00\x02\x00", b"\x01\x01\xff"])
+def test_imset_bytes_must_be_zero_or_one(bad):
+    idx = coordinate_index(diagnosis_family(2, 1))
+    with pytest.raises(DomainError, match="imset entries must be 0 or 1"):
+        CharImset(idx, bad)
+    assert CharImset(idx, b"\x01\x00\x01").bits == b"\x01\x00\x01"
+    assert CharImset(idx, b"\x00\x00\x00").bits == b"\x00\x00\x00"
+
+
 def test_bit_accessor():
     spec = diagnosis_family(2, 1)
     idx = coordinate_index(spec)

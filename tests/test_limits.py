@@ -10,6 +10,7 @@ from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family
 from cimset.imsets import characteristic_imset, coordinate_index, export_full_vector
 from cimset.oracle import affine_dimension, learn_bruteforce, lp_feasible, oracle_adjacent
 from cimset.scoring import Dataset, ScoreTable, build_score_table
+from cimset.verify import verify_family
 
 DIAG = diagnosis_family(2, 1)  # 4 members, each with 3 neighbors
 EMPTY = ParentMap(DIAG.ordering, (0, 0, 0))
@@ -38,6 +39,7 @@ REFUSALS = [
         DIAG, ScoreTable(DIAG, ({0: 0}, {0: 0}, {0: 0, 1: 0, 2: 0, 3: 0})))),
     ("TABLE_CHILD_LIMIT", 3, lambda: build_score_table(
         Dataset(DIAG.ordering, (2, 2, 2), ((0, 1, 1), (1, 0, 1))), DIAG, "ll")),
+    ("ADJACENCY_CLOUD_MAX", 3, lambda: verify_family(DIAG, ["product"], 0, 0)),
 ]
 
 

@@ -232,6 +232,45 @@ def test_affine_dimension_duplicates_and_mixed_lengths():
         affine_dimension([(1, 2), (1, 2, 3)])
 
 
+def _reference_rank(cloud):
+    """Affine rank by Gaussian elimination over Fractions on the differences to cloud[0]."""
+    rows = [[Fraction(a - b) for a, b in zip(v, cloud[0])] for v in cloud[1:]]
+    rank = 0
+    for col in range(len(cloud[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+# mostly small entries, so that dependent clouds are common, plus some beyond +-2**63
+_entries = st.one_of(st.integers(-2, 2), st.integers(-2 ** 70, 2 ** 70))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda d: st.lists(st.tuples(*[_entries] * d), min_size=1, max_size=7)))
+def test_affine_dimension_matches_a_fraction_reference(cloud):
+    assert affine_dimension(cloud) == _reference_rank(cloud)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 5).flatmap(
+    lambda d: st.lists(st.tuples(*[_entries] * d), min_size=2, max_size=5)),
+    st.data())
+def test_affine_dimension_refuses_a_later_shorter_vector(cloud, data):
+    # the shorter vector comes after the first, where a truncating zip would not see it
+    at = data.draw(st.integers(1, len(cloud) - 1))
+    cloud[at] = cloud[at][:-1]
+    with pytest.raises(DomainError, match="mixed lengths"):
+        affine_dimension(cloud)
+
+
 @pytest.mark.parametrize("half", [0.5, Fraction(1, 2)])
 def test_non_integer_entries_refused_not_truncated(half):
     # int() would read the vertex (1/2, 0) as (0, 0) and report rank 0

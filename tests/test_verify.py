@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cimset.verify
-from cimset.errors import DomainError, FormatError
+from cimset.errors import FormatError, ResourceError
 from cimset.graphs import diagnosis_family, family_from_json
 from cimset.verify import CHECKS, verify_family
 from test_graphs import family_specs
@@ -34,10 +34,10 @@ def test_unknown_check_refused_before_enumeration():
 
 
 def test_size_guard():
-    with pytest.raises(DomainError,
-                       match="has 65536 members; .* refuses families over 4096") as refused:
+    with pytest.raises(ResourceError,
+                       match="refuses families over .* has 65536 members, over") as refused:
         verify_family(diagnosis_family(4, 4), CHECKS, 2000, 0)
-    assert str(refused.value).endswith("(ADJACENCY_CLOUD_MAX = 4096)")
+    assert str(refused.value).endswith("over the limit ADJACENCY_CLOUD_MAX = 4096")
     assert verify_family(diagnosis_family(4, 3), ["product"], 0, 0)[0][1]
 
 
