@@ -7,7 +7,8 @@ verification, and exhaustive brute-force structure learning.  None of it
 relies on the closed-form block structure it is used to certify.
 
 Rational vectors and matrices are plain sequences of ints or
-fractions.Fraction values; results are Fractions in lowest terms.
+fractions.Fraction values; points are Fractions and Farkas vectors ints,
+both in lowest terms.
 """
 
 from __future__ import annotations
@@ -56,25 +57,26 @@ def _integers(t: tuple, owner: str, kind: str) -> Tuple[int, ...]:
 
 # --- exact simplex ------------------------------------------------------
 #
-# Tableau rows hold integers with one positive denominator per row; pivots
-# cross-multiply and re-reduce by the gcd, so every quantity stays exact.
+# Tableau rows hold integers, each kept in lowest terms by the gcd of its
+# entries: any row of an equality tableau may be rescaled.  Only the
+# objective row keeps a positive denominator, because the Farkas
+# multipliers are read from it.  Pivots cross-multiply, so every quantity
+# stays exact.
 
 def _normalize(row: List[int], den: int) -> Tuple[List[int], int]:
-    g = den
-    for v in row:
-        g = math.gcd(g, v)
-        if g == 1:
-            return row, den
+    g = math.gcd(den, *row)
+    if g == 1:
+        return row, den
     return [v // g for v in row], den // g
 
 
 def _solve_phase1(rows, rhs, eq_flags):
     """Exact phase-1 simplex for {x >= 0 : Ax (<=|=) b}.
 
-    Returns (x, None) for a feasible point, or (None, farkas) where farkas
-    is a list of Fractions y with: y_i <= 0 on inequality rows,
-    sum_i y_i * A[i] <= 0 componentwise, and sum_i y_i * b_i > 0, which
-    refutes feasibility.
+    Returns (x, None) for a feasible point x of Fractions, or
+    (None, farkas) where farkas is a list of ints in lowest terms with:
+    y_i <= 0 on inequality rows, sum_i y_i * A[i] <= 0 componentwise, and
+    sum_i y_i * b_i > 0, which refutes feasibility.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -91,7 +93,7 @@ def _solve_phase1(rows, rhs, eq_flags):
     signs: List[int] = []
     for i in range(m):
         row, bi, scale = list(rows[i]), rhs[i], 1
-        if type(bi) is not int or any(type(v) is not int for v in row):
+        if {type(bi), *map(type, row)} != {int}:
             coeffs = [_exact(v) for v in row]
             b = _exact(bi)
             scale = math.lcm(b.denominator, *(v.denominator for v in coeffs))
@@ -114,7 +116,6 @@ def _solve_phase1(rows, rhs, eq_flags):
     total = art0 + m
 
     V: List[List[int]] = []
-    dens: List[int] = []
     basis: List[int] = []
     for i in range(m):
         ext = int_rows[i] + [0] * (n_slack + m) + [int_rhs[i]]
@@ -122,16 +123,13 @@ def _solve_phase1(rows, rhs, eq_flags):
             ext[slack_col[i]] = signs[i]
         ext[art0 + i] = 1
         V.append(ext)
-        dens.append(1)
         basis.append(art0 + i)
 
-    # phase-1 objective: minimize the sum of the artificials
-    obj = [0] * (total + 1)
-    for j in range(art0, art0 + m):
-        obj[j] = 1
-    for row in V:
-        obj = [a - b for a, b in zip(obj, row)]
-    obj, obj_den = _normalize(obj, 1)
+    # phase-1 objective: minimize the sum of the artificials, priced out
+    # against the starting basis, so its artificial columns are zero
+    obj = [-sum(col) for col in zip(*V)]
+    obj[art0:total] = [0] * m
+    obj_den = 1
 
     guard = 0
     while True:
@@ -161,20 +159,16 @@ def _solve_phase1(rows, rhs, eq_flags):
                 continue
             f = V[i][enter]
             if f:
-                V[i], dens[i] = _normalize(
-                    [a * p - f * b for a, b in zip(V[i], prow)], dens[i] * p)
+                row = [a * p - f * b for a, b in zip(V[i], prow)]
+                g = math.gcd(*row)
+                V[i] = row if g == 1 else [v // g for v in row]
         f = obj[enter]
         if f:
             obj, obj_den = _normalize(
                 [a * p - f * b for a, b in zip(obj, prow)], obj_den * p)
         basis[leave] = enter
 
-    w = Fraction(0)
-    for i in range(m):
-        if basis[i] >= art0:
-            w += Fraction(V[i][-1], V[i][basis[i]])
-
-    if w == 0:
+    if not any(V[i][-1] for i in range(m) if basis[i] >= art0):
         x = [Fraction(0)] * n
         for i in range(m):
             j = basis[i]
@@ -182,27 +176,23 @@ def _solve_phase1(rows, rhs, eq_flags):
                 x[j] = Fraction(V[i][-1], V[i][j])
         return tuple(x), None
 
-    # Farkas multipliers: duals read off the artificial columns, mapped back
-    # through the per-row scaling and sign flips.
-    farkas = []
-    for i in range(m):
-        y_i = 1 - Fraction(obj[art0 + i], obj_den)
-        farkas.append(y_i * signs[i] * scales[i])
+    # Farkas multipliers: the duals 1 - obj[art0+i]/obj_den read off the
+    # artificial columns, times obj_den and mapped back through the per-row
+    # scaling and sign flips.  The check runs before the gcd division, so a
+    # zero vector fails it instead of dividing by zero.
+    farkas = [(obj_den - obj[art0 + i]) * signs[i] * scales[i] for i in range(m)]
     _check_farkas(rows, rhs, eq_flags, farkas)
-    return None, farkas
+    g = math.gcd(*farkas)
+    return None, [y // g for y in farkas]
 
 
 def _check_farkas(rows, rhs, eq_flags, farkas) -> None:
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    for i in range(m):
-        if not eq_flags[i] and farkas[i] > 0:
-            raise AssertionError("Farkas multiplier has the wrong sign on an inequality row")
-    for j in range(n):
-        combo = sum(farkas[i] * _exact(rows[i][j]) for i in range(m))
-        if combo > 0:
+    if any(y > 0 for y, eq in zip(farkas, eq_flags) if not eq):
+        raise AssertionError("Farkas multiplier has the wrong sign on an inequality row")
+    for col in zip(*rows):
+        if sum(map(operator.mul, farkas, map(_exact, col))) > 0:
             raise AssertionError("Farkas combination is not nonpositive on a column")
-    if sum(farkas[i] * _exact(rhs[i]) for i in range(m)) <= 0:
+    if sum(map(operator.mul, farkas, map(_exact, rhs))) <= 0:
         raise AssertionError("Farkas combination does not refute the right-hand side")
 
 
@@ -221,6 +211,8 @@ def lp_feasible(rows, rhs, equalities=None) -> Optional[Tuple[Fraction, ...]]:
     """A feasible point of {x >= 0 : Ax (<=|=) b}, or None when there is none."""
     if len(rows) != len(rhs):
         raise DomainError("rows and right-hand sides differ in length")
+    if len({len(r) for r in rows}) > 1:
+        raise DomainError("rows differ in length")
     x, _ = _solve_phase1(rows, rhs, _eq_flags(len(rows), equalities))
     return x
 
@@ -243,39 +235,44 @@ class Certificate:
 def _replay_non_adjacency(p) -> bool:
     v1, v2 = p["v1"], p["v2"]
     combo = p["combination"]
-    if not combo:
+    if not combo or not all(isinstance(lam, numbers.Rational) for _, lam in combo):
         return False
-    total = Fraction(0)
-    mix = [Fraction(0)] * len(v1)
+    # the weights as int numerators over their common denominator
+    den = math.lcm(*(lam.denominator for _, lam in combo))
+    total = 0
+    mix = [0] * len(v1)
     for vec, lam in combo:
-        if lam < 0 or vec == v1 or vec == v2:
+        num = lam.numerator * (den // lam.denominator)
+        if num < 0 or tuple(vec) in (tuple(v1), tuple(v2)):
             return False
-        total += lam
+        total += num
         for j, e in enumerate(vec):
             if e:
-                mix[j] += lam * e
-    if total != 1:
+                mix[j] += num * e
+    if total != den:
         return False
-    return all(2 * mix[j] == v1[j] + v2[j] for j in range(len(v1)))
+    return all(2 * mix[j] == den * (v1[j] + v2[j]) for j in range(len(v1)))
 
 
 def _replay_adjacency(p) -> bool:
     v1, v2 = p["v1"], p["v2"]
     support = p["support"]
-    zero_cols = p["zero_cols"]
-    two_cols = p["two_cols"]
     y = p["farkas"]
+    if len(y) != len(support) + 1:
+        return False
+    target = list(map(operator.add, v1, v2))
     # vertices pruned before the LP must each be forced to weight zero by a
-    # coordinate where the midpoint is 0 (they carry a 1) or 1 (they carry a 0)
+    # coordinate where the midpoint is 0 (they carry a 1) or 1 (they carry
+    # a 0); those coordinates come from v1 + v2, never from the payload
+    zero_cols = [j for j, t in enumerate(target) if t == 0]
+    two_cols = [j for j, t in enumerate(target) if t == 2]
     for vec in p["excluded"]:
-        if not any(vec[j] for j in zero_cols) and not any(
-                not vec[j] for j in two_cols):
+        if not any(map(vec.__getitem__, zero_cols)) and all(map(vec.__getitem__, two_cols)):
             return False
     for vec in p["candidates"]:
-        if sum(y[t] * vec[j] for t, j in enumerate(support)) + y[-1] > 0:
+        if sum(map(operator.mul, y, map(vec.__getitem__, support))) + y[-1] > 0:
             return False
-    lhs = sum(y[t] * (v1[j] + v2[j]) for t, j in enumerate(support)) + 2 * y[-1]
-    return lhs > 0
+    return sum(map(operator.mul, y, map(target.__getitem__, support))) + 2 * y[-1] > 0
 
 
 def _replay_separation(p) -> bool:
@@ -293,8 +290,9 @@ def _replay_facet(p) -> bool:
     cloud = p["cloud"]
     tight = []
     off = []
+    const, linear = coeffs[0], coeffs[1:]
     for vec in cloud:
-        val = coeffs[0] + sum(c * e for c, e in zip(coeffs[1:], vec))
+        val = const + sum(map(operator.mul, linear, vec))
         if val < 0:
             return False
         (tight if val == 0 else off).append(vec)
@@ -374,12 +372,10 @@ def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certifica
     m1 = cloud.masks[cloud.index[b1]]
     m2 = cloud.masks[cloud.index[b2]]
 
-    target = [a + b for a, b in zip(b1, b2)]
-    support = [j for j, t in enumerate(target) if t]
-    zero_cols = [j for j, t in enumerate(target) if not t]
     # a combination with weight on u needs u to vanish where the midpoint
-    # does and to be 1 where both endpoints are
-    two_cols = [j for j, t in enumerate(target) if t == 2]
+    # does and to be 1 where both endpoints are; every candidate then meets
+    # those coordinates, so the LP keeps only the rows where exactly one
+    # endpoint is 1, each with right-hand side 1, plus the convexity row
     outside, both = ~(m1 | m2), m1 & m2
     candidates = []
     excluded = []
@@ -391,11 +387,11 @@ def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certifica
         else:
             candidates.append(u)
 
+    support = [j for j, (a, b) in enumerate(zip(b1, b2)) if a != b]
     lp_rows = [[u[j] for u in candidates] for j in support]
-    lp_rhs = [target[j] for j in support]
     lp_rows.append([1] * len(candidates))
-    lp_rhs.append(2)
-    x, farkas = _solve_phase1(lp_rows, lp_rhs, [True] * len(lp_rows))
+    x, farkas = _solve_phase1(lp_rows, [1] * len(support) + [2],
+                              [True] * len(lp_rows))
 
     if x is not None:
         combo = [(candidates[t], x[t] / 2) for t in range(len(candidates)) if x[t]]
@@ -404,13 +400,10 @@ def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certifica
         cert.verified = cert.replay()
         return cert
 
-    scale = math.lcm(*(y.denominator for y in farkas)) if farkas else 1
     payload = {
-        "v1": b1, "v2": b2,
-        "support": tuple(support), "zero_cols": tuple(zero_cols),
-        "two_cols": tuple(two_cols),
+        "v1": b1, "v2": b2, "support": tuple(support),
         "candidates": tuple(candidates), "excluded": tuple(excluded),
-        "farkas": tuple(int(y * scale) for y in farkas),
+        "farkas": tuple(farkas),
     }
     cert = Certificate("adjacency", payload, False)
     cert.verified = cert.replay()
@@ -555,7 +548,7 @@ def oracle_facet_check(sys_row, cloud) -> Certificate:
     tight = []
     off = []
     for vec in vecs:
-        val = const + sum(c * e for c, e in zip(linear, vec))
+        val = const + sum(map(operator.mul, linear, vec))
         if val < 0:
             payload["failing"] = vec
             return Certificate("facet", payload, False)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,8 +11,8 @@ from cimset.errors import DegeneratePairError, DomainError
 from cimset.geometry import are_neighbors, facet_matrix, vertex_block_vector
 from cimset.graphs import diagnosis_family, enumerate_family
 from cimset.imsets import characteristic_imset, coordinate_index
-from cimset.oracle import (Certificate, VertexCloud, affine_dimension, learn_bruteforce,
-                           lemma32_witness, lp_feasible, oracle_adjacent,
+from cimset.oracle import (Certificate, VertexCloud, _solve_phase1, affine_dimension,
+                           learn_bruteforce, lemma32_witness, lp_feasible, oracle_adjacent,
                            oracle_facet_check, witness_block_value)
 from cimset.scoring import ScoreTable
 from cimset.subsets import iter_submasks
@@ -59,16 +60,22 @@ def test_lp_rejects_floats():
 def test_lp_shape_mismatch():
     with pytest.raises(DomainError):
         lp_feasible([[1]], [1, 2])
+    # x0 = 1, x0 + x1 = 3 is feasible, but not when read as one column
+    with pytest.raises(DomainError, match="rows differ in length"):
+        lp_feasible([[1], [1, 1]], [1, 3], equalities={0, 1})
 
 
 _ENTRY = st.one_of(st.integers(-3, 3), st.booleans(),
                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
 
+# (row, right-hand side, is-equality) triples over 1 to 4 columns
+_SYSTEMS = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(st.lists(_ENTRY, min_size=n, max_size=n), _ENTRY, st.booleans()),
+    min_size=1, max_size=4))
+
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.lists(
-    st.tuples(st.lists(_ENTRY, min_size=n, max_size=n), _ENTRY, st.booleans()),
-    min_size=1, max_size=4)))
+@given(_SYSTEMS)
 def test_lp_mixed_entry_types_give_the_all_fraction_point(system):
     rows = [r for r, _, _ in system]
     rhs = [b for _, b, _ in system]
@@ -82,6 +89,23 @@ def test_lp_mixed_entry_types_give_the_all_fraction_point(system):
         for r, b, e in system:
             lhs = sum(Fraction(a) * v for a, v in zip(r, x))
             assert lhs == b if e else lhs <= b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SYSTEMS)
+def test_infeasible_systems_get_an_integer_farkas_vector_in_lowest_terms(system):
+    rows = [r for r, _, _ in system]
+    rhs = [b for _, b, _ in system]
+    eq = [e for _, _, e in system]
+    x, y = _solve_phase1(rows, rhs, eq)
+    assert (x is None) != (y is None)
+    if y is None:
+        return
+    assert all(type(v) is int for v in y) and math.gcd(*y) == 1
+    assert all(v <= 0 for v, e in zip(y, eq) if not e)
+    for j in range(len(rows[0])):
+        assert sum(Fraction(v) * Fraction(r[j]) for v, r in zip(y, rows)) <= 0
+    assert sum(Fraction(v) * Fraction(b) for v, b in zip(y, rhs)) > 0
 
 
 # --- adjacency oracle ---------------------------------------------------
@@ -195,18 +219,61 @@ def test_packed_oracle_on_random_families(spec, data):
         if cert.kind == "adjacency":
             assert cert.payload["candidates"] == candidates
             assert cert.payload["excluded"] == excluded
+            # rows only where exactly one endpoint is 1, plus the convexity row
+            support = tuple(k for k, (a, b) in enumerate(zip(vecs[i], vecs[j])) if a + b == 1)
+            assert cert.payload["support"] == support
+            farkas = cert.payload["farkas"]
+            assert len(farkas) == len(support) + 1
+            assert all(type(y) is int for y in farkas) and math.gcd(*farkas) == 1
+            assert set(cert.payload) == {"v1", "v2", "support", "candidates", "excluded",
+                                         "farkas", *(["witness"] if witness else [])}
         else:
             assert all(u in candidates for u, _ in cert.payload["combination"])
 
 
+def _with_combination(cert, combo):
+    return Certificate(cert.kind, dict(cert.payload, combination=combo), False)
+
+
 def test_tampered_certificates_fail_replay():
     cert = oracle_adjacent((0, 0), (1, 1), SQUARE)
-    cert.payload["combination"] = [(v, lam / 2) for v, lam in cert.payload["combination"]]
-    assert not cert.replay()
+    combo = cert.payload["combination"]
+    assert not _with_combination(cert, [(v, lam / 2) for v, lam in combo]).replay()
+    (u, lam), *rest = combo
+    assert not _with_combination(cert, [(u, -lam), *rest]).replay()
+    # doubled weights sum to 2
+    assert not _with_combination(cert, [(v, 2 * lam) for v, lam in combo]).replay()
+    # weight 0 on v1 leaves the arithmetic valid; naming it is what fails
+    assert not _with_combination(cert, [((0, 0), Fraction(0)), *combo]).replay()
+    assert not _with_combination(cert, [([0, 0], 0), *combo]).replay()
+    assert not _with_combination(cert, [(v, float(lam)) for v, lam in combo]).replay()
+    # int and Fraction weights together, over the lcm of their denominators
+    assert _with_combination(cert, [((0, 1), 0), *combo]).replay()
+    split = [((1, 0), Fraction(1, 4)), ((1, 0), Fraction(1, 4)), ((0, 1), Fraction(1, 2))]
+    assert _with_combination(cert, split).replay()
+
     cert2 = oracle_adjacent((0, 0), (1, 0), SQUARE)
     bad_farkas = tuple(-y for y in cert2.payload["farkas"])
     cert2.payload["farkas"] = bad_farkas
     assert not cert2.replay()
+
+    # in the triangle the diagonal is an edge, with (1, 0) the one candidate
+    cert3 = oracle_adjacent((0, 0), (1, 1), [(0, 0), (1, 0), (1, 1)])
+    assert cert3.kind == "adjacency" and cert3.replay()
+    assert cert3.payload["candidates"] == ((1, 0),)
+    moved = dict(cert3.payload, candidates=(), excluded=((1, 0),))
+    assert not Certificate("adjacency", moved, False).replay()
+    short = dict(cert3.payload, farkas=cert3.payload["farkas"][1:])
+    assert not Certificate("adjacency", short, False).replay()
+
+
+def test_forged_forced_zero_columns_do_not_certify_the_square_diagonal():
+    # the replay derives the forced columns from v1 + v2: naming both
+    # coordinates as forced zeros once excused both other vertices
+    forged = Certificate("adjacency", {
+        "v1": (0, 0), "v2": (1, 1), "support": (), "zero_cols": (0, 1), "two_cols": (),
+        "candidates": (), "excluded": ((1, 0), (0, 1)), "farkas": (1,)}, False)
+    assert not forged.replay()
 
 
 def test_unknown_certificate_kind():
