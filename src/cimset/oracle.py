@@ -18,7 +18,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import limits
@@ -232,10 +232,21 @@ class Certificate:
         return _REPLAY[self.kind](self.payload)
 
 
+def _zero_one(vecs, d: int) -> bool:
+    """Whether every vector has d entries, each 0 or 1.
+
+    Both midpoint replays rest on this: a vertex is then nonnegative where
+    the midpoint is 0 and at most 1 where it is 1.
+    """
+    return set(map(len, vecs)) <= {d} and {0, 1}.issuperset(chain.from_iterable(vecs))
+
+
 def _replay_non_adjacency(p) -> bool:
     v1, v2 = p["v1"], p["v2"]
     combo = p["combination"]
     if not combo or not all(isinstance(lam, numbers.Rational) for _, lam in combo):
+        return False
+    if not _zero_one([v1, v2, *(vec for vec, _ in combo)], len(v1)):
         return False
     # the weights as int numerators over their common denominator
     den = math.lcm(*(lam.denominator for _, lam in combo))
@@ -259,6 +270,8 @@ def _replay_adjacency(p) -> bool:
     support = p["support"]
     y = p["farkas"]
     if len(y) != len(support) + 1:
+        return False
+    if not _zero_one([v1, v2, *p["candidates"], *p["excluded"]], len(v1)):
         return False
     target = list(map(operator.add, v1, v2))
     # vertices pruned before the LP must each be forced to weight zero by a
@@ -356,10 +369,14 @@ def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certifica
 
     Two distinct vertices of a 0/1 polytope are adjacent exactly when their
     midpoint cannot be written as a convex combination of the remaining
-    vertices.  On adjacency, optionally also synthesizes a separating cost
-    vector w with w.v1 = w.v2 >= w.u + 1 for every other vertex u.  The
-    cloud is a `VertexCloud` or any iterable of 0/1 vectors; pass a
-    `VertexCloud` to convert it once for many calls.
+    vertices.  The one walk over the cloud that prunes the candidates also
+    looks for two of them, u and w, with u + w = v1 + v2; the first such
+    pair settles non-adjacency with the combination ½u + ½w.  Otherwise an
+    exact LP over the candidates decides, and it is the only route to an
+    adjacency verdict.  On adjacency, optionally also synthesizes a
+    separating cost vector w with w.v1 = w.v2 >= w.u + 1 for every other
+    vertex u.  The cloud is a `VertexCloud` or any iterable of 0/1 vectors;
+    pass a `VertexCloud` to convert it once for many calls.
     """
     b1, b2 = _vec(v1), _vec(v2)
     if b1 == b2:
@@ -375,17 +392,25 @@ def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certifica
     # a combination with weight on u needs u to vanish where the midpoint
     # does and to be 1 where both endpoints are; every candidate then meets
     # those coordinates, so the LP keeps only the rows where exactly one
-    # endpoint is 1, each with right-hand side 1, plus the convexity row
-    outside, both = ~(m1 | m2), m1 & m2
+    # endpoint is 1, each with right-hand side 1, plus the convexity row.
+    # A candidate u has one possible two-point partner w with u + w = v1 + v2:
+    # 1 where both endpoints are, and where exactly one is, 1 just where u is 0
+    outside, both, diff = ~(m1 | m2), m1 & m2, m1 ^ m2
     candidates = []
     excluded = []
+    seen: Dict[int, Tuple[int, ...]] = {}
     for u, mask in zip(cloud.vecs, cloud.masks):
         if mask == m1 or mask == m2:
             continue
         if mask & outside or (mask & both) != both:
             excluded.append(u)
-        else:
-            candidates.append(u)
+            continue
+        w = seen.get(both | (diff & ~mask))
+        if w is not None:
+            half = Fraction(1, 2)
+            return _non_adjacency(b1, b2, [(w, half), (u, half)])
+        seen[mask] = u
+        candidates.append(u)
 
     support = [j for j, (a, b) in enumerate(zip(b1, b2)) if a != b]
     lp_rows = [[u[j] for u in candidates] for j in support]
@@ -394,11 +419,8 @@ def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certifica
                               [True] * len(lp_rows))
 
     if x is not None:
-        combo = [(candidates[t], x[t] / 2) for t in range(len(candidates)) if x[t]]
-        payload = {"v1": b1, "v2": b2, "combination": combo}
-        cert = Certificate("non-adjacency", payload, False)
-        cert.verified = cert.replay()
-        return cert
+        return _non_adjacency(
+            b1, b2, [(candidates[t], x[t] / 2) for t in range(len(candidates)) if x[t]])
 
     payload = {
         "v1": b1, "v2": b2, "support": tuple(support),
@@ -415,6 +437,12 @@ def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certifica
                                          "others": tuple(others)}, False)
         sep.verified = sep.replay()
         cert.verified = cert.verified and sep.verified
+    return cert
+
+
+def _non_adjacency(b1, b2, combo) -> Certificate:
+    cert = Certificate("non-adjacency", {"v1": b1, "v2": b2, "combination": combo}, False)
+    cert.verified = cert.replay()
     return cert
 
 
@@ -448,19 +476,35 @@ def _edge_witness(b1, b2, others) -> Tuple[Fraction, ...]:
 # --- affine rank --------------------------------------------------------
 
 def affine_dimension(cloud) -> int:
-    """Exact affine dimension of a point cloud over the rationals."""
-    vecs = [_vec(v) for v in cloud]
+    """Exact affine dimension of a point cloud over the rationals.
+
+    The vectors are taken sparsest first, by their number of nonzero
+    entries: the sparsest becomes the base point, so the difference rows
+    stay sparse and the cost does not depend on the order of the cloud.
+    """
+    vecs = list(cloud)
+    # bytes, such as imset bits, already read as ints; a cloud of anything
+    # else becomes int tuples, so the sort compares like with like
+    if not all(type(v) is bytes for v in vecs):
+        vecs = [_vec(v) for v in vecs]
+    return _affine_rank(vecs)
+
+
+def _affine_rank(vecs: list) -> int:
+    """`affine_dimension` of a list of int tuples, or of bytes, which it reorders."""
     if not vecs:
         raise DomainError("affine dimension of an empty cloud is undefined")
     ambient = len(vecs[0])
     limits.check("RANK_MAX", max(len(vecs), ambient), f"cloud of {len(vecs)} x {ambient}")
+    # checked before sorting and subtracting: map() would stop silently at
+    # a shorter vector, wherever the sort put it
+    if set(map(len, vecs)) != {ambient}:
+        raise DomainError("cloud vectors have mixed lengths")
+    vecs.sort(key=lambda v: (ambient - v.count(0), v))
     v0 = vecs[0]
     columns = range(ambient)
     basis: Dict[int, Dict[int, int]] = {}
     for v in vecs[1:]:
-        # checked first: map() would stop silently at the shorter vector
-        if len(v) != ambient:
-            raise DomainError("cloud vectors have mixed lengths")
         d = list(map(operator.sub, v, v0))
         r = _eliminate(dict(zip(compress(columns, d), filter(None, d))), basis)
         if r:
@@ -556,7 +600,8 @@ def oracle_facet_check(sys_row, cloud) -> Certificate:
     if len(off) != 1 or off[0] != s_vertex:
         payload["failing"] = off[0] if off else None
         return Certificate("facet", payload, False)
-    if affine_dimension(tight) != len(vecs) - 2:
+    # the cloud's vectors are int tuples already
+    if _affine_rank(tight) != len(vecs) - 2:
         payload["failing"] = "tight-set-rank"
         return Certificate("facet", payload, False)
     return Certificate("facet", payload, True)

@@ -26,7 +26,8 @@ def verify_family(spec, checks, limit, seed, emit=None):
 
     Adjacency certifies every vertex pair, or `limit` pairs sampled with
     `seed`, and stops at its first mismatch; facets skips a block of more
-    than `limit` rows.  `emit`, when given, gets each certificate as a JSON dict.
+    than `limit` rows.  `emit`, when given, gets each certificate as a JSON dict;
+    adjacency records share one serialized graph per member.
     """
     bad = [c for c in checks if c not in CHECKS]
     if bad:
@@ -61,12 +62,13 @@ def verify_family(spec, checks, limit, seed, emit=None):
             note = f"{limit} sampled pairs (seed {seed})"
         mismatch = None
         cloud = VertexCloud(vecs)
+        names = None if emit is None else [graph_to_json(g) for g in members]
         for i, j in pairs:
             cert = oracle_adjacent(vecs[i], vecs[j], cloud, synthesize_witness=False)
             closed = are_neighbors(members[i], members[j], spec)
             if emit is not None:
                 emit({"kind": cert.kind, "verified": cert.verified,
-                      "pair": [graph_to_json(members[i]), graph_to_json(members[j])]})
+                      "pair": [names[i], names[j]]})
             if not cert.verified or closed != (cert.kind == "adjacency"):
                 mismatch = (i, j)
                 break

@@ -1,12 +1,17 @@
 import dataclasses
 import math
+import operator
+import random
+import time
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import cimset.oracle
 from cimset.errors import DegeneratePairError, DomainError
 from cimset.geometry import are_neighbors, facet_matrix, vertex_block_vector
 from cimset.graphs import diagnosis_family, enumerate_family
@@ -231,6 +236,55 @@ def test_packed_oracle_on_random_families(spec, data):
             assert all(u in candidates for u, _ in cert.payload["combination"])
 
 
+def _lp_adjacent(b1, b2, vecs):
+    """Adjacency decided by the LP alone: the full midpoint system on every other vertex."""
+    others = [u for u in vecs if u not in (b1, b2)]
+    rows = [[u[j] for u in others] for j in range(len(b1))] + [[1] * len(others)]
+    rhs = [*map(operator.add, b1, b2), 2]
+    return lp_feasible(rows, rhs, [True] * len(rows)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_specs(), st.data())
+def test_two_point_witnesses_agree_with_the_lp(spec, data):
+    # coordinate geometry covers uncapped families only
+    spec = dataclasses.replace(spec, max_parents=None)
+    assume(2 <= spec.family_size() <= 64)
+    idx = coordinate_index(spec)
+    vecs = [tuple(characteristic_imset(g, idx).bits) for g in enumerate_family(spec)]
+    cloud = VertexCloud(vecs)
+    size = len(vecs)
+    for _ in range(3):
+        i = data.draw(st.integers(0, size - 1))
+        j = (i + data.draw(st.integers(1, size - 1))) % size
+        with mock.patch.object(cimset.oracle, "_solve_phase1",
+                               wraps=cimset.oracle._solve_phase1) as lp:
+            cert = oracle_adjacent(vecs[i], vecs[j], cloud, synthesize_witness=False)
+        assert (cert.kind == "adjacency") == _lp_adjacent(vecs[i], vecs[j], vecs)
+        assert cert.verified and cert.replay()
+        # only the LP certifies an edge; in a product of simplices swapping one
+        # differing block gives every non-edge a partner, found without the LP
+        assert lp.call_count == (cert.kind == "adjacency")
+        if cert.kind == "non-adjacency":
+            (w, lam_w), (u, lam_u) = cert.payload["combination"]
+            assert lam_w == lam_u == Fraction(1, 2)
+            assert list(map(operator.add, w, u)) == list(map(operator.add, vecs[i], vecs[j]))
+
+
+def test_lp_decides_a_non_adjacent_pair_without_a_two_point_witness():
+    # the midpoint of 0000 and 1111 needs all four other vertices at 1/4,
+    # and no two of them sum to 1111
+    cloud = [(0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 0, 1), (0, 1, 1, 0), (1, 0, 1, 0),
+             (1, 1, 0, 1)]
+    assert not _lp_adjacent(cloud[0], cloud[1], cloud)
+    with mock.patch.object(cimset.oracle, "_solve_phase1",
+                           wraps=cimset.oracle._solve_phase1) as lp:
+        cert = oracle_adjacent(cloud[0], cloud[1], cloud)
+    assert lp.call_count == 1
+    assert cert.kind == "non-adjacency" and cert.verified and cert.replay()
+    assert dict(cert.payload["combination"]) == {u: Fraction(1, 4) for u in cloud[2:]}
+
+
 def _with_combination(cert, combo):
     return Certificate(cert.kind, dict(cert.payload, combination=combo), False)
 
@@ -274,6 +328,22 @@ def test_forged_forced_zero_columns_do_not_certify_the_square_diagonal():
         "v1": (0, 0), "v2": (1, 1), "support": (), "zero_cols": (0, 1), "two_cols": (),
         "candidates": (), "excluded": ((1, 0), (0, 1)), "farkas": (1,)}, False)
     assert not forged.replay()
+
+
+@pytest.mark.parametrize("payload", [
+    # the midpoint (1/2, 1/2, 0) is 1/2 (1, 0, -1) + 1/2 (0, 1, 1), yet the
+    # farkas vector refutes every combination of 0/1 candidates
+    {"v1": (0, 0, 0), "v2": (1, 1, 0), "support": (0, 1), "candidates": ((1, 0, -1),),
+     "excluded": ((0, 1, 1),), "farkas": (0, 1, 0)},
+    {"v1": (0, 0), "v2": (1, 1), "combination": [((1, -1), Fraction(1, 2)),
+                                                 ((0, 2), Fraction(1, 2))]},
+    # a short vector would count its missing coordinate as 0
+    {"v1": (0, 0), "v2": (1, 1), "combination": [((1,), Fraction(1, 2)),
+                                                 ((0, 1), Fraction(1, 2))]},
+])
+def test_replays_refuse_vectors_that_are_not_01(payload):
+    kind = "adjacency" if "farkas" in payload else "non-adjacency"
+    assert not Certificate(kind, payload, False).replay()
 
 
 def test_unknown_certificate_kind():
@@ -321,9 +391,23 @@ _entries = st.one_of(st.integers(-2, 2), st.integers(-2 ** 70, 2 ** 70))
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5).flatmap(
-    lambda d: st.lists(st.tuples(*[_entries] * d), min_size=1, max_size=7)))
-def test_affine_dimension_matches_a_fraction_reference(cloud):
-    assert affine_dimension(cloud) == _reference_rank(cloud)
+    lambda d: st.lists(st.tuples(*[_entries] * d), min_size=1, max_size=7)),
+    st.randoms(use_true_random=False))
+def test_affine_dimension_matches_a_fraction_reference(cloud, rnd):
+    shuffled = list(cloud)
+    rnd.shuffle(shuffled)
+    assert affine_dimension(cloud) == affine_dimension(shuffled) == _reference_rank(cloud)
+
+
+def test_affine_dimension_cost_does_not_depend_on_vertex_order():
+    # a dense base point once made every difference row fill in: 2.2 s here
+    spec = diagnosis_family(8, 1)
+    idx = coordinate_index(spec)
+    cloud = [characteristic_imset(g, idx).bits for g in enumerate_family(spec)]
+    random.Random(0).shuffle(cloud)
+    start = time.perf_counter()
+    assert affine_dimension(cloud) == 255
+    assert time.perf_counter() - start < 0.5
 
 
 @settings(max_examples=50, deadline=None)
@@ -353,6 +437,8 @@ def test_integral_entries_of_any_type_convert():
     cloud = [(Fraction(2), np.int64(0)), (True, np.uint8(1)), (0, 0)]
     assert affine_dimension(cloud) == affine_dimension([(2, 0), (1, 1), (0, 0)]) == 2
     assert affine_dimension([b"\x00\x01", b"\x01\x01"]) == 1
+    # bytes beside tuples of equal sparsity: the sort must not compare the two types
+    assert affine_dimension([b"\x00\x01", (1, 0), b"\x01\x00"]) == 1
 
 
 # --- facet certification --------------------------------------------------
