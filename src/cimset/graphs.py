@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 from . import limits
 from .errors import DomainError, FormatError
-from .subsets import bits_of, iter_graded_subsets, mask_of
+from .subsets import bits_of, graded_subsets
 
 
 @dataclass(frozen=True)
@@ -168,14 +168,8 @@ class FamilySpec:
         cached = self._admissible[i]
         if cached is None:
             floor = self.floor[i]
-            free = self.free_mask(i)
-            budget = free.bit_count()
-            if self.max_parents is not None:
-                budget = min(self.max_parents - floor.bit_count(), budget)
-            members = bits_of(free)
-            cached = tuple(floor | mask_of(combo)
-                           for k in range(budget + 1)
-                           for combo in itertools.combinations(members, k))
+            budget = None if self.max_parents is None else self.max_parents - floor.bit_count()
+            cached = tuple(floor | s for s in graded_subsets(self.free_mask(i), budget).tolist())
             self._admissible[i] = cached
         return cached
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import limits
 from .errors import DomainError, NotAVertexError, UnsupportedError
 from .graphs import FamilySpec, ParentMap, _parent_map_unchecked, family_contains
-from .subsets import bits_of, graded_rank, iter_graded_subsets
+from .subsets import bits_of, graded_rank, graded_subsets, iter_graded_subsets
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,13 @@ class CoordinateIndex:
             universe = spec.ceiling[i]
             if universe == 0:
                 continue
-            k = universe.bit_count()
-            limits.check("LATTICE_BITS", k, f"ceiling of {spec.ordering.names[i]!r} has {k} nodes")
+            name, k, top = spec.ordering.names[i], universe.bit_count(), universe.bit_length()
+            limits.check("LATTICE_BITS", k, f"ceiling of {name!r} has {k} nodes")
+            limits.check("MASK_BITS", top, f"ceiling of {name!r} holds node position "
+                                           f"{top - 1}, so its masks need {top} bits")
             size = (1 << k) - 1
-            arr = np.fromiter(iter_graded_subsets(universe), dtype=np.int64, count=size)
             blocks.append(Block(i, universe, offset, size))
-            subset_arrays.append(arr)
+            subset_arrays.append(graded_subsets(universe)[1:])
             offset += size
         self.blocks: Tuple[Block, ...] = tuple(blocks)
         self._subsets = tuple(subset_arrays)

@@ -8,6 +8,7 @@ from .errors import FormatError, ResourceError
 
 ENUM_LIMIT = 1 << 24         # family members enumerated (CIMSET_ENUM_LIMIT or --limit overrides)
 LATTICE_BITS = 22            # bits of a subset lattice laid out or walked
+MASK_BITS = 63               # bits of a coordinate block's int64 subset masks
 DENSE_MATRIX_MAX = 12        # facet ground set written out as a dense matrix
 NEIGHBOR_LIMIT = 1 << 24     # polytope neighbors listed for one vertex
 LP_MAX = 4096                # rows, and columns, of an exact LP

@@ -274,6 +274,9 @@ def _replay_adjacency(p) -> bool:
     if not _zero_one([v1, v2, *p["candidates"], *p["excluded"]], len(v1)):
         return False
     target = list(map(operator.add, v1, v2))
+    # the LP rows are the coordinates where exactly one endpoint is 1
+    if tuple(support) != tuple(j for j, t in enumerate(target) if t == 1):
+        return False
     # vertices pruned before the LP must each be forced to weight zero by a
     # coordinate where the midpoint is 0 (they carry a 1) or 1 (they carry
     # a 0); those coordinates come from v1 + v2, never from the payload

@@ -15,6 +15,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -246,15 +248,25 @@ class ScoreTable:
     criterion: str = "custom"
 
     def __post_init__(self):
-        if len(self.entries) != self.spec.ordering.n:
+        spec = self.spec
+        if len(self.entries) != spec.ordering.n:
             raise DomainError("one entry map per child required")
+        cap = spec.max_parents
         for i, cell in enumerate(self.entries):
-            # the count is closed-form, so a wrong-sized table is refused
-            # without listing the child's admissible sets
-            if (len(cell) != self.spec.admissible_count(i)
-                    or set(cell) != set(self.spec.iter_admissible(i))):
+            # the keys are distinct, so as many as the closed-form count, each
+            # an int holding the floor, inside the ceiling and within the cap,
+            # are the admissible sets; no child's lattice is listed
+            floor, outside = spec.floor[i], ~spec.ceiling[i]
+            try:
+                keys_match = (len(cell) == spec.admissible_count(i)
+                              and not reduce(or_, cell, 0) & outside
+                              and reduce(and_, cell, -1) & floor == floor
+                              and (cap is None or max(map(int.bit_count, cell)) <= cap))
+            except TypeError:  # a key that is not an int
+                keys_match = False
+            if not keys_match:
                 raise DomainError(
-                    f"child {self.spec.ordering.names[i]}: score table keys do not "
+                    f"child {spec.ordering.names[i]}: score table keys do not "
                     f"match the admissible parent sets"
                 )
             for v in cell.values():
@@ -312,33 +324,67 @@ def score_table_to_json(table: ScoreTable) -> dict:
             "scores": scores}
 
 
+def _rational(text: str) -> Fraction:
+    """Fraction(text).  The plain ASCII forms score_table_to_json writes,
+    `-?digits` and `-?digits/digits`, are read as ints without Fraction's
+    regex; every other text goes to Fraction itself."""
+    num, slash, den = text.partition("/")
+    if text.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(text)
+
+
+def _score_entry(spec: FamilySpec, entries, k: int, item) -> None:
+    """Check score entry `k` and add it to its child's cell, or raise its FormatError."""
+    if not isinstance(item, dict) or "child" not in item or "score" not in item:
+        raise FormatError(f"score entry {k}: needs 'child' and 'score'")
+    try:
+        cell = entries[spec.ordering.index(item["child"])]
+    except (DomainError, TypeError) as exc:
+        raise FormatError(f"score entry {k}: {exc}") from None
+    mask = _names_to_mask(spec.ordering, item.get("parents", []), "score entry", k)
+    v = item["score"]
+    if isinstance(v, str):
+        try:
+            v = _rational(v)
+        except (ValueError, ZeroDivisionError):
+            raise FormatError(f"score entry {k}: bad rational '{v}'") from None
+    elif isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise FormatError(f"score entry {k}: score must be a number")
+    if mask in cell:
+        raise FormatError(
+            f"score entry {k}: a second score for child {item['child']!r} "
+            f"with parents {list(spec.ordering.names_of_mask(mask))}"
+        )
+    cell[mask] = v
+
+
 def score_table_from_json(obj) -> ScoreTable:
     if not isinstance(obj, dict) or "family" not in obj or "scores" not in obj:
         raise FormatError("score table JSON needs 'family' and 'scores'")
     spec = family_from_json(obj["family"])
+    position = spec.ordering.position
+    bit = {name: 1 << i for name, i in position.items()}
     entries: Tuple[Dict[int, object], ...] = tuple({} for _ in spec.ordering.names)
     for k, item in enumerate(obj["scores"]):
-        if not isinstance(item, dict) or "child" not in item or "score" not in item:
-            raise FormatError(f"score entry {k}: needs 'child' and 'score'")
+        # the plain entry a JSON table holds is read here; any other goes
+        # through _score_entry, which accepts or refuses it
         try:
-            cell = entries[spec.ordering.index(item["child"])]
-        except (DomainError, TypeError) as exc:
-            raise FormatError(f"score entry {k}: {exc}") from None
-        mask = _names_to_mask(spec.ordering, item.get("parents", []), "score entry", k)
-        v = item["score"]
-        if isinstance(v, str):
-            try:
-                v = Fraction(v)
-            except (ValueError, ZeroDivisionError):
-                raise FormatError(f"score entry {k}: bad rational '{v}'") from None
-        elif isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise FormatError(f"score entry {k}: score must be a number")
-        if mask in cell:
-            raise FormatError(
-                f"score entry {k}: a second score for child {item['child']!r} "
-                f"with parents {list(spec.ordering.names_of_mask(mask))}"
-            )
-        cell[mask] = v
+            cell = entries[position[item["child"]]]
+            names, v = item["parents"], item["score"]
+            mask = sum(map(bit.__getitem__, names))  # a repeated name carries
+            kind = type(v)
+            if kind is str:
+                v = _rational(v)
+            plain = (type(item) is dict and type(names) is list
+                     and mask.bit_count() == len(names) and mask not in cell
+                     and (kind is str or kind is int or kind is float))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            plain = False
+        if plain:
+            cell[mask] = v
+        else:
+            _score_entry(spec, entries, k, item)
     try:
         return ScoreTable(spec, entries, str(obj.get("criterion", "custom")))
     except DomainError as exc:

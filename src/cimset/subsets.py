@@ -41,6 +41,33 @@ def iter_graded_subsets(universe: int, include_empty: bool = False) -> Iterator[
             yield mask_of(combo)
 
 
+def graded_subsets(universe: int, max_size: int | None = None) -> np.ndarray:
+    """Subsets of `universe` with at most `max_size` members (default: all),
+    the empty set first, in graded-lex order.
+
+    Built a size at a time: the subsets of one size in lex order, each
+    followed by every later member of the universe in turn, are those of
+    the next size in lex order.  The masks are int64 while every bit fits
+    below the sign bit, else Python ints in an object array, so they are
+    exact at any node position.
+    """
+    members = bits_of(universe)
+    k = len(members)
+    dtype = object if universe >> 63 else np.int64
+    single = np.array([1 << b for b in members], dtype=dtype)
+    level = np.zeros(1, dtype=dtype)
+    last = np.full(1, -1)  # per subset, the index of its last member
+    levels = [level]
+    for _ in range(k if max_size is None else min(max_size, k)):
+        # reps: how many later members each subset can take; last: the one each new subset took
+        reps = k - 1 - last
+        ends = np.cumsum(reps)
+        last = np.arange(ends[-1]) - np.repeat(ends - k, reps)
+        level = np.repeat(level, reps) | single[last]
+        levels.append(level)
+    return np.concatenate(levels)
+
+
 def iter_submasks(mask: int) -> Iterator[int]:
     """All submasks of `mask`, including 0 and mask itself (unspecified order)."""
     sub = mask

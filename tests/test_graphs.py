@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import io
+import itertools
 import json
 import os
 import pickle
@@ -19,7 +20,7 @@ from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family
                            graph_to_json)
 from cimset.learn import k2_backward
 from cimset.scoring import ScoreTable
-from cimset.subsets import bits_of
+from cimset.subsets import bits_of, mask_of
 
 
 def test_ordering_basic():
@@ -279,6 +280,42 @@ def test_admissible_lists_built_once_per_spec(spec, data):
     for i in range(spec.n):
         assert list(capped.iter_admissible(i)) == _brute_admissible(spec, i, k)
         assert list(spec.iter_admissible(i)) == _brute_admissible(spec, i, spec.max_parents)
+
+
+def _combinations_admissible(spec, i):
+    """The admissible sets of child i listed with itertools, size by size."""
+    free, floor, cap = bits_of(spec.free_mask(i)), spec.floor[i], spec.max_parents
+    sizes = range(len(free) + 1 if cap is None else cap - floor.bit_count() + 1)
+    return [floor | mask_of(c) for k in sizes for c in itertools.combinations(free, k)]
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 2, 3, 11])
+def test_capped_admissible_lists_match_itertools(cap):
+    spec = dataclasses.replace(full_ordered_family([f"v{i}" for i in range(12)]),
+                               max_parents=cap)
+    for i in range(spec.n):
+        assert list(spec.iter_admissible(i)) == _combinations_admissible(spec, i)
+
+
+@pytest.mark.parametrize("cap", [None, 3, 4])
+def test_admissible_masks_are_exact_past_bit_62(cap):
+    # v69 always has v3 and v63, and may take any of v64..v68
+    o = NodeOrdering(tuple(f"v{i}" for i in range(70)))
+    floor, free = 1 << 3 | 1 << 63, 0b11111 << 64
+    spec = FamilySpec(o, (0,) * 69 + (floor,), (0,) * 69 + (floor | free,), cap)
+    adm = spec.iter_admissible(69)
+    assert adm == tuple(_combinations_admissible(spec, 69))
+    assert adm[:3] == (floor, floor | 1 << 64, floor | 1 << 65)
+    assert all(type(p) is int for p in adm)
+
+
+def test_wide_capped_child_lists_only_its_admissible_sets():
+    # 69 possible parents, at most two: 2416 sets, not a lattice of 2**69
+    spec = dataclasses.replace(full_ordered_family([f"v{i}" for i in range(70)]),
+                               max_parents=2)
+    adm = spec.iter_admissible(69)
+    assert len(adm) == spec.admissible_count(69) == 2416
+    assert list(adm) == _combinations_admissible(spec, 69)
 
 
 @settings(max_examples=40, deadline=None)

@@ -40,12 +40,13 @@ REFUSALS = [
     ("TABLE_CHILD_LIMIT", 3, lambda: build_score_table(
         Dataset(DIAG.ordering, (2, 2, 2), ((0, 1, 1), (1, 0, 1))), DIAG, "ll")),
     ("ADJACENCY_CLOUD_MAX", 3, lambda: verify_family(DIAG, ["product"], 0, 0)),
+    ("MASK_BITS", 1, lambda: coordinate_index(DIAG)),
 ]
 
 
 def test_every_constant_has_a_refusal_case():
     constants = {name for name in vars(limits) if name.isupper()}
-    assert len(constants) == 9
+    assert len(constants) == 10
     assert {name for name, _, _ in REFUSALS} == constants
 
 
@@ -95,6 +96,18 @@ def test_lattice_bits_bounds_a_block():
     # the bound it replaces refused a block of 2**k - 1 coordinates over 2**22, so k > 22
     with pytest.raises(ResourceError, match="ceiling of 'v23' has 23 nodes"):
         coordinate_index(_one_wide_child(24))
+
+
+def test_mask_bits_bounds_a_ceiling_node_position():
+    # int64 masks hold node positions 0..62; a narrow ceiling is refused by
+    # where its nodes sit, not by how many there are
+    o = NodeOrdering(tuple(f"v{i}" for i in range(65)))
+    high = FamilySpec(o, (0,) * 65, (0,) * 64 + (1 << 62 | 1 << 61,))
+    assert coordinate_index(high).block_subsets(64).tolist() == [1 << 61, 1 << 62, 3 << 61]
+    past = FamilySpec(o, (0,) * 65, (0,) * 64 + (1 << 63 | 1,))
+    with pytest.raises(ResourceError, match="ceiling of 'v64' holds node position 63, so its "
+                                            "masks need 64 bits, over the limit MASK_BITS = 63"):
+        coordinate_index(past)
 
 
 def test_lattice_bits_bounds_the_full_vector():

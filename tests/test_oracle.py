@@ -346,6 +346,22 @@ def test_replays_refuse_vectors_that_are_not_01(payload):
     assert not Certificate(kind, payload, False).replay()
 
 
+@pytest.mark.parametrize("support, farkas", [
+    ((0, 5), (1, 1, -1)),  # past the vectors' end: once raised IndexError
+    ((0, -1), (1, 1, -1)),
+    ((0, 0), (1, 1, -1)),
+    ((1, 0), (1, 1, -1)),
+    ((0,), (-3, 2)),  # short: once replayed True
+    ((0, 1, 1), (1, 1, 1, -1)),
+])
+def test_adjacency_replay_refuses_a_support_other_than_the_differing_coordinates(support,
+                                                                                farkas):
+    # the oracle writes the coordinates where v1 and v2 differ, (0, 1) here
+    payload = {"v1": (0, 1), "v2": (1, 0), "support": support, "candidates": ((1, 1),),
+               "excluded": (), "farkas": farkas}
+    assert Certificate("adjacency", payload, False).replay() is False
+
+
 def test_unknown_certificate_kind():
     with pytest.raises(KeyError):
         Certificate("nonsense", {}, False).replay()

@@ -1,16 +1,19 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cimset.scoring
+from cimset.cli import main
 from cimset.errors import DomainError, FormatError
 from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family,
                            enumerate_family, full_ordered_family)
@@ -415,6 +418,22 @@ def test_short_table_for_a_wide_child_is_refused_quickly():
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("bad_key", [
+    0b1001,  # v3 is outside its own ceiling
+    0b110,   # lacks the floor v0
+    0b111,   # three parents, over max_parents
+    5.0,     # equal to the admissible 0b101, but not an int
+])
+def test_right_count_with_a_bad_key_is_refused(bad_key):
+    o = NodeOrdering(("v0", "v1", "v2", "v3"))
+    spec = FamilySpec(o, (0, 0, 0, 0b001), (0, 0, 0b11, 0b111), max_parents=2)
+    good = ({0: 0}, {0: 0}, {0: 0, 1: 0, 2: 0, 3: 0}, {0b001: 0, 0b011: 0, 0b101: 0})
+    assert ScoreTable(spec, good).local(3, 0b101) == 0
+    bad = good[:3] + ({0b001: 0, 0b011: 0, bad_key: 0},)
+    with pytest.raises(DomainError, match="child v3: score table keys do not match"):
+        ScoreTable(spec, bad)
+
+
 def test_build_table_and_graph_score():
     o = NodeOrdering(("a", "b"))
     data = _ab_dataset()
@@ -474,6 +493,91 @@ def test_score_table_json_rejects_ambiguous_parents(parents, problem):
     obj["scores"][k]["parents"] = parents
     with pytest.raises(FormatError, match=f"score entry {k} {problem}"):
         score_table_from_json(obj)
+
+
+# text shaped like a rational: signs, spaces, underscores, non-ASCII digits,
+# decimals, exponents and zero or negative denominators
+_RATIONAL_LIKE = st.from_regex(
+    r"\s*[-+]{0,2}[0-9_\u0663\uff15]{0,4}(\.[0-9]{0,2})?([eE][-+]?[0-9]{1,2})?"
+    r"(\s*/\s*[-+]?[0-9_\u0663]{0,3})?\s*", fullmatch=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), _RATIONAL_LIKE, st.sampled_from(
+    ["0", "-0", "0007/0010", "-12/8", "5/0", "-5/0", "7/-3", "-7/3", "1_000", "1/2_0",
+     "\u0663", "\u0663/4", "+5", " 5", "5 ", "--5", "-", "", "/", "5/", "/5", "1e3", "1.5/2"])))
+def test_rational_reads_text_as_fraction_does(text):
+    def read(parse):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            return type(exc)
+    got, want = read(cimset.scoring._rational), read(Fraction)
+    assert got == want and type(got) is type(want)
+
+
+def _diag21_table_json():
+    spec = diagnosis_family(2, 1)
+    table = ScoreTable(spec, ({0: 0}, {0: Fraction(1, 3)},
+                              {0: 0.5, 1: 1, 2: Fraction(-7, 2), 3: 3}))
+    # entries a1, a2, b1, b1 <- a1, b1 <- a2, b1 <- a1 a2
+    return score_table_to_json(table)
+
+
+@pytest.mark.parametrize("k, entry, message", [
+    (3, ["b1", ["a1"], 1], "score entry 3: needs 'child' and 'score'"),
+    (3, MappingProxyType({"child": "b1", "parents": ["a1"], "score": 1}),
+     "score entry 3: needs 'child' and 'score'"),
+    (0, {"parents": [], "score": 1}, "score entry 0: needs 'child' and 'score'"),
+    (4, {"child": "zz", "parents": ["a2"], "score": 1}, "score entry 4: unknown node name 'zz'"),
+    (4, {"child": ["b1"], "parents": ["a2"], "score": 1},
+     "score entry 4: unhashable type: 'list'"),
+    (3, {"child": "b1", "parents": "a1", "score": 1},
+     "score entry 3 must be a list of node names"),
+    (5, {"child": "b1", "parents": ["a1", 7], "score": 1},
+     "score entry 5 lists 7, not a node name"),
+    (5, {"child": "b1", "parents": ["a2", "a2"], "score": 1}, "score entry 5 lists 'a2' twice"),
+    (2, {"child": "b1", "parents": [], "score": True}, "score entry 2: score must be a number"),
+    (2, {"child": "b1", "parents": [], "score": None}, "score entry 2: score must be a number"),
+    (1, {"child": "a2", "parents": [], "score": Fraction(1, 3)},
+     "score entry 1: score must be a number"),
+    (4, {"child": "b1", "parents": ["a2"], "score": "1/0"}, "score entry 4: bad rational '1/0'"),
+    (4, {"child": "b1", "parents": ["a2"], "score": "abc"}, "score entry 4: bad rational 'abc'"),
+    (5, {"child": "b1", "parents": ["a2"], "score": 9},
+     "score entry 5: a second score for child 'b1' with parents ['a2']"),
+])
+def test_score_table_json_refusals_keep_their_text(k, entry, message):
+    obj = _diag21_table_json()
+    obj["scores"][k] = entry
+    with pytest.raises(FormatError) as refused:
+        score_table_from_json(obj)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("parents", ["ab", ("a", "b")])
+def test_score_table_json_parents_must_be_a_list(parents):
+    # "ab" is not read as the one-letter names 'a' and 'b'
+    obj = score_table_to_json(ScoreTable(full_ordered_family(("a", "b", "c")), (
+        {0: 0}, {0: 0, 1: 1}, {0: 0, 1: 1, 2: 2, 3: 3})))
+    k = next(k for k, e in enumerate(obj["scores"]) if e["parents"] == ["a", "b"])
+    obj["scores"][k]["parents"] = parents
+    with pytest.raises(FormatError) as refused:
+        score_table_from_json(obj)
+    assert str(refused.value) == f"score entry {k} must be a list of node names"
+
+
+def test_shuffled_score_table_loads_and_compares_alike(tmp_path, capsys):
+    rng = random.Random(12)
+    obj = score_table_to_json(_random_table(full_ordered_family(("a", "b", "c", "d")), rng))
+    shuffled = dict(obj, scores=rng.sample(obj["scores"], len(obj["scores"])))
+    assert shuffled["scores"] != obj["scores"]
+    assert score_table_from_json(shuffled).entries == score_table_from_json(obj).entries
+    reports = []
+    for name, doc in (("table.json", obj), ("shuffled.json", shuffled)):
+        (tmp_path / name).write_text(json.dumps(doc))
+        assert main(["compare-k2", "--scores", str(tmp_path / name)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 # --- block objective ---------------------------------------------------------

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cimset.subsets import (bits_of, combination_rank, graded_rank,
+from cimset.subsets import (bits_of, combination_rank, graded_rank, graded_subsets,
                             iter_graded_subsets, iter_submasks, mask_of,
                             mobius_subsets_inplace, mobius_supersets_inplace,
                             pdep, pext, zeta_subsets_inplace, zeta_supersets_inplace)
@@ -25,6 +26,24 @@ def test_graded_order_small():
     # works on a sparse universe
     got = list(iter_graded_subsets(0b1010))
     assert got == [0b0010, 0b1000, 0b1010]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.integers(0, 62), max_size=14), st.none() | st.integers(0, 15))
+def test_graded_subsets_list_the_graded_order(positions, max_size):
+    universe = mask_of(positions)
+    want = [s for s in iter_graded_subsets(universe, include_empty=True)
+            if max_size is None or s.bit_count() <= max_size]
+    got = graded_subsets(universe, max_size)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_graded_subsets_are_exact_past_bit_62():
+    universe = 1 << 3 | 0b11111 << 64 | 1 << 90
+    got = graded_subsets(universe)
+    assert got.dtype == object
+    assert got.tolist() == list(iter_graded_subsets(universe, include_empty=True))
+    assert got[1:4].tolist() == [1 << 3, 1 << 64, 1 << 65]
 
 
 def test_graded_rank_matches_iteration():
