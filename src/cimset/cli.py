@@ -95,8 +95,8 @@ def cmd_imset(args) -> int:
     if args.format == "json":
         coords = [{"child": spec.ordering.names[ch],
                    "subset": list(spec.ordering.names_of_mask(s)),
-                   "value": c.bit(ch, s)}
-                  for ch, s in idx.coordinates()]
+                   "value": value}
+                  for (ch, s), value in zip(idx.coordinates(), c.bits)]
         _print_json({"graph": graph_to_json(g), "coordinates": coords})
     else:
         for line in imset_text_lines(c):
@@ -127,18 +127,18 @@ def cmd_facets(args) -> int:
             terms = [(tuple(names[b] for b in bits_of(t)), sign) for t, sign in entries]
             rows.append((tuple(names[b] for b in bits_of(s)), terms))
             emitted += 1
-        out.append((i, rows))
+        out.append((i, sysk.fixed_names, rows))
 
     if args.format == "json":
         doc = [{"child": spec.ordering.names[i],
-                "fixed": list(facet_system_for_child(spec, i).fixed_names),
+                "fixed": list(fixed),
                 "rows": [{"s": list(s), "terms": [
                     {"subset": list(t), "coef": sign} for t, sign in terms]}
                     for s, terms in rows]}
-               for i, rows in out]
+               for i, fixed, rows in out]
         _print_json(doc)
     else:
-        for i, rows in out:
+        for i, _, rows in out:
             for s, terms in rows:
                 expr = []
                 for t, sign in terms:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 from typing import Iterator, List, Optional, Tuple
 
@@ -21,7 +22,7 @@ from .graphs import FamilySpec, ParentMap, _parent_map_unchecked, family_contain
 from .imsets import CharImset, coordinate_index
 from .subsets import (
     bits_of,
-    graded_rank,
+    graded_subsets,
     iter_graded_subsets,
     iter_submasks,
     mobius_supersets_inplace,
@@ -101,22 +102,18 @@ class FacetSystem:
         self.universe = (1 << k) - 1
         self.member_names = member_names
         self.fixed_names = tuple(fixed_names)
-        if k <= 16:
-            rank_of = [0] * (1 << k)
-            for j, t in enumerate(iter_graded_subsets(self.universe)):
-                rank_of[t] = j
-            self._rank_of = rank_of
-        else:
-            self._rank_of = None
 
     @property
     def nrows(self) -> int:
         return 1 << self.k
 
-    def _rank(self, t: int) -> int:
-        if self._rank_of is not None:
-            return self._rank_of[t]
-        return graded_rank(t, self.universe)
+    @cached_property
+    def _column(self) -> np.ndarray:
+        """Column of every subset: the inverse of the graded-lex order, built on first use."""
+        order = graded_subsets(self.universe)
+        column = np.empty_like(order)
+        column[order] = np.arange(len(order))
+        return column
 
     def row_sparse(self, s: int) -> Iterator[Tuple[int, int]]:
         """Yield (column subset, sign) for the nonzero entries of row s."""
@@ -128,8 +125,9 @@ class FacetSystem:
 
     def dense_row(self, s: int) -> List[int]:
         row = [0] * (1 << self.k)
+        column = self._column
         for t, sign in self.row_sparse(s):
-            row[0 if t == 0 else 1 + self._rank(t)] = sign
+            row[column[t]] = sign
         return row
 
     def dense_matrix(self) -> List[List[int]]:
@@ -144,11 +142,12 @@ class FacetSystem:
                 f"block vector has {len(block_vector)} entries, expected {(1 << self.k) - 1}"
             )
         total = 0
+        column = self._column
         for t, sign in self.row_sparse(s):
             if t == 0:
                 total += sign
                 continue
-            x = block_vector[self._rank(t)]
+            x = block_vector[column[t] - 1]
             if isinstance(x, float):
                 raise DomainError("facet evaluation requires exact integer or rational entries")
             total = total + (x if sign > 0 else -x)

@@ -182,20 +182,6 @@ def export_full_vector(c: CharImset) -> List[int]:
     spec = c.index.spec
     n = spec.n
     limits.check("LATTICE_BITS", n, f"full vector over {n} nodes")
-    full = (1 << n) - 1
-    out = []
-    for t in iter_graded_subsets(full):
-        if t.bit_count() < 2:
-            continue
-        child = t.bit_length() - 1
-        s = t ^ (1 << child)
-        try:
-            block = c.index.block_for_child(child)
-        except DomainError:
-            out.append(0)
-            continue
-        if s & ~block.universe:
-            out.append(0)
-        else:
-            out.append(c.bits[block.offset + graded_rank(s, block.universe)])
-    return out
+    # coordinate (i, S) is node set S plus i; every parent precedes its child
+    value = {s | 1 << child: bit for (child, s), bit in zip(c.index.coordinates(), c.bits)}
+    return [value.get(t, 0) for t in iter_graded_subsets((1 << n) - 1) if t.bit_count() >= 2]

@@ -25,7 +25,7 @@ from . import limits
 from .errors import DegeneratePairError, DomainError
 from .graphs import FamilySpec, ParentMap, enumerate_family
 from .imsets import CharImset
-from .subsets import iter_graded_subsets, iter_submasks
+from .subsets import iter_graded_subsets
 
 
 def _exact(v):
@@ -302,19 +302,7 @@ def _replay_separation(p) -> bool:
 
 
 def _replay_facet(p) -> bool:
-    coeffs = p["coefficients"]
-    cloud = p["cloud"]
-    tight = []
-    off = []
-    const, linear = coeffs[0], coeffs[1:]
-    for vec in cloud:
-        val = const + sum(map(operator.mul, linear, vec))
-        if val < 0:
-            return False
-        (tight if val == 0 else off).append(vec)
-    if len(off) != 1 or off[0] != p["vertex"]:
-        return False
-    return affine_dimension(tight) == len(cloud) - 2
+    return _facet_verdict(p["coefficients"], [_vec(v) for v in p["cloud"]], _vec(p["vertex"]))[0]
 
 
 def _replay_dimension(p) -> bool:
@@ -411,7 +399,8 @@ def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certifica
         w = seen.get(both | (diff & ~mask))
         if w is not None:
             half = Fraction(1, 2)
-            return _non_adjacency(b1, b2, [(w, half), (u, half)])
+            return _certified("non-adjacency",
+                              {"v1": b1, "v2": b2, "combination": [(w, half), (u, half)]})
         seen[mask] = u
         candidates.append(u)
 
@@ -422,31 +411,27 @@ def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certifica
                               [True] * len(lp_rows))
 
     if x is not None:
-        return _non_adjacency(
-            b1, b2, [(candidates[t], x[t] / 2) for t in range(len(candidates)) if x[t]])
+        combo = [(candidates[t], x[t] / 2) for t in range(len(candidates)) if x[t]]
+        return _certified("non-adjacency", {"v1": b1, "v2": b2, "combination": combo})
 
     payload = {
         "v1": b1, "v2": b2, "support": tuple(support),
         "candidates": tuple(candidates), "excluded": tuple(excluded),
         "farkas": tuple(farkas),
     }
-    cert = Certificate("adjacency", payload, False)
-    cert.verified = cert.replay()
+    cert = _certified("adjacency", payload)
     if synthesize_witness and cert.verified:
         others = [u for u, mask in zip(cloud.vecs, cloud.masks) if mask != m1 and mask != m2]
         w = _edge_witness(b1, b2, others)
         payload["witness"] = w
-        sep = Certificate("separation", {"witness": w, "v1": b1, "v2": b2,
-                                         "others": tuple(others)}, False)
-        sep.verified = sep.replay()
-        cert.verified = cert.verified and sep.verified
+        cert.verified = _certified("separation", {"witness": w, "v1": b1, "v2": b2,
+                                                  "others": tuple(others)}).verified
     return cert
 
 
-def _non_adjacency(b1, b2, combo) -> Certificate:
-    cert = Certificate("non-adjacency", {"v1": b1, "v2": b2, "combination": combo}, False)
-    cert.verified = cert.replay()
-    return cert
+def _certified(kind: str, payload: dict) -> Certificate:
+    """A certificate whose verified flag is the replay of its own payload."""
+    return Certificate(kind, payload, _REPLAY[kind](payload))
 
 
 def _edge_witness(b1, b2, others) -> Tuple[Fraction, ...]:
@@ -574,7 +559,8 @@ def oracle_facet_check(sys_row, cloud) -> Certificate:
     the row is nonnegative on every vertex, tight on all of them except
     exactly the vertex whose parent set is s, and the tight set spans an
     affine space of dimension len(cloud) - 2.  The cloud is a
-    `VertexCloud` or any iterable of 0/1 vectors.
+    `VertexCloud` or any iterable of 0/1 vectors.  An s outside the ground
+    set range(k) of the cloud's block is refused with a `DomainError`.
     """
     s, coeffs = sys_row
     if not isinstance(cloud, VertexCloud):
@@ -586,28 +572,38 @@ def oracle_facet_check(sys_row, cloud) -> Certificate:
     if (1 << k) - 1 != len(vecs[0]) or len(coeffs) != 1 << k:
         raise DomainError("coefficient row and cloud dimensions are inconsistent")
     universe = (1 << k) - 1
+    if s & ~universe:
+        raise DomainError(f"facet row {s} is outside the ground set of {k} elements")
     s_vertex = tuple(1 if (t & s) == t else 0 for t in iter_graded_subsets(universe))
 
     coeffs = _integers(tuple(coeffs), f"facet row {s}", "coefficient")
-    payload = {"s": s, "coefficients": coeffs, "cloud": vecs,
-               "vertex": s_vertex, "failing": None}
+    # the cloud's vectors are int tuples already
+    verified, failing = _facet_verdict(coeffs, vecs, s_vertex)
+    return Certificate("facet", {"s": s, "coefficients": coeffs, "cloud": vecs,
+                                 "vertex": s_vertex, "failing": failing}, verified)
+
+
+def _facet_verdict(coeffs, vecs: Sequence[Tuple[int, ...]], vertex: Tuple[int, ...]):
+    """(verified, failing) of the facet row `coeffs`, constant first, on int-tuple vertices.
+
+    A facet is nonnegative, off the row only at `vertex`, and tight on a set
+    of affine dimension len(vecs) - 2.  failing names the first of these to
+    break: the first negative vertex; the first vertex off the row, or None
+    when none is; "tight-set-rank".  It is None on success.
+    """
     const, linear = coeffs[0], coeffs[1:]
     tight = []
     off = []
     for vec in vecs:
         val = const + sum(map(operator.mul, linear, vec))
         if val < 0:
-            payload["failing"] = vec
-            return Certificate("facet", payload, False)
+            return False, vec
         (tight if val == 0 else off).append(vec)
-    if len(off) != 1 or off[0] != s_vertex:
-        payload["failing"] = off[0] if off else None
-        return Certificate("facet", payload, False)
-    # the cloud's vectors are int tuples already
+    if len(off) != 1 or off[0] != vertex:
+        return False, off[0] if off else None
     if _affine_rank(tight) != len(vecs) - 2:
-        payload["failing"] = "tight-set-rank"
-        return Certificate("facet", payload, False)
-    return Certificate("facet", payload, True)
+        return False, "tight-set-rank"
+    return True, None
 
 
 # --- brute-force learning ----------------------------------------------

@@ -14,6 +14,8 @@ from typing import Iterator, List
 
 import numpy as np
 
+from . import limits
+
 
 def bits_of(mask: int) -> List[int]:
     """Indices of the set bits, ascending."""
@@ -103,12 +105,21 @@ def graded_rank(mask: int, universe: int) -> int:
     return base + combination_rank(positions, f)
 
 
+def _check_mask_bits(universe: int) -> None:
+    top = universe.bit_length()
+    limits.check("MASK_BITS", top, f"subset universe holds bit {top - 1}, "
+                                   f"so its int64 masks need {top} bits")
+
+
 def pext(masks, universe: int) -> np.ndarray:
     """Re-index subsets of `universe` onto dense bits 0..popcount(universe)-1.
 
     Vectorised over an array of masks: bit i of the result is the mask's
     bit at the i-th lowest set bit of `universe`; bits outside it are dropped.
+    Both pext and pdep work in int64, so they refuse a universe whose masks
+    need more than limits.MASK_BITS bits.
     """
+    _check_mask_bits(universe)
     masks = np.asarray(masks, dtype=np.int64)
     out = np.zeros_like(masks)
     for i, b in enumerate(bits_of(universe)):
@@ -118,6 +129,7 @@ def pext(masks, universe: int) -> np.ndarray:
 
 def pdep(dense, universe: int) -> np.ndarray:
     """Inverse of pext: spread dense bit i onto the i-th lowest set bit of `universe`."""
+    _check_mask_bits(universe)
     dense = np.asarray(dense, dtype=np.int64)
     out = np.zeros_like(dense)
     for i, b in enumerate(bits_of(universe)):

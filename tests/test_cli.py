@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
+import cimset.cli
 import cimset.verify
 from cimset.cli import main
-from cimset.graphs import (diagnosis_family, family_to_json, graph_to_json,
-                           ParentMap)
+from cimset.graphs import (FamilySpec, NodeOrdering, diagnosis_family, family_to_json,
+                           graph_to_json, ParentMap)
 
 FIX = str(Path(__file__).resolve().parent.parent / "fixtures")
 
@@ -68,6 +69,21 @@ def test_facets_json(diag21, capsys):
     assert doc[0]["child"] == "b1"
     assert doc[0]["rows"][0]["s"] == []
     assert {"subset": [], "coef": 1} in doc[0]["rows"][0]["terms"]
+
+
+def test_facets_json_builds_one_system_per_child(tmp_path, capsys, monkeypatch):
+    o = NodeOrdering(("a", "b", "c", "d"))
+    spec = FamilySpec(o, (0, 0, 0, 0b001), (0, 0, 0b011, 0b111))
+    fam = _write_json(tmp_path / "family.json", family_to_json(spec))
+    built = []
+    build = cimset.cli.facet_system_for_child
+    monkeypatch.setattr(cimset.cli, "facet_system_for_child",
+                        lambda spec, i: built.append(i) or build(spec, i))
+    assert main(["facets", "--family", fam, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(d["child"], d["fixed"], len(d["rows"])) for d in doc] == [
+        ("c", [], 4), ("d", ["a"], 4)]
+    assert built == [2, 3]
 
 
 def test_neighbors(diag21, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cimset.geometry
 from cimset.errors import (DegeneratePairError, DomainError, ResourceError,
                            UnsupportedError)
 from cimset.geometry import (FacetSystem, affine_dimension_formula, are_neighbors,
@@ -95,6 +96,22 @@ def test_dense_matrix_guard():
     # lazy row access still works
     row = big.dense_row((1 << 13) - 1)
     assert row[-1] == 1 and sum(map(abs, row)) == 1
+
+
+def test_row_listing_builds_no_column_positions(monkeypatch):
+    # `cimset facets` reads only nrows and row_sparse; the column positions
+    # are built on first dense use, so a 22-element ground set costs nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("column positions built")
+    for lister in ("graded_subsets", "iter_graded_subsets"):
+        monkeypatch.setattr(cimset.geometry, lister, refuse)
+    for k in (16, 22):
+        sysk = FacetSystem(k)
+        assert sysk.nrows == 1 << k
+        full = (1 << k) - 1
+        assert list(sysk.row_sparse(full)) == [(full, 1)]
+        assert sorted(sysk.row_sparse(full ^ 0b11)) == [
+            (full ^ 0b11, 1), (full ^ 0b10, -1), (full ^ 0b01, -1), (full, 1)]
 
 
 def test_facet_system_for_child():

@@ -9,6 +9,7 @@ from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family
 from cimset.imsets import (CharImset, block_slice, characteristic_imset,
                            coordinate_index, export_full_vector, imset_from_bits,
                            imset_text_lines, imset_to_graph)
+from cimset.subsets import bits_of
 from test_graphs import family_specs, members
 
 
@@ -144,6 +145,22 @@ def test_export_full_vector():
     # dense order over all |T| >= 2: {a1,a2},{a1,b1},{a2,b1},{a1,a2,b1}
     assert len(full) == 2 ** 3 - 4
     assert full == [0, 1, 0, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_specs(), st.data())
+def test_export_full_vector_on_random_families(spec, data):
+    # entry T is 1 exactly when T minus its last node lies in that node's parent set
+    spec = dataclasses.replace(spec, max_parents=None)
+    g = data.draw(members(spec))
+    want = []
+    for t in range(1 << spec.n):
+        if t.bit_count() >= 2:
+            child = t.bit_length() - 1
+            want.append((t, int(t & ~g.parents[child] == 1 << child)))
+    want.sort(key=lambda e: (e[0].bit_count(), bits_of(e[0])))
+    assert export_full_vector(characteristic_imset(g, coordinate_index(spec))) == [
+        v for _, v in want]
 
 
 @settings(max_examples=60, deadline=None)

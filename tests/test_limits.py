@@ -10,6 +10,7 @@ from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family
 from cimset.imsets import characteristic_imset, coordinate_index, export_full_vector
 from cimset.oracle import affine_dimension, learn_bruteforce, lp_feasible, oracle_adjacent
 from cimset.scoring import Dataset, ScoreTable, build_score_table
+from cimset.subsets import pdep, pext
 from cimset.verify import verify_family
 
 DIAG = diagnosis_family(2, 1)  # 4 members, each with 3 neighbors
@@ -108,6 +109,18 @@ def test_mask_bits_bounds_a_ceiling_node_position():
     with pytest.raises(ResourceError, match="ceiling of 'v64' holds node position 63, so its "
                                             "masks need 64 bits, over the limit MASK_BITS = 63"):
         coordinate_index(past)
+
+
+def test_mask_bits_bounds_pdep_and_pext():
+    # int64 shifts would spread onto bit 63 as a negative mask, and past it to 0
+    high = [1 << 61, 1 << 62, 3 << 61]
+    assert pdep([1, 2, 3], 3 << 61).tolist() == high
+    assert pext(high, 3 << 61).tolist() == [1, 2, 3]
+    for universe, top in [(1 << 63, 64), (1 << 64, 65), (1 << 64 | 1 << 65, 66)]:
+        for fn in (pdep, pext):
+            with pytest.raises(ResourceError, match=f"int64 masks need {top} bits, "
+                                                    "over the limit MASK_BITS = 63"):
+                fn([1, 2, 3], universe)
 
 
 def test_lattice_bits_bounds_the_full_vector():

@@ -490,6 +490,37 @@ def test_facet_check_rejects_valid_inequality_that_is_not_a_facet():
     cloud = _block_cloud(k)
     cert = oracle_facet_check((0b01, [0, 1, 1, 0]), cloud)
     assert not cert.verified
+    # off at {a, b}, {b} and {a}; the first of them fails the row
+    assert cert.payload["failing"] == (1, 1, 1)
+
+
+@pytest.mark.parametrize("s, row, failing", [
+    # positive at no vertex: every vertex is tight, none is off
+    (0b00, [0, 0, 0, 0], None),
+    # -x({a}) is negative first at the vertex {a, b}
+    (0b01, [0, -1, 0, 0], (1, 1, 1)),
+    # the facet of {b}, labelled {a}: the one vertex off it is {b}'s
+    (0b01, [0, 0, 1, -1], (0, 1, 0)),
+])
+def test_facet_check_failing_vertex(s, row, failing):
+    cert = oracle_facet_check((s, row), _block_cloud(2))
+    assert not cert.verified and not cert.replay()
+    assert cert.payload["failing"] == failing
+
+
+def test_facet_check_failing_tight_set_rank():
+    # a repeated vertex: x({a}) >= 0 is off only at (1,), but its tight set
+    # is one point where a facet of a 3-vertex cloud needs a line
+    cert = oracle_facet_check((1, [0, 1]), [(0,), (0,), (1,)])
+    assert not cert.verified and not cert.replay()
+    assert cert.payload["failing"] == "tight-set-rank"
+
+
+@pytest.mark.parametrize("s, row_of", [(0b100, 0b00), (-1, 0b11)])
+def test_facet_check_refuses_a_row_outside_the_ground_set(s, row_of):
+    row = facet_matrix(2).dense_row(row_of)
+    with pytest.raises(DomainError, match=rf"facet row {s} is outside the ground set"):
+        oracle_facet_check((s, row), _block_cloud(2))
 
 
 @pytest.mark.parametrize("coeff", [Fraction(3, 2), 1.5, 1.0])
