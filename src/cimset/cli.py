@@ -20,7 +20,7 @@ from .imsets import characteristic_imset, coordinate_index, export_full_vector, 
     imset_text_lines
 from .learn import compare, k2_forward, k2_backward, optimize_exact
 from .scoring import build_score_table, load_csv, score_table_from_json
-from .subsets import bits_of, iter_graded_subsets
+from .subsets import bits_of, graded_subsets, iter_graded_subsets
 from .verify import CHECKS, verify_family
 
 
@@ -82,15 +82,20 @@ def cmd_imset(args) -> int:
     c = characteristic_imset(g, idx)
     if args.full:
         vec = export_full_vector(c)
-        names = spec.ordering.names
-        full = (1 << len(names)) - 1
-        labels = [",".join(names[b] for b in bits_of(t))
-                  for t in iter_graded_subsets(full) if t.bit_count() >= 2]
         if args.format == "json":
             _print_json({"graph": graph_to_json(g), "full_vector": vec})
-        else:
-            for lab, v in zip(labels, vec):
-                print(f"{lab} {v}")
+            return 0
+        # each label is the label of t without its highest node, which the
+        # graded walk reached earlier, plus that node
+        names = spec.ordering.names
+        labels = {1 << b: name for b, name in enumerate(names)}
+        lines = []
+        sets = (t for t in graded_subsets((1 << len(names)) - 1).tolist() if t & (t - 1))
+        for t, v in zip(sets, vec):
+            top = t.bit_length() - 1
+            labels[t] = lab = f"{labels[t ^ 1 << top]},{names[top]}"
+            lines.append(f"{lab} {v}\n")
+        sys.stdout.write("".join(lines))
         return 0
     if args.format == "json":
         coords = [{"child": spec.ordering.names[ch],

@@ -121,6 +121,8 @@ class FamilySpec:
     max_parents: Optional[int] = None
     # Per child: its admissible tuple once iter_admissible has built it, else None.
     _admissible: list = field(init=False, repr=False, compare=False)
+    # degree(), summed once: neighbors() asks for it on every call
+    _degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "floor", tuple(self.floor))
@@ -148,6 +150,8 @@ class FamilySpec:
                     "the family is empty"
                 )
         object.__setattr__(self, "_admissible", [None] * n)
+        object.__setattr__(self, "_degree",
+                           sum(self.admissible_count(i) - 1 for i in range(n)))
 
     @property
     def n(self) -> int:
@@ -175,7 +179,7 @@ class FamilySpec:
 
     def degree(self) -> int:
         """Polytope neighbors of every member: one per other admissible set of one child."""
-        return sum(self.admissible_count(i) - 1 for i in range(self.n))
+        return self._degree
 
     def family_size(self) -> int:
         size = 1

@@ -18,7 +18,7 @@ import numpy as np
 from . import limits
 from .errors import DomainError, NotAVertexError, UnsupportedError
 from .graphs import FamilySpec, ParentMap, _parent_map_unchecked, family_contains
-from .subsets import bits_of, graded_rank, graded_subsets, iter_graded_subsets
+from .subsets import bits_of, graded_rank, graded_subsets
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,15 @@ class CoordinateIndex:
             subset_arrays.append(graded_subsets(universe)[1:])
             offset += size
         self.blocks: Tuple[Block, ...] = tuple(blocks)
-        self._subsets = tuple(subset_arrays)
         self.total = offset
+        # every coordinate's subset mask and child, in storage order; each
+        # block's subsets are a read-only view into the one array
+        subsets = np.concatenate(subset_arrays) if blocks else np.zeros(0, dtype=np.int64)
+        subsets.flags.writeable = False
+        self._all_subsets = subsets
+        self._subsets = tuple(subsets[b.offset:b.offset + b.size] for b in blocks)
+        self._child_of = np.repeat(np.array([b.child for b in blocks], dtype=np.intp),
+                                   [b.size for b in blocks])
         self._block_of_child = {b.child: j for j, b in enumerate(blocks)}
 
     def __eq__(self, other):
@@ -120,13 +127,9 @@ class CharImset:
 def characteristic_imset(g: ParentMap, index: CoordinateIndex) -> CharImset:
     if not family_contains(index.spec, g):
         raise DomainError("graph is not a member of the indexed family")
-    chunks = []
-    for j, block in enumerate(index.blocks):
-        subs = index._subsets[j]
-        p = g.parents[block.child]
-        bits = (subs & p) == subs
-        chunks.append(bits.astype(np.uint8).tobytes())
-    return CharImset(index, b"".join(chunks))
+    subs = index._all_subsets
+    p = np.array(g.parents, dtype=np.int64)[index._child_of]
+    return CharImset(index, ((subs & p) == subs).view(np.uint8).tobytes())
 
 
 def imset_from_bits(index: CoordinateIndex, bits: Sequence[int]) -> CharImset:
@@ -182,6 +185,12 @@ def export_full_vector(c: CharImset) -> List[int]:
     spec = c.index.spec
     n = spec.n
     limits.check("LATTICE_BITS", n, f"full vector over {n} nodes")
+    order = graded_subsets((1 << n) - 1)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
     # coordinate (i, S) is node set S plus i; every parent precedes its child
-    value = {s | 1 << child: bit for (child, s), bit in zip(c.index.coordinates(), c.bits)}
-    return [value.get(t, 0) for t in iter_graded_subsets((1 << n) - 1) if t.bit_count() >= 2]
+    index = c.index
+    full = np.zeros(len(order), dtype=np.uint8)
+    full[position[index._all_subsets | 1 << index._child_of]] = np.frombuffer(c.bits, np.uint8)
+    # the empty set and the n singletons come first in graded-lex order
+    return full[n + 1:].tolist()

@@ -18,8 +18,10 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import limits
 from .errors import DegeneratePairError, DomainError
@@ -478,26 +480,60 @@ def affine_dimension(cloud) -> int:
     return _affine_rank(vecs)
 
 
+# Difference rows are built this many cells at a time (at least one row),
+# so the transient arrays stay small up to RANK_MAX.
+_RANK_BLOCK_CELLS = 1 << 16
+
+
 def _affine_rank(vecs: list) -> int:
-    """`affine_dimension` of a list of int tuples, or of bytes, which it reorders."""
+    """`affine_dimension` of a list of int tuples, or of bytes, which it reorders.
+
+    The difference rows from the base point are built a block at a time in
+    numpy: from bytes in int16, from any other integers as Python ints in
+    an object array, so no entry can wrap.  An int-tuple cloud whose
+    entries all fit in a byte is read as bytes.
+    """
     if not vecs:
         raise DomainError("affine dimension of an empty cloud is undefined")
     ambient = len(vecs[0])
     limits.check("RANK_MAX", max(len(vecs), ambient), f"cloud of {len(vecs)} x {ambient}")
-    # checked before sorting and subtracting: map() would stop silently at
-    # a shorter vector, wherever the sort put it
+    # checked before sorting and subtracting: vectors of other lengths would
+    # shift the entries of the rows built beside them, wherever the sort put them
     if set(map(len, vecs)) != {ambient}:
         raise DomainError("cloud vectors have mixed lengths")
+    if ambient == 0:
+        return 0
+    if type(vecs[0]) is not bytes:
+        try:
+            vecs = [bytes(v) for v in vecs]
+        except ValueError:
+            pass  # an entry outside 0..255: the rows stay Python ints
     vecs.sort(key=lambda v: (ambient - v.count(0), v))
-    v0 = vecs[0]
-    columns = range(ambient)
+    if type(vecs[0]) is bytes:
+        base = np.frombuffer(vecs[0], dtype=np.uint8).astype(np.int16)
+    else:
+        base = np.array(vecs[0], dtype=object)
+    step = max(1, _RANK_BLOCK_CELLS // ambient)
     basis: Dict[int, Dict[int, int]] = {}
-    for v in vecs[1:]:
-        d = list(map(operator.sub, v, v0))
-        r = _eliminate(dict(zip(compress(columns, d), filter(None, d))), basis)
-        if r:
-            _normalize_sparse(r)
-            basis[min(r)] = r
+    for start in range(1, len(vecs), step):
+        block = vecs[start:start + step]
+        if base.dtype == np.int16:
+            d = np.frombuffer(b"".join(block), dtype=np.uint8).reshape(len(block), ambient)
+            d = d.astype(np.int16)
+        else:
+            d = np.array(block, dtype=object)
+        d -= base
+        rows, cols = d.nonzero()
+        values = d[rows, cols].tolist()
+        cols = cols.tolist()
+        # rows come out ascending, so each row's entries are one run
+        a = 0
+        for b in np.cumsum(np.bincount(rows, minlength=len(block))).tolist():
+            r = _eliminate(dict(zip(cols[a:b], values[a:b])), basis)
+            a = b
+            if r:
+                _normalize_sparse(r)
+                basis[min(r)] = r
     return len(basis)
 
 

@@ -37,7 +37,7 @@ def verify_family(spec, checks, limit, seed, emit=None):
                  f"vertex-cloud limit: family has {size} members")
     idx = coordinate_index(spec)
     members = list(enumerate_family(spec))
-    vecs = [tuple(characteristic_imset(g, idx).bits) for g in members]
+    vecs = [characteristic_imset(g, idx).bits for g in members]
     rows = []
 
     if "product" in checks:

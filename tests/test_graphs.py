@@ -318,6 +318,17 @@ def test_wide_capped_child_lists_only_its_admissible_sets():
     assert list(adm) == _combinations_admissible(spec, 69)
 
 
+@settings(max_examples=80, deadline=None)
+@given(family_specs())
+def test_degree_is_the_sum_of_admissible_counts_less_one(spec):
+    want = sum(len(_brute_admissible(spec, i, spec.max_parents)) - 1 for i in range(spec.n))
+    assert spec.degree() == spec.degree() == want
+    uncapped = dataclasses.replace(spec, max_parents=None)
+    assert uncapped.degree() == sum((1 << spec.free_mask(i).bit_count()) - 1
+                                    for i in range(spec.n))
+    assert pickle.loads(pickle.dumps(spec)).degree() == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(family_specs(), st.data())
 def test_degree_counts_neighbors(spec, data):

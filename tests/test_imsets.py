@@ -1,7 +1,8 @@
 import dataclasses
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cimset.errors import DomainError, NotAVertexError, UnsupportedError
 from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family,
@@ -9,7 +10,7 @@ from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family
 from cimset.imsets import (CharImset, block_slice, characteristic_imset,
                            coordinate_index, export_full_vector, imset_from_bits,
                            imset_text_lines, imset_to_graph)
-from cimset.subsets import bits_of
+from cimset.subsets import bits_of, iter_graded_subsets
 from test_graphs import family_specs, members
 
 
@@ -169,3 +170,28 @@ def test_imset_round_trip_on_random_families(spec, data):
     spec = dataclasses.replace(spec, max_parents=None)
     g = data.draw(members(spec))
     assert imset_to_graph(characteristic_imset(g, coordinate_index(spec))) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_specs(), st.data())
+def test_one_pass_imset_matches_a_per_block_reference(spec, data):
+    spec = dataclasses.replace(spec, max_parents=None)
+    idx = coordinate_index(spec)
+    assume(1 <= len(idx.blocks) <= 5)
+    g = data.draw(members(spec))
+    want = b"".join(bytes(int(s & g.parents[b.child] == s) for s in iter_graded_subsets(b.universe))
+                    for b in idx.blocks)
+    assert characteristic_imset(g, idx).bits == want
+
+
+def test_block_subsets_are_views_into_one_array():
+    spec = FamilySpec(NodeOrdering(tuple("abcde")), (0, 0, 0b01, 0, 0b0100),
+                      (0, 0b1, 0b011, 0b0101, 0b1111))
+    idx = coordinate_index(spec)
+    assert len(idx._all_subsets) == idx.total
+    for b in idx.blocks:
+        subs = idx.block_subsets(b.child)
+        assert np.shares_memory(subs, idx._all_subsets)
+        assert not subs.flags.writeable
+        assert subs.tolist() == list(iter_graded_subsets(b.universe))
+        assert set(idx._child_of[b.offset:b.offset + b.size].tolist()) == {b.child}

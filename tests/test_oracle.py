@@ -438,6 +438,80 @@ def test_affine_dimension_refuses_a_later_shorter_vector(cloud, data):
         affine_dimension(cloud)
 
 
+# entries per kind of cloud: bytes; int tuples with negatives; int tuples
+# beyond a byte and beyond +-2**63, which must not wrap
+_rank_entries = {
+    "bytes": st.one_of(st.integers(0, 1), st.integers(0, 255)),
+    "negative": st.one_of(st.integers(-2, 2), st.integers(-300, 300)),
+    "wide": st.one_of(st.integers(-1, 1), st.integers(256, 1 << 16),
+                      st.integers(1 << 63, 1 << 70), st.integers(-(1 << 70), -(1 << 63))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_rank_entries)), st.integers(1, 6), st.integers(1, 16), st.data())
+def test_blocked_affine_rank_matches_a_fraction_reference(kind, d, cells, data):
+    # with blocks of `cells` cells the difference rows come `step` at a time;
+    # sizes step + 1 +- 1 put the last row either side of a block boundary
+    step = max(1, cells // d)
+    size = data.draw(st.sampled_from([1, 2, step, step + 1, step + 2, 2 * step + 1]))
+    cloud = data.draw(st.lists(st.tuples(*[_rank_entries[kind]] * d),
+                               min_size=size, max_size=size))
+    if kind == "bytes":
+        cloud = [bytes(v) for v in cloud]
+    shuffled = data.draw(st.permutations(cloud))
+    with mock.patch.object(cimset.oracle, "_RANK_BLOCK_CELLS", cells):
+        assert affine_dimension(cloud) == affine_dimension(shuffled) == _reference_rank(cloud)
+
+
+@pytest.mark.parametrize("cloud, rank", [
+    # collinear only if 200 and 255 stay positive: a signed byte reads them as -56 and -1
+    ([b"\x00\x00", b"\xc8\x64", b"\x64\x32"], 1),
+    ([(0, 0), (255, 200), (51, 40)], 1),
+    # collinear only if nothing wraps at 2**63 or 2**64
+    ([(0, 0), (1 << 64, 1 << 63), (1 << 65, 1 << 64)], 1),
+    ([(-(1 << 63), 0), (0, 1), ((1 << 63), 2)], 1),
+])
+def test_affine_rank_entries_that_would_wrap(cloud, rank):
+    assert affine_dimension(cloud) == _reference_rank(cloud) == rank
+
+
+@pytest.mark.parametrize("kind", ["bytes", "wide"])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_affine_rank_either_side_of_a_full_block(kind, extra):
+    d = 4096
+    step = cimset.oracle._RANK_BLOCK_CELLS // d
+    rng = random.Random(f"{kind}{extra}")
+    values = [1] if kind == "bytes" else [1, -1, 300, 1 << 64, -(1 << 64)]
+    cloud = [tuple(rng.choice(values) if rng.random() < 0.003 else 0 for _ in range(d))
+             for _ in range(step - 1 + extra)]
+    # two vertices in the affine hull of the others
+    cloud.append(tuple(map(operator.add, cloud[0], cloud[1])))
+    cloud.append(cloud[2])
+    if kind == "bytes":
+        cloud = [bytes(v) for v in cloud]
+    assert len(cloud) - 1 == step + extra
+    # columns equal on every vertex add nothing to the rank: the reference skips them
+    live = [j for j in range(d) if len({v[j] for v in cloud}) > 1]
+    want = _reference_rank([tuple(v[j] for j in live) for v in cloud])
+    shuffled = list(cloud)
+    rng.shuffle(shuffled)
+    assert affine_dimension(cloud) == affine_dimension(shuffled) == want
+
+
+@pytest.mark.parametrize("cloud", [
+    [b"\x00\x01", b"\x01"],
+    [(0, 1), (1 << 70,)],
+    [(0, 1, 0), (1, 0), (0, 0, 1)],
+])
+def test_mixed_lengths_refused_before_any_row_is_built(cloud):
+    # with numpy and the elimination gone, any row built before the check fails otherwise
+    with mock.patch.object(cimset.oracle, "np", None), \
+            mock.patch.object(cimset.oracle, "_eliminate", side_effect=AssertionError):
+        with pytest.raises(DomainError, match="mixed lengths"):
+            affine_dimension(cloud)
+
+
 @pytest.mark.parametrize("half", [0.5, Fraction(1, 2)])
 def test_non_integer_entries_refused_not_truncated(half):
     # int() would read the vertex (1/2, 0) as (0, 0) and report rank 0
