@@ -16,11 +16,11 @@ from .errors import CimsetError, DomainError, FormatError
 from .geometry import facet_system_for_child, neighbors, product_structure
 from .graphs import (enumerate_family, family_contains, family_from_json,
                      graph_from_json, graph_to_json)
-from .imsets import characteristic_imset, coordinate_index, export_full_vector, \
-    imset_text_lines
+from .imsets import (_subset_labels, characteristic_imset, coordinate_index,
+                     export_full_vector, imset_text_lines)
 from .learn import compare, k2_forward, k2_backward, optimize_exact
 from .scoring import build_score_table, load_csv, score_table_from_json
-from .subsets import bits_of, graded_subsets, iter_graded_subsets
+from .subsets import bits_of, iter_graded_subsets
 from .verify import CHECKS, verify_family
 
 
@@ -41,16 +41,6 @@ def _nonnegative_int(text):
     return value
 
 
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
-
-
 def _load_json(path, what):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -68,8 +58,15 @@ def _graph_text(g):
     return "; ".join(parts)
 
 
+def _fraction_text(v):
+    """json's default hook: an exact score as its "p/q" text."""
+    if isinstance(v, Fraction):
+        return str(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
 def _print_json(obj):
-    json.dump(_jsonable(obj), sys.stdout, indent=2)
+    json.dump(obj, sys.stdout, indent=2, default=_fraction_text)
     sys.stdout.write("\n")
 
 
@@ -85,17 +82,10 @@ def cmd_imset(args) -> int:
         if args.format == "json":
             _print_json({"graph": graph_to_json(g), "full_vector": vec})
             return 0
-        # each label is the label of t without its highest node, which the
-        # graded walk reached earlier, plus that node
+        # the n singletons come first; the vector starts after them
         names = spec.ordering.names
-        labels = {1 << b: name for b, name in enumerate(names)}
-        lines = []
-        sets = (t for t in graded_subsets((1 << len(names)) - 1).tolist() if t & (t - 1))
-        for t, v in zip(sets, vec):
-            top = t.bit_length() - 1
-            labels[t] = lab = f"{labels[t ^ 1 << top]},{names[top]}"
-            lines.append(f"{lab} {v}\n")
-        sys.stdout.write("".join(lines))
+        labels = _subset_labels((1 << len(names)) - 1, names)[len(names):]
+        sys.stdout.write("".join(f"{lab} {v}\n" for lab, v in zip(labels, vec)))
         return 0
     if args.format == "json":
         coords = [{"child": spec.ordering.names[ch],
@@ -229,11 +219,11 @@ def _check_rational(table):
 
 
 def _result_json(r):
-    return {"score": _jsonable(r.total_score),
+    return {"score": r.total_score,
             "graph": graph_to_json(r.graph),
             "per_child": [{"child": r.graph.ordering.names[c.child],
                            "parents": list(r.graph.ordering.names_of_mask(c.parents)),
-                           "local": _jsonable(c.local),
+                           "local": c.local,
                            "evaluated": c.evaluated}
                           for c in r.per_child]}
 
@@ -264,7 +254,7 @@ def cmd_compare(args) -> int:
     table, spec = _load_table(args)
     rep = compare(table, spec)
     doc = {name: _result_json(r) for name, r in rep.results.items()}
-    doc["gaps"] = {k: _jsonable(v) for k, v in rep.gaps.items()}
+    doc["gaps"] = dict(rep.gaps)
     doc["agreement"] = {k: list(v) for k, v in rep.agreement.items()}
     doc["structural_hamming"] = dict(rep.hamming)
     if args.format == "text":

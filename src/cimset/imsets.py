@@ -18,7 +18,7 @@ import numpy as np
 from . import limits
 from .errors import DomainError, NotAVertexError, UnsupportedError
 from .graphs import FamilySpec, ParentMap, _parent_map_unchecked, family_contains
-from .subsets import bits_of, graded_rank, graded_subsets
+from .subsets import graded_rank, graded_subsets
 
 
 @dataclass(frozen=True)
@@ -167,12 +167,27 @@ def block_slice(c: CharImset, child: int) -> Tuple[int, ...]:
     return tuple(c.block_slice_bytes(child))
 
 
+def _subset_labels(universe: int, names: Sequence[str]) -> List[str]:
+    """`a,b,...` for every nonempty subset of universe, in graded_subsets order.
+
+    Each label is the label of the set without its highest node, which the
+    graded order reached earlier, plus that node's name.
+    """
+    labels = {}
+    for t in graded_subsets(universe)[1:].tolist():
+        top = t.bit_length() - 1
+        rest = t ^ 1 << top
+        labels[t] = f"{labels[rest]},{names[top]}" if rest else names[top]
+    return list(labels.values())
+
+
 def imset_text_lines(c: CharImset) -> Iterator[str]:
     """Text form: one `<child> <parents> <bit>` line per coordinate."""
     names = c.index.spec.ordering.names
-    for pos, (child, s) in enumerate(c.index.coordinates()):
-        members = ",".join(names[b] for b in bits_of(s))
-        yield f"{names[child]} {members} {c.bits[pos]}"
+    for block in c.index.blocks:
+        bits = c.bits[block.offset:block.offset + block.size]
+        for label, bit in zip(_subset_labels(block.universe, names), bits):
+            yield f"{names[block.child]} {label} {bit}"
 
 
 def export_full_vector(c: CharImset) -> List[int]:

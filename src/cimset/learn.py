@@ -77,59 +77,50 @@ def k2_forward(table: ScoreTable, spec: FamilySpec) -> LearnResult:
     """
     _check(table, spec)
     cap = spec.max_parents
-    choices = []
-    for i in range(spec.n):
-        p = spec.floor[i]
-        s = table.local(i, p)
-        count = 1
-        free = spec.free_mask(i)
-        while True:
-            if cap is not None and p.bit_count() >= cap:
-                break
-            best_v = -1
-            best_s = s
-            rest = free & ~p
-            while rest:
-                low = rest & -rest
-                trial = table.local(i, p | low)
-                count += 1
-                if score_gt(trial, best_s):
-                    best_v, best_s = low, trial
-                rest ^= low
-            if best_v < 0:
-                break
-            p |= best_v
-            s = best_s
-        choices.append(ChildChoice(i, p, s, count))
+
+    def additions(i, p):
+        return 0 if cap is not None and p.bit_count() >= cap else spec.free_mask(i) & ~p
+
+    choices = [_greedy(table, i, spec.floor[i], additions) for i in range(spec.n)]
     return _assemble(spec, choices, "k2-forward")
 
 
 def k2_backward(table: ScoreTable, spec: FamilySpec) -> LearnResult:
     """Greedy single-node removals from the graded-lex-first largest admissible set."""
     _check(table, spec)
-    choices = []
-    for i in range(spec.n):
-        p = max(spec.iter_admissible(i), key=int.bit_count)
-        s = table.local(i, p)
-        count = 1
-        floor = spec.floor[i]
-        while True:
-            best_v = -1
-            best_s = s
-            rest = p & ~floor
-            while rest:
-                low = rest & -rest
-                trial = table.local(i, p & ~low)
-                count += 1
-                if score_gt(trial, best_s):
-                    best_v, best_s = low, trial
-                rest ^= low
-            if best_v < 0:
-                break
-            p &= ~best_v
-            s = best_s
-        choices.append(ChildChoice(i, p, s, count))
+
+    def removals(i, p):
+        return p & ~spec.floor[i]
+
+    choices = [_greedy(table, i, max(spec.iter_admissible(i), key=int.bit_count), removals)
+               for i in range(spec.n)]
     return _assemble(spec, choices, "k2-backward")
+
+
+def _greedy(table: ScoreTable, i: int, p: int, moves) -> ChildChoice:
+    """K2's greedy walk for child i from parent set p.
+
+    Each step flips the node of moves(i, p) that improves the local score
+    most, and only on strict improvement; ties go to the lowest node index.
+    The choice's `evaluated` counts the table.local calls.
+    """
+    s = table.local(i, p)
+    count = 1
+    while True:
+        best_v = -1
+        best_s = s
+        rest = moves(i, p)
+        while rest:
+            low = rest & -rest
+            trial = table.local(i, p ^ low)
+            count += 1
+            if score_gt(trial, best_s):
+                best_v, best_s = low, trial
+            rest ^= low
+        if best_v < 0:
+            return ChildChoice(i, p, s, count)
+        p ^= best_v
+        s = best_s
 
 
 def structural_hamming(g1: ParentMap, g2: ParentMap) -> int:

@@ -269,15 +269,13 @@ def _replay_non_adjacency(p) -> bool:
 
 def _replay_adjacency(p) -> bool:
     v1, v2 = p["v1"], p["v2"]
-    support = p["support"]
     y = p["farkas"]
-    if len(y) != len(support) + 1:
-        return False
     if not _zero_one([v1, v2, *p["candidates"], *p["excluded"]], len(v1)):
         return False
     target = list(map(operator.add, v1, v2))
     # the LP rows are the coordinates where exactly one endpoint is 1
-    if tuple(support) != tuple(j for j, t in enumerate(target) if t == 1):
+    support = [j for j, t in enumerate(target) if t == 1]
+    if len(y) != len(support) + 1:
         return False
     # vertices pruned before the LP must each be forced to weight zero by a
     # coordinate where the midpoint is 0 (they carry a 1) or 1 (they carry
@@ -290,33 +288,35 @@ def _replay_adjacency(p) -> bool:
     for vec in p["candidates"]:
         if sum(map(operator.mul, y, map(vec.__getitem__, support))) + y[-1] > 0:
             return False
+    if "witness" in p and not _separates(p["witness"], v1, v2,
+                                         chain(p["candidates"], p["excluded"])):
+        return False
     return sum(map(operator.mul, y, map(target.__getitem__, support))) + 2 * y[-1] > 0
 
 
-def _replay_separation(p) -> bool:
-    w = p["witness"]
-    v1, v2 = p["v1"], p["v2"]
-    d1 = sum(wi * e for wi, e in zip(w, v1))
-    d2 = sum(wi * e for wi, e in zip(w, v2))
-    if d1 != d2:
+def _separates(w, v1, v2, others) -> bool:
+    """Whether w.v1 == w.v2 >= w.u + 1 for every u in others."""
+    if len(w) != len(v1) or not all(isinstance(wi, numbers.Rational) for wi in w):
         return False
-    return all(sum(wi * e for wi, e in zip(w, u)) + 1 <= d1 for u in p["others"])
+    top = sum(map(operator.mul, w, v1))
+    if sum(map(operator.mul, w, v2)) != top:
+        return False
+    return all(sum(map(operator.mul, w, u)) + 1 <= top for u in others)
 
 
 def _replay_facet(p) -> bool:
-    return _facet_verdict(p["coefficients"], [_vec(v) for v in p["cloud"]], _vec(p["vertex"]))[0]
-
-
-def _replay_dimension(p) -> bool:
-    return affine_dimension(p["cloud"]) == p["rank"]
+    vecs = [_vec(v) for v in p["cloud"]]
+    try:
+        vertex = _facet_vertex(p["s"], vecs, len(p["coefficients"]))
+    except DomainError:
+        return False
+    return _facet_verdict(p["coefficients"], vecs, vertex)[0]
 
 
 _REPLAY = {
     "non-adjacency": _replay_non_adjacency,
     "adjacency": _replay_adjacency,
-    "separation": _replay_separation,
     "facet": _replay_facet,
-    "dimension": _replay_dimension,
 }
 
 
@@ -416,19 +416,12 @@ def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certifica
         combo = [(candidates[t], x[t] / 2) for t in range(len(candidates)) if x[t]]
         return _certified("non-adjacency", {"v1": b1, "v2": b2, "combination": combo})
 
-    payload = {
-        "v1": b1, "v2": b2, "support": tuple(support),
-        "candidates": tuple(candidates), "excluded": tuple(excluded),
-        "farkas": tuple(farkas),
-    }
-    cert = _certified("adjacency", payload)
-    if synthesize_witness and cert.verified:
+    payload = {"v1": b1, "v2": b2, "candidates": tuple(candidates),
+               "excluded": tuple(excluded), "farkas": tuple(farkas)}
+    if synthesize_witness:
         others = [u for u, mask in zip(cloud.vecs, cloud.masks) if mask != m1 and mask != m2]
-        w = _edge_witness(b1, b2, others)
-        payload["witness"] = w
-        cert.verified = _certified("separation", {"witness": w, "v1": b1, "v2": b2,
-                                                  "others": tuple(others)}).verified
-    return cert
+        payload["witness"] = _edge_witness(b1, b2, others)
+    return _certified("adjacency", payload)
 
 
 def _certified(kind: str, payload: dict) -> Certificate:
@@ -602,21 +595,31 @@ def oracle_facet_check(sys_row, cloud) -> Certificate:
     if not isinstance(cloud, VertexCloud):
         cloud = VertexCloud(cloud)
     vecs = cloud.vecs
-    if not vecs:
-        raise DomainError("facet check needs a nonempty vertex cloud")
-    k = (len(vecs[0]) + 1).bit_length() - 1
-    if (1 << k) - 1 != len(vecs[0]) or len(coeffs) != 1 << k:
-        raise DomainError("coefficient row and cloud dimensions are inconsistent")
-    universe = (1 << k) - 1
-    if s & ~universe:
-        raise DomainError(f"facet row {s} is outside the ground set of {k} elements")
-    s_vertex = tuple(1 if (t & s) == t else 0 for t in iter_graded_subsets(universe))
-
+    vertex = _facet_vertex(s, vecs, len(coeffs))
     coeffs = _integers(tuple(coeffs), f"facet row {s}", "coefficient")
     # the cloud's vectors are int tuples already
-    verified, failing = _facet_verdict(coeffs, vecs, s_vertex)
+    verified, failing = _facet_verdict(coeffs, vecs, vertex)
     return Certificate("facet", {"s": s, "coefficients": coeffs, "cloud": vecs,
-                                 "vertex": s_vertex, "failing": failing}, verified)
+                                 "failing": failing}, verified)
+
+
+def _facet_vertex(s, vecs: Sequence[Tuple[int, ...]], ncoeffs: int) -> Tuple[int, ...]:
+    """The block vertex whose parent set is s, the one vertex off a facet row of s.
+
+    A block over k elements has vertices of 2**k - 1 entries and rows of 2**k
+    coefficients.  An empty cloud, any other width or an s outside range(k)
+    is a `DomainError`.
+    """
+    if not vecs:
+        raise DomainError("facet check needs a nonempty vertex cloud")
+    width = len(vecs[0])
+    k = (width + 1).bit_length() - 1
+    universe = (1 << k) - 1
+    if universe != width or ncoeffs != 1 << k or set(map(len, vecs)) != {width}:
+        raise DomainError("coefficient row and cloud dimensions are inconsistent")
+    if not isinstance(s, numbers.Integral) or s & ~universe:
+        raise DomainError(f"facet row {s} is outside the ground set of {k} elements")
+    return tuple(1 if (t & s) == t else 0 for t in iter_graded_subsets(universe))
 
 
 def _facet_verdict(coeffs, vecs: Sequence[Tuple[int, ...]], vertex: Tuple[int, ...]):

@@ -176,7 +176,7 @@ def test_learn_from_scores(capsys):
 
 
 def test_learn_json_graphs_are_name_lists(capsys):
-    # cli._jsonable flattens tuples, so a ParentMap must never reach it
+    # json writes a tuple as a list, so a ParentMap must never reach the encoder
     assert main(["learn", "--scores", f"{FIX}/example_k2_forward.json",
                  "--method", "all", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

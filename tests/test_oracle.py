@@ -226,12 +226,11 @@ def test_packed_oracle_on_random_families(spec, data):
             assert cert.payload["excluded"] == excluded
             # rows only where exactly one endpoint is 1, plus the convexity row
             support = tuple(k for k, (a, b) in enumerate(zip(vecs[i], vecs[j])) if a + b == 1)
-            assert cert.payload["support"] == support
             farkas = cert.payload["farkas"]
             assert len(farkas) == len(support) + 1
             assert all(type(y) is int for y in farkas) and math.gcd(*farkas) == 1
-            assert set(cert.payload) == {"v1", "v2", "support", "candidates", "excluded",
-                                         "farkas", *(["witness"] if witness else [])}
+            assert set(cert.payload) == {"v1", "v2", "candidates", "excluded", "farkas",
+                                         *(["witness"] if witness else [])}
         else:
             assert all(u in candidates for u, _ in cert.payload["combination"])
 
@@ -307,6 +306,11 @@ def test_tampered_certificates_fail_replay():
     assert _with_combination(cert, split).replay()
 
     cert2 = oracle_adjacent((0, 0), (1, 0), SQUARE)
+    w = cert2.payload["witness"]
+    for forged in ((w[0] + 1, w[1]), (w[0], w[1] + 100), (0, 0), w[:1], (0.0, -1.0)):
+        assert not Certificate("adjacency", dict(cert2.payload, witness=forged), False).replay()
+    # a witness the replay accepts on its own: equal on both ends, 1 below elsewhere
+    assert Certificate("adjacency", dict(cert2.payload, witness=(0, -1)), False).replay()
     bad_farkas = tuple(-y for y in cert2.payload["farkas"])
     cert2.payload["farkas"] = bad_farkas
     assert not cert2.replay()
@@ -325,7 +329,7 @@ def test_forged_forced_zero_columns_do_not_certify_the_square_diagonal():
     # the replay derives the forced columns from v1 + v2: naming both
     # coordinates as forced zeros once excused both other vertices
     forged = Certificate("adjacency", {
-        "v1": (0, 0), "v2": (1, 1), "support": (), "zero_cols": (0, 1), "two_cols": (),
+        "v1": (0, 0), "v2": (1, 1), "zero_cols": (0, 1), "two_cols": (),
         "candidates": (), "excluded": ((1, 0), (0, 1)), "farkas": (1,)}, False)
     assert not forged.replay()
 
@@ -333,7 +337,7 @@ def test_forged_forced_zero_columns_do_not_certify_the_square_diagonal():
 @pytest.mark.parametrize("payload", [
     # the midpoint (1/2, 1/2, 0) is 1/2 (1, 0, -1) + 1/2 (0, 1, 1), yet the
     # farkas vector refutes every combination of 0/1 candidates
-    {"v1": (0, 0, 0), "v2": (1, 1, 0), "support": (0, 1), "candidates": ((1, 0, -1),),
+    {"v1": (0, 0, 0), "v2": (1, 1, 0), "candidates": ((1, 0, -1),),
      "excluded": ((0, 1, 1),), "farkas": (0, 1, 0)},
     {"v1": (0, 0), "v2": (1, 1), "combination": [((1, -1), Fraction(1, 2)),
                                                  ((0, 2), Fraction(1, 2))]},
@@ -346,20 +350,19 @@ def test_replays_refuse_vectors_that_are_not_01(payload):
     assert not Certificate(kind, payload, False).replay()
 
 
-@pytest.mark.parametrize("support, farkas", [
-    ((0, 5), (1, 1, -1)),  # past the vectors' end: once raised IndexError
-    ((0, -1), (1, 1, -1)),
-    ((0, 0), (1, 1, -1)),
-    ((1, 0), (1, 1, -1)),
-    ((0,), (-3, 2)),  # short: once replayed True
-    ((0, 1, 1), (1, 1, 1, -1)),
+@pytest.mark.parametrize("farkas", [
+    (-3, 2),  # once replayed True against a one-coordinate support
+    (-1, 1),
+    (-1, 0, 1, 0),
+    (1, 1, 1, -1),
 ])
-def test_adjacency_replay_refuses_a_support_other_than_the_differing_coordinates(support,
-                                                                                farkas):
-    # the oracle writes the coordinates where v1 and v2 differ, (0, 1) here
-    payload = {"v1": (0, 1), "v2": (1, 0), "support": support, "candidates": ((1, 1),),
-               "excluded": (), "farkas": farkas}
-    assert Certificate("adjacency", payload, False).replay() is False
+def test_adjacency_replay_refuses_a_farkas_of_the_wrong_length(farkas):
+    # one multiplier per coordinate where v1 and v2 differ, (0, 1) here, and
+    # one for the convexity row
+    payload = {"v1": (0, 1), "v2": (1, 0), "candidates": ((1, 1),), "excluded": (),
+               "farkas": (-1, 0, 1)}
+    assert Certificate("adjacency", payload, False).replay() is True
+    assert Certificate("adjacency", dict(payload, farkas=farkas), False).replay() is False
 
 
 def test_unknown_certificate_kind():
@@ -519,8 +522,6 @@ def test_non_integer_entries_refused_not_truncated(half):
         affine_dimension([(half, 0), (0, 0)])
     with pytest.raises(DomainError, match="non-integer entry"):
         oracle_adjacent((half, 0), (0, 0), SQUARE)
-    with pytest.raises(DomainError, match="non-integer entry"):
-        Certificate("dimension", {"cloud": [(half, 0), (0, 0)], "rank": 0}, False).replay()
 
 
 def test_integral_entries_of_any_type_convert():
@@ -595,6 +596,61 @@ def test_facet_check_refuses_a_row_outside_the_ground_set(s, row_of):
     row = facet_matrix(2).dense_row(row_of)
     with pytest.raises(DomainError, match=rf"facet row {s} is outside the ground set"):
         oracle_facet_check((s, row), _block_cloud(2))
+
+
+def test_facet_replay_derives_the_vertex_from_s():
+    row = facet_matrix(2).dense_row(0b01)
+    cert = oracle_facet_check((0b01, row), _block_cloud(2))
+    assert cert.verified and cert.replay()
+    assert set(cert.payload) == {"s", "coefficients", "cloud", "failing"}
+    # another subset, or none of range(2): refused, not raised
+    for s in (0b00, 0b10, 0b11, 4, -1, "1", 1.0, None):
+        assert Certificate("facet", dict(cert.payload, s=s), False).replay() is False
+    # a cloud or a row whose width is not 2**k - 1 (resp. 2**k)
+    for cloud in ((), [v[:2] for v in cert.payload["cloud"]],
+                  [*cert.payload["cloud"][:3], (1, 1)]):
+        assert Certificate("facet", dict(cert.payload, cloud=cloud), False).replay() is False
+    coefficients = cert.payload["coefficients"]
+    for row in (coefficients[:3], (*coefficients, 0)):
+        assert Certificate("facet", dict(cert.payload, coefficients=row), False).replay() \
+            is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_specs(), st.data())
+def test_certificates_replay_and_tampered_ones_do_not(spec, data):
+    # coordinate geometry covers uncapped families only
+    spec = dataclasses.replace(spec, max_parents=None)
+    assume(2 <= spec.family_size() <= 64)
+    idx = coordinate_index(spec)
+    vecs = [tuple(characteristic_imset(g, idx).bits) for g in enumerate_family(spec)]
+    size = len(vecs)
+    i = data.draw(st.integers(0, size - 1))
+    j = (i + data.draw(st.integers(1, size - 1))) % size
+    for witness in (False, True):
+        cert = oracle_adjacent(vecs[i], vecs[j], vecs, synthesize_witness=witness)
+        assert cert.verified and cert.replay()
+        if cert.kind != "adjacency":
+            continue
+        negated = tuple(-y for y in cert.payload["farkas"])
+        assert not Certificate("adjacency", dict(cert.payload, farkas=negated), False).replay()
+        if witness:
+            w = list(cert.payload["witness"])
+            t = data.draw(st.sampled_from([t for t in range(len(w)) if vecs[i][t] != vecs[j][t]]))
+            w[t] += 1
+            assert not Certificate("adjacency", dict(cert.payload, witness=tuple(w)),
+                                   False).replay()
+
+    child = data.draw(st.sampled_from([c for c in range(spec.n) if spec.free_mask(c)]))
+    k = spec.free_mask(child).bit_count()
+    s = data.draw(st.integers(0, (1 << k) - 1))
+    cert = oracle_facet_check((s, facet_matrix(k).dense_row(s)), _block_cloud(k))
+    assert cert.verified and cert.replay()
+    other = data.draw(st.integers(0, (1 << k) - 1).filter(lambda t: t != s))
+    assert not Certificate("facet", dict(cert.payload, s=other), False).replay()
+    const, *linear = cert.payload["coefficients"]
+    raised = (const + 1, *linear)
+    assert not Certificate("facet", dict(cert.payload, coefficients=raised), False).replay()
 
 
 @pytest.mark.parametrize("coeff", [Fraction(3, 2), 1.5, 1.0])
