@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -310,7 +310,7 @@ def _replay_facet(p) -> bool:
         vertex = _facet_vertex(p["s"], vecs, len(p["coefficients"]))
     except DomainError:
         return False
-    return _facet_verdict(p["coefficients"], vecs, vertex)[0]
+    return _facet_verdict(p["coefficients"], vecs, vertex, lambda: _independent(vecs))[0]
 
 
 _REPLAY = {
@@ -332,7 +332,7 @@ class VertexCloud:
     only sound for 0/1 vertices.
     """
 
-    __slots__ = ("vecs", "masks", "index")
+    __slots__ = ("vecs", "masks", "index", "_simplex")
 
     def __init__(self, cloud):
         vecs: List[Tuple[int, ...]] = []
@@ -352,9 +352,16 @@ class VertexCloud:
         self.vecs = tuple(vecs)
         self.masks = tuple(masks)
         self.index = index
+        self._simplex: Optional[bool] = None
 
     def __len__(self) -> int:
         return len(self.vecs)
+
+    def simplex(self) -> bool:
+        """Whether the vertices are affinely independent; ranked on the first call only."""
+        if self._simplex is None:
+            self._simplex = _independent(self.vecs)
+        return self._simplex
 
 
 def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certificate:
@@ -478,6 +485,11 @@ def affine_dimension(cloud) -> int:
 _RANK_BLOCK_CELLS = 1 << 16
 
 
+def _independent(vecs) -> bool:
+    """Whether the int-tuple vectors are affinely independent: the vertices of a simplex."""
+    return _affine_rank(list(vecs)) == len(vecs) - 1
+
+
 def _affine_rank(vecs: list) -> int:
     """`affine_dimension` of a list of int tuples, or of bytes, which it reorders.
 
@@ -584,12 +596,13 @@ def oracle_facet_check(sys_row, cloud) -> Certificate:
     """Certify one candidate facet row against a full block vertex cloud.
 
     sys_row is (s, coefficients) with the constant first and the remaining
-    coefficients in the block's graded-lex coordinate order.  The checks:
-    the row is nonnegative on every vertex, tight on all of them except
-    exactly the vertex whose parent set is s, and the tight set spans an
-    affine space of dimension len(cloud) - 2.  The cloud is a
-    `VertexCloud` or any iterable of 0/1 vectors.  An s outside the ground
-    set range(k) of the cloud's block is refused with a `DomainError`.
+    coefficients in the block's graded-lex coordinate order.  The row is a
+    facet when it is nonnegative on every vertex, positive only at the
+    vertex whose parent set is s, and the vertices are affinely independent.
+    The cloud is a `VertexCloud`, ranked once for all its rows, or any
+    iterable of 0/1 vectors.  A cloud of fewer than two vertices, or an s
+    that is not an int in the ground set range(k) of the cloud's block, is
+    refused with a `DomainError`.
     """
     s, coeffs = sys_row
     if not isinstance(cloud, VertexCloud):
@@ -598,7 +611,7 @@ def oracle_facet_check(sys_row, cloud) -> Certificate:
     vertex = _facet_vertex(s, vecs, len(coeffs))
     coeffs = _integers(tuple(coeffs), f"facet row {s}", "coefficient")
     # the cloud's vectors are int tuples already
-    verified, failing = _facet_verdict(coeffs, vecs, vertex)
+    verified, failing = _facet_verdict(coeffs, vecs, vertex, cloud.simplex)
     return Certificate("facet", {"s": s, "coefficients": coeffs, "cloud": vecs,
                                  "failing": failing}, verified)
 
@@ -607,40 +620,45 @@ def _facet_vertex(s, vecs: Sequence[Tuple[int, ...]], ncoeffs: int) -> Tuple[int
     """The block vertex whose parent set is s, the one vertex off a facet row of s.
 
     A block over k elements has vertices of 2**k - 1 entries and rows of 2**k
-    coefficients.  An empty cloud, any other width or an s outside range(k)
-    is a `DomainError`.
+    coefficients.  A cloud of fewer than two vertices, which has no facets,
+    any other width, or an s that is not an int in range(k) is a `DomainError`.
     """
-    if not vecs:
-        raise DomainError("facet check needs a nonempty vertex cloud")
+    if len(vecs) < 2:
+        raise DomainError("facet check needs a cloud of at least two vertices, "
+                          f"got {len(vecs)}")
     width = len(vecs[0])
     k = (width + 1).bit_length() - 1
     universe = (1 << k) - 1
     if universe != width or ncoeffs != 1 << k or set(map(len, vecs)) != {width}:
         raise DomainError("coefficient row and cloud dimensions are inconsistent")
-    if not isinstance(s, numbers.Integral) or s & ~universe:
+    if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s & ~universe:
         raise DomainError(f"facet row {s} is outside the ground set of {k} elements")
     return tuple(1 if (t & s) == t else 0 for t in iter_graded_subsets(universe))
 
 
-def _facet_verdict(coeffs, vecs: Sequence[Tuple[int, ...]], vertex: Tuple[int, ...]):
+def _facet_verdict(coeffs, vecs: Sequence[Tuple[int, ...]], vertex: Tuple[int, ...],
+                   simplex: Callable[[], bool]):
     """(verified, failing) of the facet row `coeffs`, constant first, on int-tuple vertices.
 
     A facet is nonnegative, off the row only at `vertex`, and tight on a set
-    of affine dimension len(vecs) - 2.  failing names the first of these to
-    break: the first negative vertex; the first vertex off the row, or None
-    when none is; "tight-set-rank".  It is None on success.
+    of affine dimension len(vecs) - 2.  Once the values pass, the last holds
+    exactly when the cloud is a simplex, which `simplex()` decides: a subset
+    of independent vertices is independent, and `vertex`, where the affine
+    row is positive, lies off the tight set's hull.  failing names the first
+    test to break: the first negative vertex; the first vertex off the row,
+    or None when none is; "tight-set-rank".  It is None on success.
     """
     const, linear = coeffs[0], coeffs[1:]
-    tight = []
     off = []
     for vec in vecs:
         val = const + sum(map(operator.mul, linear, vec))
         if val < 0:
             return False, vec
-        (tight if val == 0 else off).append(vec)
+        if val:
+            off.append(vec)
     if len(off) != 1 or off[0] != vertex:
         return False, off[0] if off else None
-    if _affine_rank(tight) != len(vecs) - 2:
+    if not simplex():
         return False, "tight-set-rank"
     return True, None
 

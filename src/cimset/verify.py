@@ -11,8 +11,7 @@ from itertools import combinations
 
 from . import limits
 from .errors import FormatError
-from .geometry import (affine_dimension_formula, are_neighbors, facet_system_for_child,
-                       vertex_block_vector)
+from .geometry import FacetSystem, affine_dimension_formula, are_neighbors, vertex_block_vector
 from .graphs import enumerate_family, graph_to_json
 from .imsets import characteristic_imset, coordinate_index
 from .oracle import VertexCloud, affine_dimension, oracle_adjacent, oracle_facet_check
@@ -25,9 +24,11 @@ def verify_family(spec, checks, limit, seed, emit=None):
     """Run the named checks on `spec`: one (name, passed, detail) row each, in CHECKS order.
 
     Adjacency certifies every vertex pair, or `limit` pairs sampled with
-    `seed`, and stops at its first mismatch; facets skips a block of more
-    than `limit` rows.  `emit`, when given, gets each certificate as a JSON dict;
-    adjacency records share one serialized graph per member.
+    `seed`, and stops at its first mismatch; facets certifies each block
+    size once, emits its verdicts for every child of that size and skips a
+    block of more than `limit` rows.  `emit`, when given, gets each
+    certificate as a JSON dict; adjacency records share one serialized graph
+    per member.
     """
     bad = [c for c in checks if c not in CHECKS]
     if bad:
@@ -77,26 +78,31 @@ def verify_family(spec, checks, limit, seed, emit=None):
                      f"mismatch on vertex pair {mismatch[0]},{mismatch[1]}"))
 
     if "facets" in checks:
+        # a block's facet rows and vertex cloud depend on its size k alone
         failures = checked = 0
         skipped = []
+        verdicts = {}
         for i in range(spec.n):
-            k = spec.free_mask(i).bit_count()
+            free = spec.free_mask(i)
+            k = free.bit_count()
             if k == 0:
                 continue
             if (1 << k) > limit:
                 skipped.append(spec.ordering.names[i])
                 continue
-            sysk = facet_system_for_child(spec, i)
-            cloud = VertexCloud(vertex_block_vector(k, s) for s in range(1 << k))
-            for s in iter_graded_subsets(sysk.universe, include_empty=True):
-                cert = oracle_facet_check((s, sysk.dense_row(s)), cloud)
+            if k not in verdicts:
+                sysk = FacetSystem(k)
+                cloud = VertexCloud(vertex_block_vector(k, s) for s in range(1 << k))
+                verdicts[k] = [(s, oracle_facet_check((s, sysk.dense_row(s)), cloud).verified)
+                               for s in iter_graded_subsets(sysk.universe, include_empty=True)]
+            names = spec.ordering.names_of_mask(free)
+            for s, verified in verdicts[k]:
                 checked += 1
+                failures += not verified
                 if emit is not None:
-                    emit({"kind": cert.kind, "verified": cert.verified,
+                    emit({"kind": "facet", "verified": verified,
                           "child": spec.ordering.names[i],
-                          "s": [sysk.member_names[b] for b in bits_of(s)]})
-                if not cert.verified:
-                    failures += 1
+                          "s": [names[b] for b in bits_of(s)]})
         detail = f"{checked} rows certified"
         if skipped:
             detail += f"; skipped blocks over --limit: {', '.join(skipped)}"

@@ -591,12 +591,87 @@ def test_facet_check_failing_tight_set_rank():
     assert cert.payload["failing"] == "tight-set-rank"
 
 
-@pytest.mark.parametrize("s, row_of", [(0b100, 0b00), (-1, 0b11)])
+def test_facet_check_on_a_dependent_cloud_of_block_width():
+    # k = 2 with (1, 0, 0) repeated: x({a, b}) >= 0 is off only at the vertex
+    # of {a, b}, but five points in three coordinates are not a simplex
+    cloud = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 0, 0)]
+    cert = oracle_facet_check((3, [0, 0, 0, 1]), cloud)
+    assert not cert.verified and not cert.replay()
+    assert cert.payload["failing"] == "tight-set-rank"
+
+
+def test_facet_check_ranks_a_vertex_cloud_once():
+    k = 3
+    sysk = facet_matrix(k)
+    cloud = VertexCloud(_block_cloud(k))
+    with mock.patch.object(cimset.oracle, "_affine_rank",
+                           wraps=cimset.oracle._affine_rank) as rank:
+        # values that fail never reach the rank
+        assert not oracle_facet_check((0, [0] * (1 << k)), cloud).verified
+        assert rank.call_count == 0
+        for s in iter_submasks((1 << k) - 1):
+            assert oracle_facet_check((s, sysk.dense_row(s)), cloud).verified
+        assert rank.call_count == 1
+
+
+def _per_row_verdict(row, vecs, vertex):
+    """The facet rule as it reads without the simplex argument: rank each row's tight set."""
+    const, linear = row[0], row[1:]
+    tight = []
+    off = []
+    for vec in vecs:
+        val = const + sum(map(operator.mul, linear, vec))
+        if val < 0:
+            return False, vec
+        (tight if val == 0 else off).append(vec)
+    if len(off) != 1 or off[0] != vertex:
+        return False, off[0] if off else None
+    if affine_dimension(tight) != len(vecs) - 2:
+        return False, "tight-set-rank"
+    return True, None
+
+
+@st.composite
+def _facet_cases(draw):
+    """A block width's cloud with repeated, missing or stray 0/1 vertices, s and a row."""
+    k = draw(st.integers(1, 3))
+    width = (1 << k) - 1
+    block = _block_cloud(k)
+    stray = st.tuples(*[st.integers(0, 1)] * width)
+    cloud = draw(st.lists(st.one_of(st.sampled_from(block), stray),
+                          min_size=2, max_size=(1 << k) + 2))
+    s = draw(st.integers(0, width))
+    facet = facet_matrix(k).dense_row(s)
+    nudged = [c + draw(st.integers(-1, 1)) for c in facet]
+    noise = draw(st.lists(st.integers(-2, 2), min_size=1 << k, max_size=1 << k))
+    row = draw(st.sampled_from([facet, nudged, noise]))
+    return k, cloud, s, row
+
+
+@settings(max_examples=400, deadline=None)
+@given(_facet_cases())
+def test_facet_verdict_matches_the_per_row_tight_set_rank(case):
+    k, cloud, s, row = case
+    cert = oracle_facet_check((s, row), cloud)
+    want = _per_row_verdict(row, cloud, vertex_block_vector(k, s))
+    assert (cert.verified, cert.payload["failing"]) == want
+    assert cert.replay() is cert.verified
+
+
+def test_facet_check_refuses_a_one_vertex_cloud():
+    # k = 0: a single vertex of no coordinates has no facets to certify
+    with pytest.raises(DomainError, match="at least two vertices, got 1"):
+        oracle_facet_check((0, [1]), [()])
+    payload = {"s": 0, "coefficients": [1], "cloud": [()]}
+    assert Certificate("facet", payload, False).replay() is False
+
+
+# True == 0b01, and its row is the facet of 0b01, but a bool is no parent set
+@pytest.mark.parametrize("s, row_of", [(0b100, 0b00), (-1, 0b11), (True, 0b01)])
 def test_facet_check_refuses_a_row_outside_the_ground_set(s, row_of):
     row = facet_matrix(2).dense_row(row_of)
     with pytest.raises(DomainError, match=rf"facet row {s} is outside the ground set"):
         oracle_facet_check((s, row), _block_cloud(2))
-
 
 def test_facet_replay_derives_the_vertex_from_s():
     row = facet_matrix(2).dense_row(0b01)
@@ -604,7 +679,7 @@ def test_facet_replay_derives_the_vertex_from_s():
     assert cert.verified and cert.replay()
     assert set(cert.payload) == {"s", "coefficients", "cloud", "failing"}
     # another subset, or none of range(2): refused, not raised
-    for s in (0b00, 0b10, 0b11, 4, -1, "1", 1.0, None):
+    for s in (0b00, 0b10, 0b11, 4, -1, "1", 1.0, None, True, False):
         assert Certificate("facet", dict(cert.payload, s=s), False).replay() is False
     # a cloud or a row whose width is not 2**k - 1 (resp. 2**k)
     for cloud in ((), [v[:2] for v in cert.payload["cloud"]],

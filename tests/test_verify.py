@@ -1,13 +1,15 @@
 import dataclasses
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import cimset.oracle
 import cimset.verify
 from cimset.errors import FormatError, ResourceError
-from cimset.graphs import diagnosis_family, family_from_json
+from cimset.graphs import diagnosis_family, family_from_json, full_ordered_family
 from cimset.verify import CHECKS, verify_family
 from test_graphs import family_specs
 
@@ -15,7 +17,7 @@ FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_rows_of_a_fixture_family_follow_checks_order():
-    spec = family_from_json(json.loads((FIX / "diag_2_2.json").read_text()))
+    spec = _diag_2_2()
     records = []
     rows = verify_family(spec, CHECKS, 2000, 0, records.append)
     assert rows == [("product", True, "16 vertices = product of per-block slice counts"),
@@ -48,6 +50,56 @@ def test_falsified_adjacency_row(monkeypatch):
     rows = verify_family(diagnosis_family(2, 1), ["adjacency"], 2000, 0, records.append)
     assert rows == [("adjacency", False, "mismatch on vertex pair 0,1")]
     assert [r["kind"] for r in records] == ["adjacency"]
+
+
+def _diag_2_2():
+    return family_from_json(json.loads((FIX / "diag_2_2.json").read_text()))
+
+
+def test_falsified_facet_row_fails_every_child_of_its_block_size(monkeypatch):
+    # diag_2_2's children b1 and b2 both have k = 2: one falsified (k, s)
+    # verdict is a falsified row of each
+    check = cimset.verify.oracle_facet_check
+
+    def deny_a1(sys_row, cloud):
+        cert = check(sys_row, cloud)
+        return dataclasses.replace(cert, verified=False) if sys_row[0] == 0b01 else cert
+
+    monkeypatch.setattr(cimset.verify, "oracle_facet_check", deny_a1)
+    records = []
+    rows = verify_family(_diag_2_2(), ["facets"], 2000, 0, records.append)
+    assert rows == [("facets", False, "2 rows falsified")]
+    assert [(r["child"], r["s"]) for r in records if not r["verified"]] == \
+        [("b1", ["a1"]), ("b2", ["a1"])]
+
+
+def test_facet_blocks_over_the_limit_are_skipped_by_name():
+    records = []
+    rows = verify_family(_diag_2_2(), ["facets"], 2, 0, records.append)
+    assert rows == [("facets", True, "0 rows certified; skipped blocks over --limit: b1, b2")]
+    assert records == []
+
+
+def test_children_of_one_block_size_get_the_same_facet_lines():
+    records = []
+    verify_family(_diag_2_2(), ["facets"], 2000, 0, records.append)
+    by_child = {}
+    for r in records:
+        by_child.setdefault(r.pop("child"), []).append(r)
+    assert list(by_child) == ["b1", "b2"]
+    assert by_child["b1"] == by_child["b2"] and len(by_child["b1"]) == 4
+
+
+@pytest.mark.parametrize("spec, ranks", [
+    (_diag_2_2(), 1),
+    # blocks of k = 0, 1, 2 and 3: one rank for each k > 0
+    (full_ordered_family(("a1", "a2", "a3", "a4")), 3),
+])
+def test_facets_rank_each_block_size_once(spec, ranks):
+    with mock.patch.object(cimset.oracle, "_affine_rank",
+                           wraps=cimset.oracle._affine_rank) as rank:
+        rows = verify_family(spec, ["facets"], 2000, 0)
+    assert rows[0][1] and rank.call_count == ranks
 
 
 @settings(max_examples=150, deadline=None)
