@@ -26,8 +26,8 @@ from .oracle import (Certificate, VertexCloud, affine_dimension, learn_bruteforc
                      oracle_facet_check, witness_block_value)
 from .scoring import (DataVector, Dataset, ScoreTable, build_score_table,
                       data_vector_dot, load_csv, local_score, mobius_data_vector,
-                      score_gt, score_graph, score_table_from_json,
-                      score_table_to_json, table_graph_score)
+                      score_graph, score_table_from_json, score_table_to_json,
+                      table_graph_score)
 from .verify import verify_family
 
 __version__ = "0.1.0"

@@ -10,11 +10,12 @@ reports both against the exact answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Tuple
 
 from .errors import DomainError
 from .graphs import FamilySpec, ParentMap, _parent_map_unchecked
-from .scoring import ScoreTable, score_gt
+from .scoring import ScoreTable
 
 METHODS = ("exact", "k2-forward", "k2-backward")
 
@@ -49,23 +50,18 @@ def _check(table: ScoreTable, spec: FamilySpec) -> None:
 
 
 def optimize_exact(table: ScoreTable, spec: FamilySpec) -> LearnResult:
-    """Per-child maximization; ties keep the graded-lex smallest parent set.
+    """Per-child first maximum; ties keep the graded-lex smallest parent set.
 
     Block independence makes the assembled graph the global optimum over
-    the entire family.
+    the entire family.  Scores compare with plain `>` on the stored values,
+    with no tolerance.
     """
     _check(table, spec)
     choices = []
     for i in range(spec.n):
-        best_p = None
-        best_s = None
-        count = 0
-        for p in spec.iter_admissible(i):
-            s = table.local(i, p)
-            count += 1
-            if best_p is None or score_gt(s, best_s):
-                best_p, best_s = p, s
-        choices.append(ChildChoice(i, best_p, best_s, count))
+        lattice = spec.iter_admissible(i)
+        best = max(lattice, key=partial(table.local, i))
+        choices.append(ChildChoice(i, best, table.local(i, best), len(lattice)))
     return _assemble(spec, choices, "exact")
 
 
@@ -114,7 +110,7 @@ def _greedy(table: ScoreTable, i: int, p: int, moves) -> ChildChoice:
             low = rest & -rest
             trial = table.local(i, p ^ low)
             count += 1
-            if score_gt(trial, best_s):
+            if trial > best_s:
                 best_v, best_s = low, trial
             rest ^= low
         if best_v < 0:

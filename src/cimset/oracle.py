@@ -18,6 +18,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -202,6 +203,9 @@ def _eq_flags(m: int, equalities) -> List[bool]:
     if equalities is None:
         return [False] * m
     if isinstance(equalities, (set, frozenset)):
+        unknown = [i for i in equalities if i not in range(m)]
+        if unknown:
+            raise DomainError(f"equality row {unknown[0]!r} is not one of the {m} rows")
         return [i in equalities for i in range(m)]
     flags = [bool(v) for v in equalities]
     if len(flags) != m:
@@ -230,8 +234,11 @@ class Certificate:
     verified: bool
 
     def replay(self) -> bool:
-        """Re-verify the stored witness by direct arithmetic."""
-        return _REPLAY[self.kind](self.payload)
+        """Re-verify the stored witness by direct arithmetic; a malformed one replays False."""
+        try:
+            return _REPLAY[self.kind](self.payload)
+        except (KeyError, TypeError, ValueError, DomainError):
+            return False
 
 
 def _zero_one(vecs, d: int) -> bool:
@@ -306,10 +313,7 @@ def _separates(w, v1, v2, others) -> bool:
 
 def _replay_facet(p) -> bool:
     vecs = [_vec(v) for v in p["cloud"]]
-    try:
-        vertex = _facet_vertex(p["s"], vecs, len(p["coefficients"]))
-    except DomainError:
-        return False
+    vertex = _facet_vertex(p["s"], vecs, len(p["coefficients"]))
     return _facet_verdict(p["coefficients"], vecs, vertex, lambda: _independent(vecs))[0]
 
 
@@ -667,19 +671,11 @@ def _facet_verdict(coeffs, vecs: Sequence[Tuple[int, ...]], vertex: Tuple[int, .
 
 def learn_bruteforce(spec: FamilySpec, table) -> ParentMap:
     """Exhaustively score every family member; ties keep the earliest graph."""
-    from .scoring import score_gt, table_graph_score
+    from .scoring import table_graph_score
 
     size = spec.family_size()
     limits.check("BRUTEFORCE_MAX", size, f"family of {size} members")
-    best = None
-    best_score = None
-    for g in enumerate_family(spec):
-        total = table_graph_score(table, g)
-        if best is None or score_gt(total, best_score):
-            best, best_score = g, total
-    if best is None:
-        raise DomainError("empty family")
-    return best
+    return max(enumerate_family(spec), key=partial(table_graph_score, table))
 
 
 # --- hand-built separating vectors for single-symptom blocks -------------

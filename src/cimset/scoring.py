@@ -28,20 +28,7 @@ from .graphs import FamilySpec, NodeOrdering, ParentMap, _names_to_mask, family_
 from .imsets import CharImset, CoordinateIndex
 from .subsets import bits_of, mobius_subsets_inplace, pdep, pext
 
-SCORE_SNAP = 1e-12
-
 CRITERIA = ("ll", "bic", "aic")
-
-
-def score_gt(a, b) -> bool:
-    """Strict greater-than used for every score comparison.
-
-    Exact when both operands are exact; floats are compared after an
-    absolute snap, so near-ties resolve the same way on every platform.
-    """
-    if isinstance(a, float) or isinstance(b, float):
-        return a - b > SCORE_SNAP
-    return a > b
 
 
 # --- data ---------------------------------------------------------------

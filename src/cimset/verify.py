@@ -9,9 +9,11 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
+
 from . import limits
 from .errors import FormatError
-from .geometry import FacetSystem, affine_dimension_formula, are_neighbors, vertex_block_vector
+from .geometry import FacetSystem, affine_dimension_formula, are_neighbors
 from .graphs import enumerate_family, graph_to_json
 from .imsets import characteristic_imset, coordinate_index
 from .oracle import VertexCloud, affine_dimension, oracle_adjacent, oracle_facet_check
@@ -24,11 +26,11 @@ def verify_family(spec, checks, limit, seed, emit=None):
     """Run the named checks on `spec`: one (name, passed, detail) row each, in CHECKS order.
 
     Adjacency certifies every vertex pair, or `limit` pairs sampled with
-    `seed`, and stops at its first mismatch; facets certifies each block
-    size once, emits its verdicts for every child of that size and skips a
-    block of more than `limit` rows.  `emit`, when given, gets each
-    certificate as a JSON dict; adjacency records share one serialized graph
-    per member.
+    `seed`, and stops at its first mismatch; facets certifies each distinct
+    block cloud of the members' imsets once, emits its verdicts for every
+    child with that cloud and skips a block of more than `limit` rows.
+    `emit`, when given, gets each certificate as a JSON dict; adjacency
+    records share one serialized graph per member.
     """
     bad = [c for c in checks if c not in CHECKS]
     if bad:
@@ -78,10 +80,12 @@ def verify_family(spec, checks, limit, seed, emit=None):
                      f"mismatch on vertex pair {mismatch[0]},{mismatch[1]}"))
 
     if "facets" in checks:
-        # a block's facet rows and vertex cloud depend on its size k alone
+        # a block's facet rows depend on its size k alone, and so does its
+        # cloud when the encoder is right: each distinct cloud is certified once
         failures = checked = 0
         skipped = []
         verdicts = {}
+        bits = np.frombuffer(b"".join(vecs), dtype=np.uint8).reshape(size, idx.total)
         for i in range(spec.n):
             free = spec.free_mask(i)
             k = free.bit_count()
@@ -90,13 +94,21 @@ def verify_family(spec, checks, limit, seed, emit=None):
             if (1 << k) > limit:
                 skipped.append(spec.ordering.names[i])
                 continue
-            if k not in verdicts:
+            # the cloud: the members' distinct block slices over the coordinates
+            # whose subset holds the floor and is not the floor itself, as in
+            # mobius_data_vector; they follow the free set's graded-lex order
+            subs, floor = idx.block_subsets(i), spec.floor[i]
+            cols = idx.block_for_child(i).offset + np.flatnonzero(
+                ((subs & floor) == floor) & (subs != floor))
+            cloud = tuple(sorted(set(map(bytes, bits[:, cols]))))
+            if cloud not in verdicts:
                 sysk = FacetSystem(k)
-                cloud = VertexCloud(vertex_block_vector(k, s) for s in range(1 << k))
-                verdicts[k] = [(s, oracle_facet_check((s, sysk.dense_row(s)), cloud).verified)
-                               for s in iter_graded_subsets(sysk.universe, include_empty=True)]
+                vertices = VertexCloud(cloud)
+                verdicts[cloud] = [
+                    (s, oracle_facet_check((s, sysk.dense_row(s)), vertices).verified)
+                    for s in iter_graded_subsets(sysk.universe, include_empty=True)]
             names = spec.ordering.names_of_mask(free)
-            for s, verified in verdicts[k]:
+            for s, verified in verdicts[cloud]:
                 checked += 1
                 failures += not verified
                 if emit is not None:

@@ -1,17 +1,22 @@
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cimset.errors import DomainError
 from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family,
-                           full_ordered_family)
+                           family_from_json, full_ordered_family)
 from cimset.learn import (METHODS, compare, k2_backward, k2_forward, optimize_exact,
                           structural_hamming)
 from cimset.oracle import learn_bruteforce
-from cimset.scoring import ScoreTable, table_graph_score
+from cimset.scoring import CRITERIA, ScoreTable, build_score_table, load_csv, table_graph_score
 from test_graphs import family_specs
+
+FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _table(spec, *entries, criterion="custom"):
@@ -39,6 +44,25 @@ def test_exact_tie_takes_graded_lex_first():
     assert optimize_exact(table, spec).graph.parents[2] == 0
     table2 = _table(spec, {0: 0}, {0: 0}, {0: 0, 1: 3, 2: 3, 3: 3})
     assert optimize_exact(table2, spec).graph.parents[2] == 0b01
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_duplicated_column_ties_go_to_the_graded_lex_first_set(criterion):
+    # a2 copies a1, so {a1}, {a2} and {a1, a2} have equal count multisets:
+    # their ll is bit-identical, and bic and aic charge {a1, a2} more
+    spec = family_from_json(json.loads((FIX / "diag_2_2.json").read_text()))
+    data = load_csv(FIX / "diag_2_2_duplicated.csv", spec.ordering)
+    table = build_score_table(data, spec, criterion)
+    for child in (2, 3):
+        one, other, both = (table.local(child, p) for p in (0b01, 0b10, 0b11))
+        assert one == other > table.local(child, 0)
+        assert both == one if criterion == "ll" else both < one
+    assert optimize_exact(table, spec).graph.parents == (0, 0, 0b01, 0b01)
+    assert k2_forward(table, spec).graph.parents == (0, 0, 0b01, 0b01)
+    # backward starts from {a1, a2}: under ll no removal is a strict gain, and
+    # under bic and aic the two equal gains go to removing a1, the lower node
+    want = 0b11 if criterion == "ll" else 0b10
+    assert k2_backward(table, spec).graph.parents == (0, 0, want, want)
 
 
 def test_exact_matches_bruteforce_including_ties():
@@ -190,3 +214,29 @@ def test_k2_never_scores_above_exact_on_random_families(case):
     best = optimize_exact(table, spec).total_score
     assert k2_forward(table, spec).total_score <= best
     assert k2_backward(table, spec).total_score <= best
+
+
+@st.composite
+def tied_float_tables(draw):
+    """A random family whose float scores come from a small pool: many exact
+    ties, and values one ulp apart, which are not ties."""
+    spec = draw(family_specs())
+    seeds = draw(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=3))
+    pool = sorted({v for x in seeds
+                   for v in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf))})
+    cells = tuple({p: draw(st.sampled_from(pool)) for p in spec.iter_admissible(i)}
+                  for i in range(spec.n))
+    return spec, ScoreTable(spec, cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_float_tables())
+def test_exact_is_the_first_max_per_child_on_float_tables(case):
+    # checked per child, not against brute force, whose float sums round
+    spec, table = case
+    res = optimize_exact(table, spec)
+    for i, choice in enumerate(res.per_child):
+        lattice = spec.iter_admissible(i)
+        scores = [table.local(i, p) for p in lattice]
+        assert choice.parents == lattice[scores.index(max(scores))]
+        assert choice.local == max(scores) and choice.evaluated == len(lattice)

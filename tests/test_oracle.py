@@ -62,6 +62,14 @@ def test_lp_rejects_floats():
         lp_feasible([[1]], [0.5])
 
 
+def test_lp_refuses_an_equality_row_it_does_not_have():
+    # row 7 of two: once dropped, so the all-inequality LP answered (1,)
+    with pytest.raises(DomainError, match="equality row 7 is not one of the 2 rows"):
+        lp_feasible([[1], [1]], [1, 2], equalities={7})
+    with pytest.raises(DomainError, match="equality row -1 "):
+        lp_feasible([[1], [1]], [1, 2], equalities=frozenset({0, -1}))
+
+
 def test_lp_shape_mismatch():
     with pytest.raises(DomainError):
         lp_feasible([[1]], [1, 2])
@@ -366,8 +374,26 @@ def test_adjacency_replay_refuses_a_farkas_of_the_wrong_length(farkas):
 
 
 def test_unknown_certificate_kind():
-    with pytest.raises(KeyError):
-        Certificate("nonsense", {}, False).replay()
+    assert Certificate("nonsense", {}, False).replay() is False
+
+
+_PAIR = {"v1": (0, 1), "v2": (1, 0)}
+
+
+@pytest.mark.parametrize("kind, payload", [
+    # a non-integer vertex (DomainError) or a vertex that is no sequence (TypeError)
+    ("facet", {"s": 1, "coefficients": [0, 1], "cloud": [(0,), (0.5,)]}),
+    ("facet", {"s": 1, "coefficients": [0, 1], "cloud": [0, 1]}),
+    # a candidate that is no vector, a multiplier that is no number, no multipliers
+    ("adjacency", dict(_PAIR, candidates=[0], excluded=(), farkas=(1, 1, -1))),
+    ("adjacency", dict(_PAIR, candidates=(), excluded=(), farkas=(1, "x", 2))),
+    ("adjacency", dict(_PAIR, candidates=(), excluded=())),
+    # a combination term without its weight (ValueError), or no list of terms
+    ("non-adjacency", dict(_PAIR, combination=[((0, 0),)])),
+    ("non-adjacency", dict(_PAIR, combination=5)),
+])
+def test_malformed_certificates_replay_false(kind, payload):
+    assert Certificate(kind, payload, False).replay() is False
 
 
 # --- exact affine dimension ---------------------------------------------

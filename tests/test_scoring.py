@@ -18,30 +18,13 @@ from cimset.errors import DomainError, FormatError
 from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family,
                            enumerate_family, full_ordered_family)
 from cimset.imsets import characteristic_imset, coordinate_index
+from cimset.learn import k2_backward, k2_forward, optimize_exact
 from cimset.scoring import (CRITERIA, Dataset, ScoreTable, build_score_table,
                             data_vector_dot, load_csv, local_score, mobius_data_vector,
-                            score_gt, score_graph, score_table_from_json,
-                            score_table_to_json, table_graph_score)
+                            score_graph, score_table_from_json, score_table_to_json,
+                            table_graph_score)
 from cimset.subsets import bits_of
 from test_graphs import family_specs
-
-
-# --- comparator -----------------------------------------------------------
-
-def test_score_gt_exact():
-    assert score_gt(1, 0)
-    assert not score_gt(1, 1)
-    assert not score_gt(0, 1)
-    assert score_gt(Fraction(1, 3), Fraction(333, 1000))
-    assert not score_gt(Fraction(1, 3), Fraction(1, 3))
-
-
-def test_score_gt_float_snap():
-    assert not score_gt(1.0 + 1e-13, 1.0)
-    assert score_gt(1.0 + 1e-9, 1.0)
-    assert not score_gt(1.0, 1.0 + 1e-9)
-    # mixing one float in forces the snapped comparison
-    assert not score_gt(1, 1.0 + 1e-13)
 
 
 # --- datasets -------------------------------------------------------------
@@ -227,7 +210,7 @@ def test_perfect_dependence_prefers_the_parent():
     o = NodeOrdering(("a", "b"))
     rows = tuple((i & 1, i & 1) for i in range(8))
     data = Dataset(o, (2, 2), rows)
-    assert score_gt(local_score(data, 1, 1, "bic"), local_score(data, 1, 0, "bic"))
+    assert local_score(data, 1, 1, "bic") > local_score(data, 1, 0, "bic")
 
 
 # --- the count engine --------------------------------------------------------
@@ -306,6 +289,30 @@ def test_table_bit_identical_under_shuffle_and_relabel(crit):
     shuffled = Dataset(o, cards, tuple(rows))
     assert _tables_identical(build_score_table(shuffled, spec, crit), table)
     assert _tables_identical(build_score_table(_reorder(data, rng), spec, crit), table)
+
+
+def test_independence_learns_one_graph_under_shuffle_and_relabel():
+    # c is independent of a and b in the sample: every count is a product
+    # m(a, b) w(c), so ll({a}) = ll({}) in exact arithmetic; in floats the two
+    # differ by rounding alone, a difference the learners take as it is
+    o = NodeOrdering(("a", "b", "c"))
+    m, w = {(0, 0): 6, (0, 1): 1, (1, 0): 1, (1, 1): 1}, (11, 9)
+    rows = tuple((a, b, c) for (a, b), ma in m.items() for c, wc in enumerate(w)
+                 for _ in range(7 * ma * wc))
+    data = Dataset(o, (2, 2, 2), rows)
+    assert data.n_rows == 1260
+    spec = full_ordered_family(o)
+    ll = build_score_table(data, spec, "ll")
+    assert abs(ll.local(2, 0b01) - ll.local(2, 0)) < 1e-9
+    rng = random.Random(5)
+    learners = (optimize_exact, k2_forward, k2_backward)
+    for crit in CRITERIA:
+        table = build_score_table(data, spec, crit)
+        learned = [f(table, spec).graph for f in learners]
+        for _ in range(3):
+            again = build_score_table(_reorder(data, rng), spec, crit)
+            assert _tables_identical(again, table)
+            assert [f(again, spec).graph for f in learners] == learned
 
 
 def test_wide_floor_codes_do_not_wrap():

@@ -117,3 +117,26 @@ def test_every_check_passes_on_random_families(spec, seed):
     free = [spec.free_mask(i).bit_count() for i in range(spec.n)]
     facet_rows = sum(1 << k for k in free if k and 1 << k <= 40)
     assert len(records) == min(40, size * (size - 1) // 2) + facet_rows
+
+
+def test_facets_are_certified_on_the_members_imsets(monkeypatch):
+    # the first member, the empty graph, mis-encoded: its block b1 gets the
+    # non-vertex (0, 0, 1), so b1's four rows fail while b2's pass
+    encode = cimset.verify.characteristic_imset
+    first = []
+
+    def misencode(g, idx):
+        c = encode(g, idx)
+        if first:
+            return c
+        first.append(g)
+        bits = bytearray(c.bits)
+        bits[2] ^= 1
+        return dataclasses.replace(c, bits=bytes(bits))
+
+    monkeypatch.setattr(cimset.verify, "characteristic_imset", misencode)
+    records = []
+    rows = verify_family(_diag_2_2(), ["facets"], 2000, 0, records.append)
+    assert rows == [("facets", False, "4 rows falsified")]
+    assert [(r["child"], r["verified"]) for r in records] == \
+        [("b1", False)] * 4 + [("b2", True)] * 4
