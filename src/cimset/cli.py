@@ -66,8 +66,7 @@ def _fraction_text(v):
 
 
 def _print_json(obj):
-    json.dump(obj, sys.stdout, indent=2, default=_fraction_text)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, indent=2, default=_fraction_text) + "\n")
 
 
 # --- commands -------------------------------------------------------------

@@ -10,7 +10,6 @@ reports both against the exact answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Tuple
 
 from .errors import DomainError
@@ -54,13 +53,14 @@ def optimize_exact(table: ScoreTable, spec: FamilySpec) -> LearnResult:
 
     Block independence makes the assembled graph the global optimum over
     the entire family.  Scores compare with plain `>` on the stored values,
-    with no tolerance.
+    with no tolerance; a scaled child's numerators share one positive
+    denominator, so they compare as its scores do.
     """
     _check(table, spec)
     choices = []
     for i in range(spec.n):
         lattice = spec.iter_admissible(i)
-        best = max(lattice, key=partial(table.local, i))
+        best = max(lattice, key=table.entries[i].__getitem__)
         choices.append(ChildChoice(i, best, table.local(i, best), len(lattice)))
     return _assemble(spec, choices, "exact")
 
@@ -98,9 +98,11 @@ def _greedy(table: ScoreTable, i: int, p: int, moves) -> ChildChoice:
 
     Each step flips the node of moves(i, p) that improves the local score
     most, and only on strict improvement; ties go to the lowest node index.
-    The choice's `evaluated` counts the table.local calls.
+    Steps compare the stored cell values, as `optimize_exact` does.  The
+    choice's `evaluated` counts the cells read.
     """
-    s = table.local(i, p)
+    cell = table.entries[i]
+    s = cell[p]
     count = 1
     while True:
         best_v = -1
@@ -108,13 +110,13 @@ def _greedy(table: ScoreTable, i: int, p: int, moves) -> ChildChoice:
         rest = moves(i, p)
         while rest:
             low = rest & -rest
-            trial = table.local(i, p ^ low)
+            trial = cell[p ^ low]
             count += 1
             if trial > best_s:
                 best_v, best_s = low, trial
             rest ^= low
         if best_v < 0:
-            return ChildChoice(i, p, s, count)
+            return ChildChoice(i, p, table.local(i, p), count)
         p ^= best_v
         s = best_s
 

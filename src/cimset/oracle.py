@@ -200,16 +200,12 @@ def _check_farkas(rows, rhs, eq_flags, farkas) -> None:
 
 
 def _eq_flags(m: int, equalities) -> List[bool]:
-    if equalities is None:
-        return [False] * m
-    if isinstance(equalities, (set, frozenset)):
-        unknown = [i for i in equalities if i not in range(m)]
-        if unknown:
-            raise DomainError(f"equality row {unknown[0]!r} is not one of the {m} rows")
-        return [i in equalities for i in range(m)]
-    flags = [bool(v) for v in equalities]
-    if len(flags) != m:
-        raise DomainError("equality mask length must match the number of rows")
+    """Per-row equality flags from an iterable of row indices, or None."""
+    flags = [False] * m
+    for i in () if equalities is None else equalities:
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < m:
+            raise DomainError(f"equality row {i!r} is not one of the {m} rows")
+        flags[i] = True
     return flags
 
 

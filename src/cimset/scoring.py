@@ -5,7 +5,9 @@ family factors into per-child blocks, each local score table can be folded
 by a subset Möbius transform into a vector r over the block coordinates,
 and the graph score becomes (sum of per-child offsets) - <r, c_G>.  The
 transform algebra is type-agnostic: integer or Fraction tables stay exact,
-float tables stay float.
+float tables stay float.  A child scored only by Fractions is held as int
+numerators over one denominator, so it is compared and folded as ints;
+a Fraction is built only where a score or a folded value is read out.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import and_, or_
-from typing import Dict, List, Tuple
+from functools import cached_property, reduce
+from operator import and_, mul, or_
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -228,18 +230,33 @@ def local_score(data: Dataset, child: int, parents: int, criterion: str):
 
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
-    """Local score of every admissible parent set, for every child."""
+    """Local score of every admissible parent set, for every child.
+
+    A child whose scores are all Fractions is held scaled: `entries[i]` maps
+    each parent set to an int numerator over `denominators[i]`, the lcm of
+    the scores' denominators, so comparing numerators orders and ties the
+    scores as comparing the Fractions does.  Any other child holds its scores
+    as given, with denominator None.  `local` reads a score either way.
+    Leave `denominators` None unless `entries` already holds numerators:
+    the constructor scales every all-Fraction child itself.
+    """
 
     spec: FamilySpec
     entries: Tuple[Dict[int, object], ...]
     criterion: str = "custom"
+    denominators: Optional[Tuple[Optional[int], ...]] = None
 
     def __post_init__(self):
         spec = self.spec
-        if len(self.entries) != spec.ordering.n:
+        n, names = spec.ordering.n, spec.ordering.names
+        if len(self.entries) != n:
             raise DomainError("one entry map per child required")
+        entries = list(self.entries)
+        dens = [None] * n if self.denominators is None else list(self.denominators)
+        if len(dens) != n:
+            raise DomainError("one denominator per child required")
         cap = spec.max_parents
-        for i, cell in enumerate(self.entries):
+        for i, cell in enumerate(entries):
             # the keys are distinct, so as many as the closed-form count, each
             # an int holding the floor, inside the ceiling and within the cap,
             # are the admissible sets; no child's lattice is listed
@@ -253,18 +270,46 @@ class ScoreTable:
                 keys_match = False
             if not keys_match:
                 raise DomainError(
-                    f"child {spec.ordering.names[i]}: score table keys do not "
+                    f"child {names[i]}: score table keys do not "
                     f"match the admissible parent sets"
                 )
-            for v in cell.values():
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise DomainError("scores must be finite")
+            kinds, d = set(map(type, cell.values())), dens[i]
+            if d is not None:
+                if type(d) is not int or d < 1:
+                    raise DomainError(f"child {names[i]}: denominator {d!r} is not a positive int")
+                if kinds != {int}:
+                    raise DomainError(f"child {names[i]}: a scaled score is not an int")
+            elif kinds == {Fraction}:
+                entries[i], dens[i] = _over_lcm(cell, [v.numerator for v in cell.values()],
+                                                [v.denominator for v in cell.values()])
+            elif any(issubclass(kind, float) for kind in kinds):
+                for v in cell.values():
+                    if isinstance(v, float) and not math.isfinite(v):
+                        raise DomainError("scores must be finite")
+        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "denominators", tuple(dens))
 
     def local(self, child: int, parents: int):
+        """The score of `parents` for `child`: a scaled child's as a Fraction."""
         try:
-            return self.entries[child][parents]
+            v = self.entries[child][parents]
         except (IndexError, KeyError):
             raise DomainError("no score for that child and parent set") from None
+        d = self.denominators[child]
+        return v if d is None else Fraction(v, d)
+
+
+def _over_lcm(keys, nums, dens):
+    """The dict from `keys` to the numerators of nums[j]/dens[j] over one
+    denominator, and that denominator: the lcm of the fractions' lowest-terms
+    denominators."""
+    den = math.lcm(*set(dens))
+    nums = list(map(mul, nums, map(den.__floordiv__, dens)))
+    g = math.gcd(den, *nums)  # above 1 only when some input was not in lowest terms
+    if g > 1:
+        den //= g
+        nums = [v // g for v in nums]
+    return dict(zip(keys, nums)), den
 
 
 def build_score_table(data: Dataset, spec: FamilySpec, criterion: str) -> ScoreTable:
@@ -301,7 +346,7 @@ def score_table_to_json(table: ScoreTable) -> dict:
     names = table.spec.ordering.names
     for i, cell in enumerate(table.entries):
         for p in sorted(cell, key=lambda m: (m.bit_count(), m)):
-            v = cell[p]
+            v = table.local(i, p)
             if isinstance(v, Fraction):
                 v = str(v)
             scores.append({"child": names[i],
@@ -311,29 +356,36 @@ def score_table_to_json(table: ScoreTable) -> dict:
             "scores": scores}
 
 
-def _rational(text: str) -> Fraction:
-    """Fraction(text).  The plain ASCII forms score_table_to_json writes,
-    `-?digits` and `-?digits/digits`, are read as ints without Fraction's
-    regex; every other text goes to Fraction itself."""
+def _rational(text: str) -> Tuple[int, int]:
+    """(numerator, denominator) of Fraction(text), the denominator positive.
+    The plain ASCII forms score_table_to_json writes, `-?digits` and
+    `-?digits/digits`, are read as ints without Fraction's regex and are
+    not reduced; every other text goes to Fraction itself."""
     num, slash, den = text.partition("/")
     if text.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-    return Fraction(text)
+        d = int(den) if slash else 1
+        if not d:
+            raise ZeroDivisionError(f"Fraction({num}, 0)")
+        return int(num), d
+    f = Fraction(text)
+    return f.numerator, f.denominator
 
 
-def _score_entry(spec: FamilySpec, entries, k: int, item) -> None:
+def _score_entry(spec: FamilySpec, entries, texts, k: int, item) -> None:
     """Check score entry `k` and add it to its child's cell, or raise its FormatError."""
     if not isinstance(item, dict) or "child" not in item or "score" not in item:
         raise FormatError(f"score entry {k}: needs 'child' and 'score'")
     try:
-        cell = entries[spec.ordering.index(item["child"])]
+        i = spec.ordering.index(item["child"])
     except (DomainError, TypeError) as exc:
         raise FormatError(f"score entry {k}: {exc}") from None
+    cell = entries[i]
     mask = _names_to_mask(spec.ordering, item.get("parents", []), "score entry", k)
     v = item["score"]
+    d = None
     if isinstance(v, str):
         try:
-            v = _rational(v)
+            v, d = _rational(v)
         except (ValueError, ZeroDivisionError):
             raise FormatError(f"score entry {k}: bad rational '{v}'") from None
     elif isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -344,6 +396,8 @@ def _score_entry(spec: FamilySpec, entries, k: int, item) -> None:
             f"with parents {list(spec.ordering.names_of_mask(mask))}"
         )
     cell[mask] = v
+    if d is not None:
+        texts[i][mask] = d
 
 
 def score_table_from_json(obj) -> ScoreTable:
@@ -352,17 +406,20 @@ def score_table_from_json(obj) -> ScoreTable:
     spec = family_from_json(obj["family"])
     position = spec.ordering.position
     bit = {name: 1 << i for name, i in position.items()}
-    entries: Tuple[Dict[int, object], ...] = tuple({} for _ in spec.ordering.names)
+    entries: List[Dict[int, object]] = [{} for _ in spec.ordering.names]
+    # a "p/q" score is held as p in its cell and q in its child's texts
+    texts: List[Dict[int, int]] = [{} for _ in spec.ordering.names]
     for k, item in enumerate(obj["scores"]):
         # the plain entry a JSON table holds is read here; any other goes
         # through _score_entry, which accepts or refuses it
         try:
-            cell = entries[position[item["child"]]]
+            i = position[item["child"]]
+            cell = entries[i]
             names, v = item["parents"], item["score"]
             mask = sum(map(bit.__getitem__, names))  # a repeated name carries
             kind = type(v)
             if kind is str:
-                v = _rational(v)
+                v, d = _rational(v)
             plain = (type(item) is dict and type(names) is list
                      and mask.bit_count() == len(names) and mask not in cell
                      and (kind is str or kind is int or kind is float))
@@ -370,10 +427,21 @@ def score_table_from_json(obj) -> ScoreTable:
             plain = False
         if plain:
             cell[mask] = v
+            if kind is str:
+                texts[i][mask] = d
         else:
-            _score_entry(spec, entries, k, item)
+            _score_entry(spec, entries, texts, k, item)
+    # a child of texts only is scaled to one denominator; a text among
+    # numbers becomes a Fraction, so its child keeps the types it was given
+    dens = [None] * len(entries)
+    for i, (cell, den) in enumerate(zip(entries, texts)):
+        if den and len(den) == len(cell):
+            entries[i], dens[i] = _over_lcm(den, map(cell.__getitem__, den), den.values())
+        else:
+            for p, d in den.items():
+                cell[p] = Fraction(cell[p], d)
     try:
-        return ScoreTable(spec, entries, str(obj.get("criterion", "custom")))
+        return ScoreTable(spec, tuple(entries), str(obj.get("criterion", "custom")), tuple(dens))
     except DomainError as exc:
         raise FormatError(str(exc)) from None
 
@@ -387,18 +455,35 @@ class DataVector:
     For every admissible parent set P of child i the identity
     offsets[i] - sum(values over coordinates (i, S) with S <= P) = local(i, P)
     holds; summing over children turns the table score into
-    sum(offsets) - <r, c_G>.
+    sum(offsets) - <r, c_G>.  `folded` is r as the fold leaves it: the block
+    of a child the table holds scaled (see ScoreTable) as int numerators over
+    `denominators[child]`, every other block as r itself.
     """
 
     index: CoordinateIndex
-    values: Tuple[object, ...]
+    folded: Tuple[object, ...]
+    denominators: Tuple[Optional[int], ...]
     offsets: Tuple[object, ...]
 
     def __post_init__(self):
-        if len(self.values) != self.index.total:
+        if len(self.folded) != self.index.total:
             raise DomainError("one value per coordinate required")
-        if len(self.offsets) != self.index.spec.ordering.n:
+        n = self.index.spec.ordering.n
+        if len(self.denominators) != n:
+            raise DomainError("one denominator per child required")
+        if len(self.offsets) != n:
             raise DomainError("one offset per child required")
+
+    @cached_property
+    def values(self) -> Tuple[object, ...]:
+        """r: a scaled block's minimal lifts as Fractions, its other rows int 0."""
+        values = list(self.folded)
+        for block in self.index.blocks:
+            d = self.denominators[block.child]
+            if d is not None:
+                for j in (block.offset + _lift_rows(self.index, block.child)).tolist():
+                    values[j] = Fraction(values[j], d)
+        return tuple(values)
 
     @property
     def s_total(self):
@@ -408,38 +493,38 @@ class DataVector:
         return total
 
 
+def _lift_rows(index: CoordinateIndex, child: int) -> np.ndarray:
+    """The rows of the child's block at a minimal lift: the block subsets S
+    that contain the floor and differ from it."""
+    floor = index.spec.floor[child]
+    subs = index.block_subsets(child)
+    return np.flatnonzero(((subs & floor) == floor) & (subs != floor))
+
+
 def _fold(cells: list, k: int, source: np.ndarray) -> np.ndarray:
     """Möbius-fold one block's table cells (listed in lift order) and return
     the negated results at `source`, as an object array of Python scalars.
 
     Every value has the type and value the scalar fold over Python objects
     gives: an all-float block folds in float64 (the same IEEE operations in
-    the same order); an all-int or all-Fraction block is scaled by the lcm
-    of its denominators and folds in int64 while no partial sum can reach
-    2**63, else in Python ints, then divides once; any other block folds as
-    Python objects.
+    the same order); an all-int block folds in int64 while no partial sum
+    can reach 2**63, else in Python ints; any other block folds as Python
+    objects.
     """
     kinds = set(map(type, cells))
     if kinds == {float}:
         arr = np.array(cells, dtype=np.float64)
         mobius_subsets_inplace(arr, k)
         return (-arr[source]).astype(object)
-    if kinds != {int} and kinds != {Fraction}:
+    if kinds != {int}:
         arr = np.array(cells, dtype=object)
         mobius_subsets_inplace(arr, k)
         return -arr[source]
-    scale = 1
-    if kinds == {Fraction}:
-        scale = math.lcm(*(v.denominator for v in cells))
-        cells = [v.numerator * (scale // v.denominator) for v in cells]
     # after pass j every entry is a signed sum of 2**j inputs
     bound = max(max(cells), -min(cells))
     arr = np.array(cells, dtype=np.int64 if bound << k < 1 << 63 else object)
     mobius_subsets_inplace(arr, k)
-    out = (-arr[source]).astype(object)
-    if kinds == {Fraction}:
-        out[:] = [Fraction(v, scale) for v in out.tolist()]
-    return out
+    return (-arr[source]).astype(object)
 
 
 def mobius_data_vector(table: ScoreTable, index: CoordinateIndex) -> DataVector:
@@ -447,7 +532,8 @@ def mobius_data_vector(table: ScoreTable, index: CoordinateIndex) -> DataVector:
 
     Within each block the transform runs over the child's free sublattice;
     the result lands on the minimal lift (free part united with the floor),
-    every other coordinate of the block gets zero.
+    every other coordinate of the block gets zero.  A scaled child's
+    numerators fold as ints over its denominator.
     """
     spec = table.spec
     if spec != index.spec:
@@ -455,20 +541,20 @@ def mobius_data_vector(table: ScoreTable, index: CoordinateIndex) -> DataVector:
     if spec.max_parents is not None:
         raise UnsupportedError("block objectives for capped families are unsupported")
 
-    values = np.zeros(index.total, dtype=object)
+    folded = np.zeros(index.total, dtype=object)
     offsets = tuple(table.local(i, spec.floor[i]) for i in range(spec.ordering.n))
     for block in index.blocks:
         i = block.child
         floor, free = spec.floor[i], spec.free_mask(i)
         k = free.bit_count()
-        # the child's table cells in transform order, and the block rows of
-        # the minimal lifts (S contains the floor and differs from it)
+        # the child's table cells in transform order, and where each lift
+        # row's value sits in the folded block
         lift = floor | pdep(np.arange(1 << k), free)
         cells = list(map(table.entries[i].__getitem__, lift.tolist()))
-        subs = index.block_subsets(i)
-        rows = np.flatnonzero(((subs & floor) == floor) & (subs != floor))
-        values[block.offset + rows] = _fold(cells, k, pext(subs[rows], free))
-    return DataVector(index, tuple(values.tolist()), offsets)
+        rows = _lift_rows(index, i)
+        source = pext(index.block_subsets(i)[rows], free)
+        folded[block.offset + rows] = _fold(cells, k, source)
+    return DataVector(index, tuple(folded.tolist()), table.denominators, offsets)
 
 
 def data_vector_dot(dv: DataVector, c: CharImset):
@@ -483,17 +569,28 @@ def data_vector_dot(dv: DataVector, c: CharImset):
 
 
 def score_graph(dv: DataVector, g: ParentMap):
-    """Graph quality sum(offsets) - <r, c_g>, computed blockwise."""
+    """Graph quality sum(offsets) - <r, c_g>, computed blockwise.
+
+    A scaled block's picked numerators are summed as ints and subtracted as
+    one Fraction while the total is exact; otherwise every nonzero value is
+    subtracted in turn, so a float total rounds value by value, as the
+    scalar sum over `values` does.
+    """
     spec = dv.index.spec
     if not family_contains(spec, g):
         raise DomainError("graph is not a member of the data vector's family")
     total = dv.s_total
-    values = dv.values
+    folded = dv.folded
     for block in dv.index.blocks:
-        pa = g.parents[block.child]
-        subs = dv.index.block_subsets(block.child)
-        for j in np.flatnonzero((subs & pa) == subs).tolist():
-            v = values[block.offset + j]
+        i, base = block.child, block.offset
+        subs = dv.index.block_subsets(i)
+        picked = [folded[base + j] for j in np.flatnonzero((subs & g.parents[i]) == subs).tolist()]
+        d = dv.denominators[i]
+        if d is not None and isinstance(total, Fraction):
+            if s := sum(picked):
+                total = total - Fraction(s, d)
+            continue
+        for v in picked:
             if v != 0:
-                total = total - v
+                total = total - (v if d is None else Fraction(v, d))
     return total

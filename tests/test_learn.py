@@ -14,7 +14,9 @@ from cimset.learn import (METHODS, compare, k2_backward, k2_forward, optimize_ex
                           structural_hamming)
 from cimset.oracle import learn_bruteforce
 from cimset.scoring import CRITERIA, ScoreTable, build_score_table, load_csv, table_graph_score
+from cimset.subsets import bits_of
 from test_graphs import family_specs
+from test_scoring import rational_table_pair, rational_tables
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -240,3 +242,47 @@ def test_exact_is_the_first_max_per_child_on_float_tables(case):
         scores = [table.local(i, p) for p in lattice]
         assert choice.parents == lattice[scores.index(max(scores))]
         assert choice.local == max(scores) and choice.evaluated == len(lattice)
+
+
+def _reference_choices(spec, cells, method):
+    """Each child's parent set by a first maximum or a greedy walk over the
+    scores as given: Fractions and ints compared with `>`."""
+    chosen = []
+    for i, cell in enumerate(cells):
+        lattice = spec.iter_admissible(i)
+        if method == "exact":
+            chosen.append(max(lattice, key=cell.__getitem__))
+            continue
+        forward = method == "k2-forward"
+        p = spec.floor[i] if forward else max(lattice, key=int.bit_count)
+        while True:
+            if forward:
+                full = spec.max_parents is not None and p.bit_count() >= spec.max_parents
+                moves = [] if full else [p | 1 << b for b in bits_of(spec.free_mask(i) & ~p)]
+            else:
+                moves = [p & ~(1 << b) for b in bits_of(p & ~spec.floor[i])]
+            best = max(moves, key=cell.__getitem__, default=None)  # ties: lowest node
+            if best is None or not cell[best] > cell[p]:
+                break
+            p = best
+        chosen.append(p)
+    return chosen
+
+
+@settings(max_examples=120, deadline=None)
+@given(rational_tables())
+def test_learners_on_rational_tables_choose_as_the_fractions_do(case):
+    # the table holds each all-Fraction child as numerators over one
+    # denominator, built directly or read from JSON; ties included, every
+    # learner picks what the Fractions themselves pick, and reports them
+    spec, cells = case
+    for table in rational_table_pair(spec, cells):
+        for learner in (optimize_exact, k2_forward, k2_backward):
+            res = learner(table, spec)
+            want = _reference_choices(spec, cells, res.method)
+            assert list(res.graph.parents) == want
+            for c, p in zip(res.per_child, want):
+                v = cells[c.child][p]
+                assert c.local == v and type(c.local) is type(v)
+            total = sum(cells[i][p] for i, p in enumerate(want))
+            assert res.total_score == total and type(res.total_score) is type(total)

@@ -70,6 +70,19 @@ def test_lp_refuses_an_equality_row_it_does_not_have():
         lp_feasible([[1], [1]], [1, 2], equalities=frozenset({0, -1}))
 
 
+def test_lp_reads_every_equalities_iterable_as_row_indices():
+    # x0 = 1 with x0 <= 2 is feasible, x0 = 1 with x0 = 2 is not, whatever
+    # holds the indices; a bool or an index past the rows is refused, not
+    # read as a per-row flag
+    got = {lp_feasible([[1], [1]], [1, 2], equalities=eq) for eq in ([0], (0,), {0}, iter([0]))}
+    assert got == {(Fraction(1),)}
+    got = {lp_feasible([[1], [1]], [1, 2], equalities=eq) for eq in ([1, 0], (1, 0), {1, 0})}
+    assert got == {None}
+    for eq, shown in (((0, 7), "7"), ([True], "True"), ([0.0], "0.0"), (["0"], "'0'")):
+        with pytest.raises(DomainError, match=f"equality row {shown} is not one of the 2 rows"):
+            lp_feasible([[1], [1]], [1, 2], equalities=eq)
+
+
 def test_lp_shape_mismatch():
     with pytest.raises(DomainError):
         lp_feasible([[1]], [1, 2])
@@ -92,7 +105,7 @@ _SYSTEMS = st.integers(1, 4).flatmap(lambda n: st.lists(
 def test_lp_mixed_entry_types_give_the_all_fraction_point(system):
     rows = [r for r, _, _ in system]
     rhs = [b for _, b, _ in system]
-    eq = [e for _, _, e in system]
+    eq = [k for k, (_, _, e) in enumerate(system) if e]
     x = lp_feasible(rows, rhs, eq)
     # every entry a Fraction takes the general integerizing path throughout
     assert x == lp_feasible([[Fraction(v) for v in r] for r in rows],
@@ -248,7 +261,7 @@ def _lp_adjacent(b1, b2, vecs):
     others = [u for u in vecs if u not in (b1, b2)]
     rows = [[u[j] for u in others] for j in range(len(b1))] + [[1] * len(others)]
     rhs = [*map(operator.add, b1, b2), 2]
-    return lp_feasible(rows, rhs, [True] * len(rows)) is None
+    return lp_feasible(rows, rhs, range(len(rows))) is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,7 +16,7 @@ import cimset.scoring
 from cimset.cli import main
 from cimset.errors import DomainError, FormatError
 from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family,
-                           enumerate_family, full_ordered_family)
+                           enumerate_family, family_to_json, full_ordered_family)
 from cimset.imsets import characteristic_imset, coordinate_index
 from cimset.learn import k2_backward, k2_forward, optimize_exact
 from cimset.scoring import (CRITERIA, Dataset, ScoreTable, build_score_table,
@@ -519,7 +519,12 @@ def test_rational_reads_text_as_fraction_does(text):
             return parse(text)
         except (ValueError, ZeroDivisionError) as exc:
             return type(exc)
-    got, want = read(cimset.scoring._rational), read(Fraction)
+    pair = read(cimset.scoring._rational)
+    if type(pair) is tuple:
+        n, d = pair
+        assert type(n) is int and type(d) is int and d > 0
+    got = read(lambda t: Fraction(*cimset.scoring._rational(t)))
+    want = read(Fraction)
     assert got == want and type(got) is type(want)
 
 
@@ -733,6 +738,100 @@ def test_fold_of_ints_past_int64_stays_exact():
                  lambda: Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.choice(primes))):
         entries = tuple({p: draw() for p in spec.iter_admissible(i)} for i in range(spec.n))
         _check_fold(ScoreTable(spec, entries), list(enumerate_family(spec)))
+
+
+@st.composite
+def rational_tables(draw, capped=True):
+    """A random family with Fraction scores over denominators 1..12, drawn
+    from a pool of at most six values so that exact ties are common, and
+    one child with an int among its Fractions: (spec, per-child dicts)."""
+    spec = draw(family_specs())
+    if not capped:
+        spec = dataclasses.replace(spec, max_parents=None)
+    pool = draw(st.lists(st.fractions(-4, 4, max_denominator=12), min_size=1, max_size=6))
+    cells = [{p: draw(st.sampled_from(pool)) for p in spec.iter_admissible(i)}
+             for i in range(spec.n)]
+    mixed = cells[draw(st.integers(0, spec.n - 1))]
+    mixed[draw(st.sampled_from(sorted(mixed)))] = draw(st.integers(-4, 4))
+    return spec, cells
+
+
+def rational_table_pair(spec, cells):
+    """The table of `cells` built directly and read back from its JSON text."""
+    direct = ScoreTable(spec, tuple(map(dict, cells)))
+    return direct, score_table_from_json(json.loads(json.dumps(score_table_to_json(direct))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(rational_tables(capped=False))
+def test_rational_tables_fold_and_score_as_their_fractions_do(case):
+    spec, cells = case
+    members = list(itertools.islice(enumerate_family(spec), 200))
+    for table in rational_table_pair(spec, cells):
+        for i, cell in enumerate(cells):
+            assert all(_same(table.local(i, p), v) for p, v in cell.items())
+        # the values against the scalar fold of the Fractions, and every
+        # member's score_graph against its table score
+        _check_fold(table, members)
+
+
+def test_rational_table_from_json_holds_numerators_over_the_lcm():
+    spec = diagnosis_family(2, 1)
+    obj = {"family": family_to_json(spec), "scores": [
+        {"child": "a1", "parents": [], "score": 4},
+        {"child": "a2", "parents": [], "score": "-3/9"},
+        {"child": "b1", "parents": [], "score": "1/2"},
+        {"child": "b1", "parents": ["a1"], "score": "-1/3"},
+        {"child": "b1", "parents": ["a2"], "score": "5/4"},
+        {"child": "b1", "parents": ["a1", "a2"], "score": "2/4"}]}
+    table = score_table_from_json(obj)
+    assert table.denominators == (None, 3, 12)
+    assert table.entries == ({0: 4}, {0: -1}, {0: 6, 1: -4, 2: 15, 3: 6})
+    assert all(type(v) is int for cell in table.entries for v in cell.values())
+    assert table.local(2, 3) == Fraction(1, 2) and type(table.local(2, 3)) is Fraction
+    assert table.local(1, 0) == Fraction(-1, 3) and type(table.local(0, 0)) is int
+    # a text among numbers stays a Fraction, and its child is not scaled
+    obj["scores"][4]["score"] = 5
+    table = score_table_from_json(obj)
+    assert table.denominators == (None, 3, None)
+    assert [type(v) for v in table.entries[2].values()] == [Fraction, Fraction, int, Fraction]
+    # the library constructor scales an all-Fraction child the same way
+    direct = ScoreTable(spec, ({0: 4}, {0: Fraction(-1, 3)},
+                               {p: Fraction(v, 12) for p, v in enumerate((6, -4, 15, 6))}))
+    assert direct.denominators == (None, 3, 12)
+    assert direct.entries[2] == {0: 6, 1: -4, 2: 15, 3: 6}
+
+
+@pytest.mark.parametrize("denominators, message", [
+    ((None, None), "one denominator per child required"),
+    ((None, None, 0), "child b1: denominator 0 is not a positive int"),
+    ((None, None, True), "child b1: denominator True is not a positive int"),
+    ((None, None, 2.0), "child b1: denominator 2.0 is not a positive int"),
+    ((None, 3, None), "child a2: a scaled score is not an int"),
+    ((None, None, 2), "child b1: a scaled score is not an int"),
+])
+def test_score_table_refuses_bad_denominators(denominators, message):
+    spec = diagnosis_family(2, 1)
+    cells = ({0: 1}, {0: Fraction(1, 3)}, {0: 1, 1: 2, 2: 3, 3: Fraction(1, 2)})
+    with pytest.raises(DomainError) as refused:
+        ScoreTable(spec, cells, "custom", denominators)
+    assert str(refused.value) == message
+
+
+def test_values_of_a_scaled_block_with_a_floor_are_int_zero_off_the_lifts():
+    o = NodeOrdering(("a", "b", "c", "d"))
+    spec = FamilySpec(o, (0, 0, 0, 0b10), (0, 0, 0, 0b111))
+    table = _random_table(spec, random.Random(14), exact=True)
+    assert table.denominators[3] is not None
+    idx = coordinate_index(spec)
+    dv = mobius_data_vector(table, idx)
+    assert all(type(v) is int for v in dv.folded)
+    block = idx.block_for_child(3)
+    for j, s in enumerate(idx.block_subsets(3).tolist()):
+        v = dv.values[block.offset + j]
+        lift = s & 0b10 and s != 0b10
+        assert type(v) is (Fraction if lift else int)
+        assert lift or v == 0
 
 
 def test_data_vector_guards():
