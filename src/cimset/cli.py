@@ -186,35 +186,33 @@ def cmd_verify(args) -> int:
 
 
 def _load_table(args):
+    """The score table and family of learn or compare-k2; --rational refuses a float score."""
     if args.scores and args.data:
         raise FormatError("give either --scores or --data, not both")
     if args.scores:
         if args.max_parents is not None:
             raise FormatError("--max-parents applies only with --data")
+        if args.criterion is not None:
+            raise FormatError("--criterion applies only with --data")
         table = score_table_from_json(_load_json(args.scores, "score table"))
         if args.family:
             spec = family_from_json(_load_json(args.family, "family"))
             if spec != table.spec:
                 raise DomainError("score table and --family describe different families")
-        return table, table.spec
-    if not args.data:
-        raise FormatError("one of --scores or --data is required")
-    if not args.family:
-        raise FormatError("--data requires --family")
-    spec = family_from_json(_load_json(args.family, "family"))
-    if args.max_parents is not None:
-        spec = dataclasses.replace(spec, max_parents=args.max_parents)
-    data = load_csv(args.data, spec.ordering)
-    return build_score_table(data, spec, args.criterion), spec
-
-
-def _check_rational(table):
-    for cell in table.entries:
-        for v in cell.values():
-            if isinstance(v, float):
-                raise DomainError(
-                    "--rational requires an exact score table (integers or rationals)"
-                )
+    else:
+        if not args.data:
+            raise FormatError("one of --scores or --data is required")
+        if not args.family:
+            raise FormatError("--data requires --family")
+        spec = family_from_json(_load_json(args.family, "family"))
+        if args.max_parents is not None:
+            spec = dataclasses.replace(spec, max_parents=args.max_parents)
+        data = load_csv(args.data, spec.ordering)
+        table = build_score_table(data, spec, args.criterion or "bic")
+    if args.rational and any(isinstance(v, float) for cell in table.entries
+                             for v in cell.values()):
+        raise DomainError("--rational requires an exact score table (integers or rationals)")
+    return table, table.spec
 
 
 def _result_json(r):
@@ -229,8 +227,6 @@ def _result_json(r):
 
 def cmd_learn(args) -> int:
     table, spec = _load_table(args)
-    if args.rational:
-        _check_rational(table)
     runners = {"exact": optimize_exact, "k2f": k2_forward, "k2b": k2_backward}
     wanted = list(runners) if args.method == "all" else [args.method]
     results = {name: runners[name](table, spec) for name in wanted}
@@ -291,7 +287,8 @@ def _add_table_source(p):
     p.add_argument("--scores", help="score table JSON")
     p.add_argument("--data", help="CSV dataset")
     p.add_argument("--family", help="family JSON (required with --data)")
-    p.add_argument("--criterion", choices=("bic", "aic", "ll"), default="bic")
+    p.add_argument("--criterion", choices=("bic", "aic", "ll"), default=None,
+                   help="local score of --data (default bic)")
     p.add_argument("--max-parents", type=int, default=None)
     p.add_argument("--rational", action="store_true",
                    help="require exact scores end to end")

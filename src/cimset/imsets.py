@@ -33,6 +33,11 @@ class CoordinateIndex:
     """Layout of the stored imset coordinates for one family."""
 
     def __init__(self, spec: FamilySpec):
+        if spec.max_parents is not None:
+            raise UnsupportedError(
+                "coordinate geometry for capped families is unsupported: the block "
+                "polytopes are no longer full simplices over the ceiling lattice"
+            )
         self.spec = spec
         blocks = []
         subset_arrays = []
@@ -60,6 +65,7 @@ class CoordinateIndex:
         self._child_of = np.repeat(np.array([b.child for b in blocks], dtype=np.intp),
                                    [b.size for b in blocks])
         self._block_of_child = {b.child: j for j, b in enumerate(blocks)}
+        self._lifts = {}  # child -> lift_rows(child)
 
     def __eq__(self, other):
         return isinstance(other, CoordinateIndex) and self.spec == other.spec
@@ -79,6 +85,17 @@ class CoordinateIndex:
         """The numpy array of subset masks for one child's block."""
         return self._subsets[self._block_of_child[child]]
 
+    def lift_rows(self, child: int) -> np.ndarray:
+        """The positions in the child's block of its minimal lifts: the subsets
+        that hold the floor and differ from it, in the free set's graded-lex
+        order.  A read-only array, built on first use."""
+        if child not in self._lifts:
+            subs, floor = self.block_subsets(child), self.spec.floor[child]
+            rows = np.flatnonzero(((subs & floor) == floor) & (subs != floor))
+            rows.flags.writeable = False
+            self._lifts[child] = rows
+        return self._lifts[child]
+
     def position(self, child: int, subset_mask: int) -> int:
         block = self.block_for_child(child)
         if subset_mask == 0 or subset_mask & ~block.universe:
@@ -93,11 +110,6 @@ class CoordinateIndex:
 
 
 def coordinate_index(spec: FamilySpec) -> CoordinateIndex:
-    if spec.max_parents is not None:
-        raise UnsupportedError(
-            "coordinate geometry for capped families is unsupported: the block "
-            "polytopes are no longer full simplices over the ceiling lattice"
-        )
     return CoordinateIndex(spec)
 
 

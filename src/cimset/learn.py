@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 from .errors import DomainError
 from .graphs import FamilySpec, ParentMap, _parent_map_unchecked
-from .scoring import ScoreTable
+from .scoring import ScoreTable, _ordered_sum
 
 METHODS = ("exact", "k2-forward", "k2-backward")
 
@@ -37,10 +37,7 @@ class LearnResult:
 
 def _assemble(spec: FamilySpec, choices: List[ChildChoice], method: str) -> LearnResult:
     g = _parent_map_unchecked(spec.ordering, tuple(c.parents for c in choices))
-    total = 0
-    for c in choices:
-        total = total + c.local
-    return LearnResult(g, total, tuple(choices), method)
+    return LearnResult(g, _ordered_sum(c.local for c in choices), tuple(choices), method)
 
 
 def _check(table: ScoreTable, spec: FamilySpec) -> None:

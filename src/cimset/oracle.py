@@ -548,8 +548,6 @@ def _eliminate(r: Dict[int, int], basis: Dict[int, Dict[int, int]]) -> Dict[int,
         if not pivots:
             return r
         for c in pivots:
-            if c not in r:
-                continue
             b = basis[c]
             if len(b) == 1:
                 # unit row: eliminating just deletes the column

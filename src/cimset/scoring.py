@@ -18,13 +18,13 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import and_, mul, or_
+from operator import add, and_, mul, or_
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import limits
-from .errors import DomainError, FormatError, UnsupportedError
+from .errors import DomainError, FormatError
 from .graphs import FamilySpec, NodeOrdering, ParentMap, _names_to_mask, family_contains, \
     family_from_json, family_to_json
 from .imsets import CharImset, CoordinateIndex
@@ -333,19 +333,23 @@ def build_score_table(data: Dataset, spec: FamilySpec, criterion: str) -> ScoreT
     return ScoreTable(spec, entries, crit)
 
 
+def _ordered_sum(values):
+    """0 + v0 + v1 + ..., added left to right.  Not `sum()`, which compensates
+    float additions from Python 3.12: sum([0.1] * 10 + [1e16, 1.0, -1e16]) is
+    0.0 on 3.11 and 2.0 on 3.12, while this fold gives 0.0 on every version."""
+    return reduce(add, values, 0)
+
+
 def table_graph_score(table: ScoreTable, g: ParentMap):
     """Sum of the per-child locals at the graph's parent sets."""
-    total = 0
-    for i, p in enumerate(g.parents):
-        total = total + table.local(i, p)
-    return total
+    return _ordered_sum(map(table.local, range(len(g.parents)), g.parents))
 
 
 def score_table_to_json(table: ScoreTable) -> dict:
     scores = []
     names = table.spec.ordering.names
-    for i, cell in enumerate(table.entries):
-        for p in sorted(cell, key=lambda m: (m.bit_count(), m)):
+    for i in range(len(names)):
+        for p in table.spec.iter_admissible(i):
             v = table.local(i, p)
             if isinstance(v, Fraction):
                 v = str(v)
@@ -358,7 +362,7 @@ def score_table_to_json(table: ScoreTable) -> dict:
 
 def _rational(text: str) -> Tuple[int, int]:
     """(numerator, denominator) of Fraction(text), the denominator positive.
-    The plain ASCII forms score_table_to_json writes, `-?digits` and
+    The ASCII forms score_table_to_json writes, `-?digits` and
     `-?digits/digits`, are read as ints without Fraction's regex and are
     not reduced; every other text goes to Fraction itself."""
     num, slash, den = text.partition("/")
@@ -371,33 +375,33 @@ def _rational(text: str) -> Tuple[int, int]:
     return f.numerator, f.denominator
 
 
-def _score_entry(spec: FamilySpec, entries, texts, k: int, item) -> None:
-    """Check score entry `k` and add it to its child's cell, or raise its FormatError."""
+def _entry_error(ordering: NodeOrdering, k: int, item) -> FormatError:
+    """The FormatError of score entry `k`, which the reader refused: the first
+    of its shape, child, parents and score checks that fails, else a repeat of
+    its child and parent set."""
     if not isinstance(item, dict) or "child" not in item or "score" not in item:
-        raise FormatError(f"score entry {k}: needs 'child' and 'score'")
+        return FormatError(f"score entry {k}: needs 'child' and 'score'")
     try:
-        i = spec.ordering.index(item["child"])
+        ordering.index(item["child"])
     except (DomainError, TypeError) as exc:
-        raise FormatError(f"score entry {k}: {exc}") from None
-    cell = entries[i]
-    mask = _names_to_mask(spec.ordering, item.get("parents", []), "score entry", k)
+        return FormatError(f"score entry {k}: {exc}")
+    try:
+        mask = _names_to_mask(ordering, item.get("parents", []), "score entry", k)
+    except FormatError as exc:
+        return exc
     v = item["score"]
-    d = None
     if isinstance(v, str):
         try:
-            v, d = _rational(v)
+            _rational(v)
         except (ValueError, ZeroDivisionError):
-            raise FormatError(f"score entry {k}: bad rational '{v}'") from None
+            return FormatError(f"score entry {k}: bad rational '{v}'")
     elif isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise FormatError(f"score entry {k}: score must be a number")
-    if mask in cell:
-        raise FormatError(
-            f"score entry {k}: a second score for child {item['child']!r} "
-            f"with parents {list(spec.ordering.names_of_mask(mask))}"
-        )
-    cell[mask] = v
-    if d is not None:
-        texts[i][mask] = d
+        return FormatError(f"score entry {k}: score must be a number")
+    return FormatError(f"score entry {k}: a second score for child {item['child']!r} "
+                       f"with parents {list(ordering.names_of_mask(mask))}")
+
+
+_NO_PARENTS: list = []  # the parents of an entry that lists none; never written
 
 
 def score_table_from_json(obj) -> ScoreTable:
@@ -410,27 +414,28 @@ def score_table_from_json(obj) -> ScoreTable:
     # a "p/q" score is held as p in its cell and q in its child's texts
     texts: List[Dict[int, int]] = [{} for _ in spec.ordering.names]
     for k, item in enumerate(obj["scores"]):
-        # the plain entry a JSON table holds is read here; any other goes
-        # through _score_entry, which accepts or refuses it
         try:
+            if not isinstance(item, dict):
+                raise TypeError
             i = position[item["child"]]
             cell = entries[i]
-            names, v = item["parents"], item["score"]
+            names, v = item.get("parents", _NO_PARENTS), item["score"]
+            if not isinstance(names, list):
+                raise TypeError
             mask = sum(map(bit.__getitem__, names))  # a repeated name carries
+            if mask.bit_count() != len(names) or mask in cell:
+                raise KeyError
+            # an int or float subclass, or a str one, is accepted after the exact types
             kind = type(v)
-            if kind is str:
-                v, d = _rational(v)
-            plain = (type(item) is dict and type(names) is list
-                     and mask.bit_count() == len(names) and mask not in cell
-                     and (kind is str or kind is int or kind is float))
+            exact = kind is int or kind is float
+            if kind is str or not exact and isinstance(v, str):
+                cell[mask], texts[i][mask] = _rational(v)
+            elif exact or kind is not bool and isinstance(v, (int, float)):
+                cell[mask] = v
+            else:
+                raise TypeError
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
-            plain = False
-        if plain:
-            cell[mask] = v
-            if kind is str:
-                texts[i][mask] = d
-        else:
-            _score_entry(spec, entries, texts, k, item)
+            raise _entry_error(spec.ordering, k, item) from None
     # a child of texts only is scaled to one denominator; a text among
     # numbers becomes a Fraction, so its child keeps the types it was given
     dens = [None] * len(entries)
@@ -481,24 +486,13 @@ class DataVector:
         for block in self.index.blocks:
             d = self.denominators[block.child]
             if d is not None:
-                for j in (block.offset + _lift_rows(self.index, block.child)).tolist():
+                for j in (block.offset + self.index.lift_rows(block.child)).tolist():
                     values[j] = Fraction(values[j], d)
         return tuple(values)
 
     @property
     def s_total(self):
-        total = 0
-        for v in self.offsets:
-            total = total + v
-        return total
-
-
-def _lift_rows(index: CoordinateIndex, child: int) -> np.ndarray:
-    """The rows of the child's block at a minimal lift: the block subsets S
-    that contain the floor and differ from it."""
-    floor = index.spec.floor[child]
-    subs = index.block_subsets(child)
-    return np.flatnonzero(((subs & floor) == floor) & (subs != floor))
+        return _ordered_sum(self.offsets)
 
 
 def _fold(cells: list, k: int, source: np.ndarray) -> np.ndarray:
@@ -538,8 +532,6 @@ def mobius_data_vector(table: ScoreTable, index: CoordinateIndex) -> DataVector:
     spec = table.spec
     if spec != index.spec:
         raise DomainError("score table and coordinate index describe different families")
-    if spec.max_parents is not None:
-        raise UnsupportedError("block objectives for capped families are unsupported")
 
     folded = np.zeros(index.total, dtype=object)
     offsets = tuple(table.local(i, spec.floor[i]) for i in range(spec.ordering.n))
@@ -551,7 +543,7 @@ def mobius_data_vector(table: ScoreTable, index: CoordinateIndex) -> DataVector:
         # row's value sits in the folded block
         lift = floor | pdep(np.arange(1 << k), free)
         cells = list(map(table.entries[i].__getitem__, lift.tolist()))
-        rows = _lift_rows(index, i)
+        rows = index.lift_rows(i)
         source = pext(index.block_subsets(i)[rows], free)
         folded[block.offset + rows] = _fold(cells, k, source)
     return DataVector(index, tuple(folded.tolist()), table.denominators, offsets)
@@ -561,11 +553,7 @@ def data_vector_dot(dv: DataVector, c: CharImset):
     """Exact <r, c> over the shared coordinate index."""
     if c.index != dv.index:
         raise DomainError("imset and data vector use different coordinate indexes")
-    total = 0
-    for v, b in zip(dv.values, c.bits):
-        if b and v != 0:
-            total = total + v
-    return total
+    return _ordered_sum(v for v, b in zip(dv.values, c.bits) if b and v != 0)
 
 
 def score_graph(dv: DataVector, g: ParentMap):

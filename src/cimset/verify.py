@@ -22,6 +22,18 @@ from .subsets import bits_of, iter_graded_subsets
 CHECKS = ("product", "dimension", "adjacency", "facets")
 
 
+def _sampled_pairs(size, limit, seed):
+    """The pairs i < j < size that sorted(Random(seed).sample(pairs, limit)) picks
+    from the listed pairs: `sample` picks the same indices from any population
+    of one length, so the ranks it picks are unranked without listing the pairs."""
+    i = first = 0  # first: the rank of pair (i, i + 1)
+    for r in sorted(random.Random(seed).sample(range(size * (size - 1) // 2), limit)):
+        while r >= first + size - 1 - i:
+            first += size - 1 - i
+            i += 1
+        yield i, i + 1 + r - first
+
+
 def verify_family(spec, checks, limit, seed, emit=None):
     """Run the named checks on `spec`: one (name, passed, detail) row each, in CHECKS order.
 
@@ -58,11 +70,10 @@ def verify_family(spec, checks, limit, seed, emit=None):
         rows.append(("dimension", got == want, f"affine rank {got}, formula {want}"))
 
     if "adjacency" in checks:
-        pairs = list(combinations(range(size), 2))
-        note = f"all {len(pairs)} pairs"
-        if len(pairs) > limit:
-            pairs = sorted(random.Random(seed).sample(pairs, limit))
-            note = f"{limit} sampled pairs (seed {seed})"
+        total = size * (size - 1) // 2
+        pairs, note = combinations(range(size), 2), f"all {total} pairs"
+        if total > limit:
+            pairs, note = _sampled_pairs(size, limit, seed), f"{limit} sampled pairs (seed {seed})"
         mismatch = None
         cloud = VertexCloud(vecs)
         names = None if emit is None else [graph_to_json(g) for g in members]
@@ -94,12 +105,8 @@ def verify_family(spec, checks, limit, seed, emit=None):
             if (1 << k) > limit:
                 skipped.append(spec.ordering.names[i])
                 continue
-            # the cloud: the members' distinct block slices over the coordinates
-            # whose subset holds the floor and is not the floor itself, as in
-            # mobius_data_vector; they follow the free set's graded-lex order
-            subs, floor = idx.block_subsets(i), spec.floor[i]
-            cols = idx.block_for_child(i).offset + np.flatnonzero(
-                ((subs & floor) == floor) & (subs != floor))
+            # the cloud: the members' distinct block slices over the minimal lifts
+            cols = idx.block_for_child(i).offset + idx.lift_rows(i)
             cloud = tuple(sorted(set(map(bytes, bits[:, cols]))))
             if cloud not in verdicts:
                 sysk = FacetSystem(k)

@@ -44,6 +44,14 @@ def test_imset_json_and_full(diag21, capsys):
     assert lines == ["a1,a2 0", "a1,b1 1", "a2,b1 0", "a1,a2,b1 0"]
 
 
+def test_imset_full_json(diag21, capsys):
+    _, fam, graph = diag21
+    assert main(["imset", "--family", fam, "--graph", graph, "--full", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"graph": {"ordering": ["a1", "a2", "b1"], "parents": [[], [], ["a1"]]},
+                   "full_vector": [0, 1, 0, 0]}
+
+
 def test_facets_text(diag21, capsys):
     _, fam, _ = diag21
     assert main(["facets", "--family", fam]) == 0
@@ -94,6 +102,16 @@ def test_neighbors(diag21, capsys):
     assert "3 neighbors" in captured.err
     assert main(["neighbors", "--family", fam, "--graph", graph, "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+def test_neighbors_json(diag21, capsys):
+    _, fam, graph = diag21
+    assert main(["neighbors", "--family", fam, "--graph", graph, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    # b1's other three parent sets, one graph JSON object a line
+    assert sorted(tuple(json.loads(line)["parents"][2]) for line in captured.out.splitlines()) == [
+        (), ("a1", "a2"), ("a2",)]
+    assert "3 neighbors" in captured.err
 
 
 def test_neighbors_count_only_is_closed_form(tmp_path, capsys):
@@ -228,6 +246,31 @@ def test_learn_flag_validation(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["learn", "compare-k2"])
+def test_criterion_applies_only_with_data(command, capsys):
+    assert main([command, "--scores", f"{FIX}/example_k2_forward.json",
+                 "--criterion", "aic"]) == 1
+    assert "--criterion applies only with --data" in capsys.readouterr().err
+    # with --data and no --criterion the score is bic
+    outs = []
+    for extra in ([], ["--criterion", "bic"]):
+        assert main([command, "--data", f"{FIX}/binary_demo.csv",
+                     "--family", f"{FIX}/diag_2_2.json", "--format", "json", *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_scores_with_a_family(tmp_path, capsys):
+    table = json.loads(Path(f"{FIX}/example_k2_forward.json").read_text())
+    same = _write_json(tmp_path / "same.json", table["family"])
+    assert main(["learn", "--scores", f"{FIX}/example_k2_forward.json",
+                 "--family", same]) == 0
+    capsys.readouterr()
+    assert main(["learn", "--scores", f"{FIX}/example_k2_forward.json",
+                 "--family", f"{FIX}/diag_2_2.json"]) == 1
+    assert "score table and --family describe different families" in capsys.readouterr().err
+
+
 def test_learn_rational_gate(capsys):
     assert main(["learn", "--scores", f"{FIX}/example_k2_forward.json",
                  "--rational"]) == 0
@@ -235,6 +278,15 @@ def test_learn_rational_gate(capsys):
     assert main(["learn", "--data", f"{FIX}/binary_demo.csv",
                  "--family", f"{FIX}/diag_2_2.json", "--rational"]) == 1
     assert "exact score table" in capsys.readouterr().err
+
+
+def test_compare_k2_rational_gate(capsys):
+    assert main(["compare-k2", "--scores", f"{FIX}/diag_2_2_rational.json", "--rational"]) == 0
+    capsys.readouterr()
+    assert main(["compare-k2", "--data", f"{FIX}/binary_demo.csv",
+                 "--family", f"{FIX}/diag_2_2.json", "--rational"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exact score table" in captured.err
 
 
 def test_compare_k2(capsys):

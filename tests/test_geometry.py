@@ -192,6 +192,21 @@ def test_edge_point_decompose_midpoint():
         assert dec.weight * va + (1 - dec.weight) * vb == mid[i]
 
 
+def test_edge_point_decompose_names_the_graded_lex_first_endpoint_first():
+    # the block's barycentric support lists {a1,a2} before {a3}; graded-lex
+    # puts the smaller {a3} first, so the endpoints and the weight swap
+    spec = diagnosis_family(3, 1)
+    idx = coordinate_index(spec)
+    pair = ParentMap(spec.ordering, (0, 0, 0, 0b011))
+    single = ParentMap(spec.ordering, (0, 0, 0, 0b100))
+    x = [Fraction(1, 3) * a + Fraction(2, 3) * b
+         for a, b in zip(characteristic_imset(pair, idx).bits,
+                         characteristic_imset(single, idx).bits)]
+    dec = edge_point_decompose(x, spec)
+    assert not dec.is_vertex and dec.child == 3
+    assert (dec.first, dec.second, dec.weight) == (single, pair, Fraction(2, 3))
+
+
 @settings(max_examples=40, deadline=None)
 @given(family_specs(), st.data())
 def test_every_neighbor_midpoint_decomposes_to_its_edge(spec, data):

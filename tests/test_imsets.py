@@ -7,10 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 from cimset.errors import DomainError, NotAVertexError, UnsupportedError
 from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family,
                            enumerate_family, full_ordered_family)
-from cimset.imsets import (CharImset, block_slice, characteristic_imset,
+from cimset.imsets import (CharImset, CoordinateIndex, block_slice, characteristic_imset,
                            coordinate_index, export_full_vector, imset_from_bits,
                            imset_text_lines, imset_to_graph)
-from cimset.subsets import bits_of, iter_graded_subsets
+from cimset.subsets import bits_of, graded_subsets, iter_graded_subsets
 from test_graphs import family_specs, members
 
 
@@ -38,6 +38,9 @@ def test_coordinate_index_rejects_cap():
                       max_parents=1)
     with pytest.raises(UnsupportedError):
         coordinate_index(spec)
+    # the refusal is the index's own, so no caller can build a capped one
+    with pytest.raises(UnsupportedError, match="capped families"):
+        CoordinateIndex(spec)
 
 
 def test_position_and_coordinates_agree():
@@ -195,3 +198,19 @@ def test_block_subsets_are_views_into_one_array():
         assert not subs.flags.writeable
         assert subs.tolist() == list(iter_graded_subsets(b.universe))
         assert set(idx._child_of[b.offset:b.offset + b.size].tolist()) == {b.child}
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_specs())
+def test_lift_rows_are_the_floor_holding_subsets_in_free_graded_lex_order(spec):
+    spec = dataclasses.replace(spec, max_parents=None)
+    idx = coordinate_index(spec)
+    for b in idx.blocks:
+        i = b.child
+        floor = spec.floor[i]
+        rows = idx.lift_rows(i)
+        subs = idx.block_subsets(i).tolist()
+        assert rows.tolist() == [j for j, s in enumerate(subs) if s & floor == floor != s]
+        assert rows.tolist() == [idx.position(i, floor | t) - b.offset
+                                 for t in graded_subsets(spec.free_mask(i))[1:].tolist()]
+        assert not rows.flags.writeable and idx.lift_rows(i) is rows

@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import operator
 import random
 import time
-from collections import Counter
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -590,6 +592,62 @@ def test_shuffled_score_table_loads_and_compares_alike(tmp_path, capsys):
         assert main(["compare-k2", "--scores", str(tmp_path / name)]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
+
+
+def test_score_table_json_odd_but_valid_entries_load_as_the_plain_ones():
+    # entries with no "parents" for the empty set, OrderedDict entries from
+    # json's object_pairs_hook, a list subclass of parents and a numpy float
+    # score all load as the plain JSON entries do; the float keeps its type
+    obj = _diag21_table_json()
+    plain = score_table_from_json(obj)
+    text = json.dumps(obj)
+
+    def same(table):
+        return table.entries == plain.entries and table.denominators == plain.denominators
+
+    assert same(score_table_from_json(json.loads(text, object_pairs_hook=OrderedDict)))
+    bare = json.loads(text)
+    for e in bare["scores"]:
+        if not e["parents"]:
+            del e["parents"]
+    assert same(score_table_from_json(bare))
+
+    class Names(list):
+        pass
+
+    odd = json.loads(text)
+    k = next(k for k, e in enumerate(odd["scores"]) if len(e["parents"]) == 2)
+    odd["scores"][k]["parents"] = Names(odd["scores"][k]["parents"])
+    k = next(k for k, e in enumerate(odd["scores"]) if e["score"] == 0.5)
+    odd["scores"][k]["score"] = np.float64(0.5)
+    table = score_table_from_json(odd)
+    assert same(table) and type(table.entries[2][0]) is np.float64
+
+
+def test_score_table_json_lists_each_child_in_admissible_order():
+    spec = full_ordered_family(tuple("abcde"))
+    table = ScoreTable(spec, tuple({p: p for p in spec.iter_admissible(i)} for i in range(5)))
+    listed = [(e["child"], e["parents"]) for e in score_table_to_json(table)["scores"]]
+    assert listed == [(spec.ordering.names[i], list(spec.ordering.names_of_mask(p)))
+                      for i in range(5) for p in spec.iter_admissible(i)]
+    # graded-lex, where a sort by (size, mask) would put {b,c} before {a,d}
+    e_sets = [p for c, p in listed if c == "e"]
+    assert e_sets.index(["a", "d"]) < e_sets.index(["b", "c"])
+
+
+def test_scores_are_summed_left_to_right_on_every_python():
+    # from Python 3.12 sum() compensates float additions: it gives 1.0 here
+    spec = FamilySpec(NodeOrdering(("a", "b", "c")), (0, 0, 0), (0, 0, 0))
+    locals_ = [1e16, 1.0, -1e16]
+    want = functools.reduce(operator.add, locals_, 0)
+    assert want == 0.0
+    assert cimset.scoring._ordered_sum([0.1] * 10 + locals_) == 0.0
+    table = ScoreTable(spec, tuple({0: v} for v in locals_))
+    g = ParentMap(spec.ordering, (0, 0, 0))
+    assert table_graph_score(table, g) == want
+    assert optimize_exact(table, spec).total_score == want
+    dv = mobius_data_vector(table, coordinate_index(spec))
+    assert dv.s_total == want and score_graph(dv, g) == want
 
 
 # --- block objective ---------------------------------------------------------

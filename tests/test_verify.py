@@ -1,11 +1,14 @@
 import dataclasses
+import itertools
 import json
+import random
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import cimset.graphs
 import cimset.oracle
 import cimset.verify
 from cimset.errors import FormatError, ResourceError
@@ -140,3 +143,22 @@ def test_facets_are_certified_on_the_members_imsets(monkeypatch):
     assert rows == [("facets", False, "4 rows falsified")]
     assert [(r["child"], r["verified"]) for r in records] == \
         [("b1", False)] * 4 + [("b2", True)] * 4
+
+
+@pytest.mark.parametrize("size, limit", [(20, 50), (200, 10), (9, 0)])
+def test_sampled_pairs_are_those_of_the_listed_pairs(size, limit):
+    # (20, 50) draws from a pool, (200, 10) from a set: random.sample's two branches
+    for seed in (0, 1, 17):
+        listed = list(itertools.combinations(range(size), 2))
+        want = sorted(random.Random(seed).sample(listed, limit))
+        assert list(cimset.verify._sampled_pairs(size, limit, seed)) == want
+
+
+def test_sampled_adjacency_pairs_keep_their_certificates():
+    spec = diagnosis_family(3, 1)  # 8 members, 28 pairs
+    records = []
+    rows = verify_family(spec, ["adjacency"], 10, 3, records.append)
+    assert rows == [("adjacency", True, "10 sampled pairs (seed 3)")]
+    members = [cimset.graphs.graph_to_json(g) for g in cimset.graphs.enumerate_family(spec)]
+    pairs = sorted(random.Random(3).sample(list(itertools.combinations(range(8), 2)), 10))
+    assert [r["pair"] for r in records] == [[members[i], members[j]] for i, j in pairs]
