@@ -45,13 +45,18 @@ def _vec(v) -> Tuple[int, ...]:
     if isinstance(v, CharImset):
         return tuple(v.bits)
     t = tuple(v)
-    if type(v) is bytes or set(map(type, t)) <= {int}:
+    if type(v) is bytes:
         return t
     return _integers(t, f"vertex {t!r}", "entry")
 
 
 def _integers(t: tuple, owner: str, kind: str) -> Tuple[int, ...]:
-    """t as an int tuple; a float or non-integral rational is refused, naming `owner`."""
+    """t as an int tuple, t itself when all its entries are ints.
+
+    A float or non-integral rational is refused, naming `owner`.
+    """
+    if set(map(type, t)) <= {int}:
+        return t
     for e in t:
         if not (isinstance(e, numbers.Rational) and e.denominator == 1):
             raise DomainError(f"{owner} has a non-integer {kind} {e!r}")
@@ -241,9 +246,17 @@ def _zero_one(vecs, d: int) -> bool:
     """Whether every vector has d entries, each 0 or 1.
 
     Both midpoint replays rest on this: a vertex is then nonnegative where
-    the midpoint is 0 and at most 1 where it is 1.
+    the midpoint is 0 and at most 1 where it is 1.  Vectors of ints in
+    0..255 are packed into one bytes object and checked by one `translate`;
+    any other entry, such as 1.0 or Fraction(1), takes the set check.
     """
-    return set(map(len, vecs)) <= {d} and {0, 1}.issuperset(chain.from_iterable(vecs))
+    if not set(map(len, vecs)) <= {d}:
+        return False
+    try:
+        packed = b"".join(bytes(tuple(v)) for v in vecs)
+    except (TypeError, ValueError):
+        return {0, 1}.issuperset(chain.from_iterable(vecs))
+    return not packed.translate(None, b"\x00\x01")
 
 
 def _replay_non_adjacency(p) -> bool:
@@ -413,16 +426,23 @@ def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certifica
         seen[mask] = u
         candidates.append(u)
 
+    # support coordinates often repeat a row pattern; equal rows with the
+    # same right-hand side are one equality, so the LP keeps the first of
+    # each and the Farkas vector is 0 on the repeats
     support = [j for j, (a, b) in enumerate(zip(b1, b2)) if a != b]
-    lp_rows = [[u[j] for u in candidates] for j in support]
-    lp_rows.append([1] * len(candidates))
-    x, farkas = _solve_phase1(lp_rows, [1] * len(support) + [2],
-                              [True] * len(lp_rows))
+    first: Dict[Tuple[int, ...], int] = {}
+    for t, j in enumerate(support):
+        first.setdefault(tuple([u[j] for u in candidates]), t)
+    lp_rows = [*first, (1,) * len(candidates)]
+    x, y = _solve_phase1(lp_rows, [1] * len(first) + [2], [True] * len(lp_rows))
 
     if x is not None:
         combo = [(candidates[t], x[t] / 2) for t in range(len(candidates)) if x[t]]
         return _certified("non-adjacency", {"v1": b1, "v2": b2, "combination": combo})
 
+    farkas = [0] * len(support) + [y[-1]]
+    for t, yt in zip(first.values(), y):
+        farkas[t] = yt
     payload = {"v1": b1, "v2": b2, "candidates": tuple(candidates),
                "excluded": tuple(excluded), "farkas": tuple(farkas)}
     if synthesize_witness:
@@ -481,8 +501,10 @@ def affine_dimension(cloud) -> int:
 
 
 # Difference rows are built this many cells at a time (at least one row),
-# so the transient arrays stay small up to RANK_MAX.
+# so the transient arrays stay small up to RANK_MAX, and at most this many
+# rows at a time, so the unit rows found in one block clear the next.
 _RANK_BLOCK_CELLS = 1 << 16
+_RANK_BLOCK_ROWS = 32
 
 
 def _independent(vecs) -> bool:
@@ -496,7 +518,10 @@ def _affine_rank(vecs: list) -> int:
     The difference rows from the base point are built a block at a time in
     numpy: from bytes in int16, from any other integers as Python ints in
     an object array, so no entry can wrap.  An int-tuple cloud whose
-    entries all fit in a byte is read as bytes.
+    entries all fit in a byte is read as bytes.  Each column whose basis
+    row is a unit row is zeroed in every later block, which is exactly
+    what eliminating by that row does, so a row left empty is skipped
+    without reaching `_eliminate`; the walk stops at full rank.
     """
     if not vecs:
         raise DomainError("affine dimension of an empty cloud is undefined")
@@ -518,8 +543,9 @@ def _affine_rank(vecs: list) -> int:
         base = np.frombuffer(vecs[0], dtype=np.uint8).astype(np.int16)
     else:
         base = np.array(vecs[0], dtype=object)
-    step = max(1, _RANK_BLOCK_CELLS // ambient)
+    step = max(1, min(_RANK_BLOCK_ROWS, _RANK_BLOCK_CELLS // ambient))
     basis: Dict[int, Dict[int, int]] = {}
+    unit = np.zeros(ambient, dtype=bool)
     for start in range(1, len(vecs), step):
         block = vecs[start:start + step]
         if base.dtype == np.int16:
@@ -528,17 +554,25 @@ def _affine_rank(vecs: list) -> int:
         else:
             d = np.array(block, dtype=object)
         d -= base
+        d[:, unit] = 0
         rows, cols = d.nonzero()
         values = d[rows, cols].tolist()
         cols = cols.tolist()
         # rows come out ascending, so each row's entries are one run
         a = 0
         for b in np.cumsum(np.bincount(rows, minlength=len(block))).tolist():
+            if a == b:
+                continue
             r = _eliminate(dict(zip(cols[a:b], values[a:b])), basis)
             a = b
             if r:
                 _normalize_sparse(r)
-                basis[min(r)] = r
+                c = min(r)
+                basis[c] = r
+                if len(r) == 1:
+                    unit[c] = True
+                if len(basis) == ambient:
+                    return ambient
     return len(basis)
 
 

@@ -305,6 +305,58 @@ def test_lp_decides_a_non_adjacent_pair_without_a_two_point_witness():
     assert dict(cert.payload["combination"]) == {u: Fraction(1, 4) for u in cloud[2:]}
 
 
+def _repeated_rows(cert):
+    """Positions of an adjacency certificate's LP rows that repeat an earlier row's pattern."""
+    v1, v2, candidates = cert.payload["v1"], cert.payload["v2"], cert.payload["candidates"]
+    patterns = [tuple(u[j] for u in candidates) for j in range(len(v1)) if v1[j] != v2[j]]
+    return [t for t, row in enumerate(patterns) if row in patterns[:t]]
+
+
+# 0/1 clouds whose coordinates repeat: distinct vectors over k columns,
+# widened by copying columns, so LP rows repeat and the LP decides both ways
+_REPEATING_CLOUDS = st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.lists(st.tuples(*[st.integers(0, 1)] * k), min_size=2, max_size=8, unique=True),
+    st.lists(st.integers(0, k - 1), max_size=2 * k))).map(
+    lambda case: [tuple(v[c] for c in [*range(len(v)), *case[1]]) for v in case[0]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_REPEATING_CLOUDS, st.data())
+def test_adjacency_lp_on_distinct_rows_agrees_with_the_full_lp(cloud, data):
+    i, j = data.draw(st.lists(st.integers(0, len(cloud) - 1), min_size=2, max_size=2,
+                              unique=True))
+    cert = oracle_adjacent(cloud[i], cloud[j], cloud, synthesize_witness=False)
+    assert (cert.kind == "adjacency") == _lp_adjacent(cloud[i], cloud[j], cloud)
+    assert cert.verified and cert.replay()
+    if cert.kind == "adjacency":
+        support = [c for c, (a, b) in enumerate(zip(cloud[i], cloud[j])) if a != b]
+        farkas = cert.payload["farkas"]
+        assert len(farkas) == len(support) + 1
+        assert all(type(y) is int for y in farkas) and math.gcd(*farkas) == 1
+        assert all(farkas[t] == 0 for t in _repeated_rows(cert))
+
+
+def test_adjacency_lp_keeps_one_row_per_distinct_pattern():
+    # the triangle's edge from 000 to 111 has one candidate, 100, over which
+    # coordinates 1 and 2 are the same row
+    cloud = [(0, 0, 0), (1, 1, 1), (1, 0, 0)]
+    with mock.patch.object(cimset.oracle, "_solve_phase1",
+                           wraps=cimset.oracle._solve_phase1) as lp:
+        cert = oracle_adjacent(cloud[0], cloud[1], cloud, synthesize_witness=False)
+    assert lp.call_count == 1
+    (rows, rhs, _), _ = lp.call_args
+    assert [list(r) for r in rows] == [[1], [0], [1]] and list(rhs) == [1, 1, 2]
+    assert cert.kind == "adjacency" and cert.verified and cert.replay()
+    farkas = cert.payload["farkas"]
+    assert len(farkas) == 4 and _repeated_rows(cert) == [2] and farkas[2] == 0
+    # equal rows with equal right-hand sides take any split of one multiplier
+    y1 = farkas[1]
+    assert y1
+    for split in ((0, y1), (-y1, 2 * y1), (y1, 0)):
+        moved = (farkas[0], *split, farkas[3])
+        assert Certificate("adjacency", dict(cert.payload, farkas=moved), False).replay()
+
+
 def _with_combination(cert, combo):
     return Certificate(cert.kind, dict(cert.payload, combination=combo), False)
 
@@ -371,6 +423,39 @@ def test_replays_refuse_vectors_that_are_not_01(payload):
     assert not Certificate(kind, payload, False).replay()
 
 
+@pytest.mark.parametrize("vecs, want", [
+    ([], True),
+    ([(0, 1), (1, 1)], True),
+    ([b"\x00\x01", [1, 0]], True),
+    ([(np.uint8(1), np.int64(0)), np.array([0, 1])], True),
+    # an int64 array's own buffer is 0/1 bytes although 256 is no 0/1 entry
+    ([np.array([0, 256])], False),
+    # entries equal to 0 or 1 that are no byte take the set check
+    ([(0, 1.0), (True, Fraction(1))], True),
+    ([(0, 2)], False),
+    ([(0, -1)], False),
+    ([(0, 256)], False),
+    ([(0, 0.5)], False),
+    ([(0, Fraction(1, 2))], False),
+    ([(0, "1")], False),
+    (["01"], False),
+    ([b"\x00\x02"], False),
+    ([(0, 1), (0,)], False),
+])
+def test_zero_one_check(vecs, want):
+    assert cimset.oracle._zero_one(vecs, 2) is want
+
+
+@pytest.mark.parametrize("one", [1.0, True, Fraction(1), np.int64(1)])
+def test_replays_read_integral_entries_of_any_type(one):
+    side = oracle_adjacent((0, 0), (1, 0), SQUARE)
+    candidates = tuple(tuple(one if e else 0 for e in u) for u in side.payload["candidates"])
+    assert Certificate("adjacency", dict(side.payload, candidates=candidates), False).replay()
+    diagonal = oracle_adjacent((0, 0), (1, 1), SQUARE)
+    combo = [(tuple(one if e else 0 for e in u), lam) for u, lam in diagonal.payload["combination"]]
+    assert _with_combination(diagonal, combo).replay()
+
+
 @pytest.mark.parametrize("farkas", [
     (-3, 2),  # once replayed True against a one-coordinate support
     (-1, 1),
@@ -404,6 +489,11 @@ _PAIR = {"v1": (0, 1), "v2": (1, 0)}
     # a combination term without its weight (ValueError), or no list of terms
     ("non-adjacency", dict(_PAIR, combination=[((0, 0),)])),
     ("non-adjacency", dict(_PAIR, combination=5)),
+    # a vector that is the int 5, where bytes(5) would be five zeros
+    ("adjacency", {"v1": (0,) * 5, "v2": (1,) + (0,) * 4, "candidates": (5,),
+                   "excluded": (), "farkas": (1, -1)}),
+    ("non-adjacency", {"v1": (0,) * 5, "v2": (1,) * 5,
+                       "combination": [((1,) * 5, Fraction(1, 2)), (5, Fraction(1, 2))]}),
 ])
 def test_malformed_certificates_replay_false(kind, payload):
     assert Certificate(kind, payload, False).replay() is False
@@ -480,9 +570,10 @@ def test_affine_dimension_refuses_a_later_shorter_vector(cloud, data):
         affine_dimension(cloud)
 
 
-# entries per kind of cloud: bytes; int tuples with negatives; int tuples
-# beyond a byte and beyond +-2**63, which must not wrap
+# entries per kind of cloud: 0/1 and other bytes; int tuples with
+# negatives; int tuples beyond a byte and beyond +-2**63, which must not wrap
 _rank_entries = {
+    "01": st.integers(0, 1),
     "bytes": st.one_of(st.integers(0, 1), st.integers(0, 255)),
     "negative": st.one_of(st.integers(-2, 2), st.integers(-300, 300)),
     "wide": st.one_of(st.integers(-1, 1), st.integers(256, 1 << 16),
@@ -490,20 +581,44 @@ _rank_entries = {
 }
 
 
+def _eliminate_calls(cloud):
+    """The rank of cloud and one (entries in, entries out) pair per `_eliminate` call."""
+    calls = []
+    eliminate = cimset.oracle._eliminate
+
+    def spy(r, basis):
+        entries = len(r)
+        out = eliminate(r, basis)
+        calls.append((entries, len(out)))
+        return out
+
+    with mock.patch.object(cimset.oracle, "_eliminate", wraps=spy):
+        rank = affine_dimension(cloud)
+    return rank, calls
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(_rank_entries)), st.integers(1, 6), st.integers(1, 16), st.data())
-def test_blocked_affine_rank_matches_a_fraction_reference(kind, d, cells, data):
-    # with blocks of `cells` cells the difference rows come `step` at a time;
-    # sizes step + 1 +- 1 put the last row either side of a block boundary
-    step = max(1, cells // d)
+@given(st.sampled_from(sorted(_rank_entries)), st.integers(1, 6), st.integers(1, 16),
+       st.integers(1, 4), st.data())
+def test_blocked_affine_rank_matches_a_fraction_reference(kind, d, cells, rows, data):
+    # with blocks of `cells` cells and at most `rows` rows the difference rows
+    # come `step` at a time, and the unit rows of one block clear columns of
+    # the next; sizes step + 1 +- 1 put the last row either side of a boundary
+    step = max(1, min(rows, cells // d))
     size = data.draw(st.sampled_from([1, 2, step, step + 1, step + 2, 2 * step + 1]))
     cloud = data.draw(st.lists(st.tuples(*[_rank_entries[kind]] * d),
                                min_size=size, max_size=size))
     if kind == "bytes":
         cloud = [bytes(v) for v in cloud]
     shuffled = data.draw(st.permutations(cloud))
-    with mock.patch.object(cimset.oracle, "_RANK_BLOCK_CELLS", cells):
-        assert affine_dimension(cloud) == affine_dimension(shuffled) == _reference_rank(cloud)
+    with mock.patch.object(cimset.oracle, "_RANK_BLOCK_CELLS", cells), \
+            mock.patch.object(cimset.oracle, "_RANK_BLOCK_ROWS", rows):
+        rank, calls = _eliminate_calls(cloud)
+        assert rank == affine_dimension(shuffled) == _reference_rank(cloud)
+    # every call that returns a row adds it to the basis, and none follows full rank
+    assert sum(out > 0 for _, out in calls) == rank
+    if rank == d:
+        assert calls[-1][1] > 0
 
 
 @pytest.mark.parametrize("cloud, rank", [
@@ -539,6 +654,42 @@ def test_affine_rank_either_side_of_a_full_block(kind, extra):
     shuffled = list(cloud)
     rng.shuffle(shuffled)
     assert affine_dimension(cloud) == affine_dimension(shuffled) == want
+
+
+def test_a_unit_row_clears_its_column_in_later_blocks():
+    # one row a block: the unit row (1, 0) clears column 0 of (1, 1), which
+    # reaches the elimination as the unit row (0, 1)
+    with mock.patch.object(cimset.oracle, "_RANK_BLOCK_ROWS", 1):
+        assert _eliminate_calls([(0, 0), (1, 1), (1, 0)]) == (2, [(1, 1), (1, 1)])
+
+
+def test_a_column_brought_back_by_a_non_unit_row_is_eliminated():
+    # (1, 1, 0) is a non-unit basis row holding column 1, which (1, 2, 0)
+    # then makes a unit pivot; (1, 1, 1) has column 1 cleared, and
+    # eliminating column 0 by (1, 1, 0) brings it back as -1
+    with mock.patch.object(cimset.oracle, "_RANK_BLOCK_ROWS", 1):
+        rank, calls = _eliminate_calls([(0, 0, 0), (1, 1, 0), (1, 2, 0), (1, 1, 1)])
+    assert rank == 3 and calls == [(2, 2), (2, 1), (2, 1)]
+
+
+def _census_cloud(m, n):
+    spec = diagnosis_family(m, n)
+    idx = coordinate_index(spec)
+    return [characteristic_imset(g, idx).bits for g in enumerate_family(spec)]
+
+
+def test_affine_rank_stops_at_full_rank_and_skips_cleared_rows():
+    # a product of simplices: taken sparsest first, every basis row is a
+    # unit row once earlier unit columns are cleared
+    rank, calls = _eliminate_calls(_census_cloud(2, 5))
+    assert rank == 15
+    # the last call is the row that fills the basis; all 1023 rows once
+    # reached the elimination
+    assert calls[-1][1] > 0 and len(calls) < 100
+    # 58 025 entries, for 1023 rows, once reached the elimination
+    rank, calls = _eliminate_calls(_census_cloud(10, 1))
+    assert rank == 1023
+    assert sum(entries for entries, _ in calls) < 5000
 
 
 @pytest.mark.parametrize("cloud", [
@@ -773,6 +924,13 @@ def test_non_integer_facet_coefficients_refused_not_truncated(coeff):
     cloud = [vertex_block_vector(1, s) for s in range(2)]
     with pytest.raises(DomainError, match=r"facet row 0 has a non-integer coefficient"):
         oracle_facet_check((0, [coeff, -1]), cloud)
+
+
+def test_all_int_entries_are_returned_unchanged():
+    t = (0, 1, -3, 1 << 70)
+    assert cimset.oracle._integers(t, "row", "coefficient") is t
+    assert cimset.oracle._vec(t) is t
+    assert cimset.oracle._integers((True, Fraction(2)), "row", "coefficient") == (1, 2)
 
 
 def test_integral_facet_coefficients_of_any_type_convert():
