@@ -46,9 +46,19 @@ def _load_json(path, what):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise FormatError(f"cannot read {what} file {path}: {exc}") from None
+        raise FormatError(f"cannot read {what} file {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def _open_out(path, what):
+    """`path` opened for writing text; an unwritable path is a FormatError naming it."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot write {what} file {path}: {exc.strerror or exc}") from None
 
 
 def _graph_text(g):
@@ -168,7 +178,7 @@ def cmd_verify(args) -> int:
     spec = family_from_json(_load_json(args.family, "family"))
     checks = CHECKS if args.checks == "all" else args.checks.split(",")
     if args.certificates:
-        with open(args.certificates, "w", encoding="utf-8") as fh:
+        with _open_out(args.certificates, "certificates") as fh:
             rows = verify_family(spec, checks, args.limit, args.seed,
                                  lambda record: fh.write(json.dumps(record) + "\n"))
     else:
@@ -232,7 +242,7 @@ def cmd_learn(args) -> int:
     results = {name: runners[name](table, spec) for name in wanted}
     if args.out:
         first = results[wanted[0]]
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_out(args.out, "graph") as fh:
             json.dump(graph_to_json(first.graph), fh, indent=2)
             fh.write("\n")
         print(f"wrote {first.method} graph to {args.out}", file=sys.stderr)

@@ -304,20 +304,7 @@ def _replay_adjacency(p) -> bool:
     for vec in p["candidates"]:
         if sum(map(operator.mul, y, map(vec.__getitem__, support))) + y[-1] > 0:
             return False
-    if "witness" in p and not _separates(p["witness"], v1, v2,
-                                         chain(p["candidates"], p["excluded"])):
-        return False
     return sum(map(operator.mul, y, map(target.__getitem__, support))) + 2 * y[-1] > 0
-
-
-def _separates(w, v1, v2, others) -> bool:
-    """Whether w.v1 == w.v2 >= w.u + 1 for every u in others."""
-    if len(w) != len(v1) or not all(isinstance(wi, numbers.Rational) for wi in w):
-        return False
-    top = sum(map(operator.mul, w, v1))
-    if sum(map(operator.mul, w, v2)) != top:
-        return False
-    return all(sum(map(operator.mul, w, u)) + 1 <= top for u in others)
 
 
 def _replay_facet(p) -> bool:
@@ -377,7 +364,7 @@ class VertexCloud:
         return self._simplex
 
 
-def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certificate:
+def oracle_adjacent(v1, v2, cloud) -> Certificate:
     """Decide vertex adjacency on conv(cloud) by the midpoint test.
 
     Two distinct vertices of a 0/1 polytope are adjacent exactly when their
@@ -386,10 +373,9 @@ def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certifica
     looks for two of them, u and w, with u + w = v1 + v2; the first such
     pair settles non-adjacency with the combination ½u + ½w.  Otherwise an
     exact LP over the candidates decides, and it is the only route to an
-    adjacency verdict.  On adjacency, optionally also synthesizes a
-    separating cost vector w with w.v1 = w.v2 >= w.u + 1 for every other
-    vertex u.  The cloud is a `VertexCloud` or any iterable of 0/1 vectors;
-    pass a `VertexCloud` to convert it once for many calls.
+    adjacency verdict, certified by the LP's Farkas refutation.  The cloud
+    is a `VertexCloud` or any iterable of 0/1 vectors; pass a `VertexCloud`
+    to convert it once for many calls.
     """
     b1, b2 = _vec(v1), _vec(v2)
     if b1 == b2:
@@ -443,44 +429,13 @@ def oracle_adjacent(v1, v2, cloud, synthesize_witness: bool = True) -> Certifica
     farkas = [0] * len(support) + [y[-1]]
     for t, yt in zip(first.values(), y):
         farkas[t] = yt
-    payload = {"v1": b1, "v2": b2, "candidates": tuple(candidates),
-               "excluded": tuple(excluded), "farkas": tuple(farkas)}
-    if synthesize_witness:
-        others = [u for u, mask in zip(cloud.vecs, cloud.masks) if mask != m1 and mask != m2]
-        payload["witness"] = _edge_witness(b1, b2, others)
-    return _certified("adjacency", payload)
+    return _certified("adjacency", {"v1": b1, "v2": b2, "candidates": tuple(candidates),
+                                    "excluded": tuple(excluded), "farkas": tuple(farkas)})
 
 
 def _certified(kind: str, payload: dict) -> Certificate:
     """A certificate whose verified flag is the replay of its own payload."""
     return Certificate(kind, payload, _REPLAY[kind](payload))
-
-
-def _edge_witness(b1, b2, others) -> Tuple[Fraction, ...]:
-    """A cost vector equal on b1, b2 and at least 1 below them on the rest."""
-    d = len(b1)
-    active = sorted({j for u in [b1, b2, *others] for j in range(d) if u[j]})
-    na = len(active)
-    # variables: w restricted to active coordinates, split as w+ - w-
-    rows = []
-    rhs = []
-    eq = []
-    diff = [b1[j] - b2[j] for j in active]
-    rows.append(diff + [-v for v in diff])
-    rhs.append(0)
-    eq.append(True)
-    for u in others:
-        gap = [b1[j] - u[j] for j in active]
-        rows.append([-v for v in gap] + gap)
-        rhs.append(-1)
-        eq.append(False)
-    x, _ = _solve_phase1(rows, rhs, eq)
-    if x is None:
-        raise AssertionError("separating witness LP must be feasible for an adjacent pair")
-    w = [Fraction(0)] * d
-    for t, j in enumerate(active):
-        w[j] = x[t] - x[na + t]
-    return tuple(w)
 
 
 # --- affine rank --------------------------------------------------------
@@ -712,8 +667,7 @@ def lemma32_witness(pa1: int, pa2: int, m: int) -> Dict[int, int]:
     """A cost vector over one block separating the edge (pa1, pa2).
 
     Returns a sparse map from coordinate subset to weight, built by the
-    case analysis on how the two parent sets differ.  Used as an
-    independent cross-check of the LP-synthesized witnesses.
+    case analysis on how the two parent sets differ.
     """
     universe = (1 << m) - 1
     if pa1 & ~universe or pa2 & ~universe:

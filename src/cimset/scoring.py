@@ -101,34 +101,41 @@ def load_csv(path, ordering: NodeOrdering) -> Dataset:
     appearance per column.  Each column's distinct tokens in a block of
     rows are labelled once.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise FormatError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        cols = []
-        for name in ordering.names:
-            if name not in header:
-                raise FormatError(f"{path}: column '{name}' missing from header")
-            if header.count(name) > 1:
-                raise FormatError(f"{path}: column '{name}' appears more than once in header")
-            cols.append(header.index(name))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            cols = []
+            for name in ordering.names:
+                if name not in header:
+                    raise FormatError(f"{path}: column '{name}' missing from header")
+                if header.count(name) > 1:
+                    raise FormatError(f"{path}: column '{name}' appears more than once in header")
+                cols.append(header.index(name))
 
-        labels: List[Dict[str, int]] = [{} for _ in cols]  # stripped label -> state
-        chunks = [[] for _ in cols]  # each column's codes, one array per block
-        start = 2  # file row of the block's first row
-        while block := [raw for _, raw in zip(range(_BLOCK), reader)]:
-            columns = list(zip(*block))  # as many as the shortest row has
-            for label, chunk, c in zip(labels, chunks, cols):
-                if c < len(columns):
-                    code = {tok: label.setdefault(tok.strip(), len(label))
-                            for tok in dict.fromkeys(columns[c])}
-                    chunk.append(np.fromiter(map(code.__getitem__, columns[c]), np.int64,
-                                             len(block)))
-            if len(columns) <= max(cols) or any("" in label for label in labels):
-                _raise_bad_cell(path, ordering, cols, block, start)
-            start += len(block)
+            labels: List[Dict[str, int]] = [{} for _ in cols]  # stripped label -> state
+            chunks = [[] for _ in cols]  # each column's codes, one array per block
+            start = 2  # file row of the block's first row
+            while block := [raw for _, raw in zip(range(_BLOCK), reader)]:
+                columns = list(zip(*block))  # as many as the shortest row has
+                for label, chunk, c in zip(labels, chunks, cols):
+                    if c < len(columns):
+                        code = {tok: label.setdefault(tok.strip(), len(label))
+                                for tok in dict.fromkeys(columns[c])}
+                        chunk.append(np.fromiter(map(code.__getitem__, columns[c]), np.int64,
+                                                 len(block)))
+                if len(columns) <= max(cols) or any("" in label for label in labels):
+                    _raise_bad_cell(path, ordering, cols, block, start)
+                start += len(block)
+    except OSError as exc:
+        raise FormatError(f"cannot read data file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:
+        raise FormatError(f"{path}: not a readable CSV ({exc})") from None
     if start == 2:
         raise FormatError(f"{path}: no data rows")
     cards, codes = tuple(map(len, labels)), tuple(map(np.concatenate, chunks))
@@ -407,6 +414,9 @@ _NO_PARENTS: list = []  # the parents of an entry that lists none; never written
 def score_table_from_json(obj) -> ScoreTable:
     if not isinstance(obj, dict) or "family" not in obj or "scores" not in obj:
         raise FormatError("score table JSON needs 'family' and 'scores'")
+    if not isinstance(obj["scores"], list):
+        raise FormatError("score table JSON: 'scores' must be a list of entries, "
+                          f"got {type(obj['scores']).__name__}")
     spec = family_from_json(obj["family"])
     position = spec.ordering.position
     bit = {name: 1 << i for name, i in position.items()}

@@ -78,7 +78,7 @@ def verify_family(spec, checks, limit, seed, emit=None):
         cloud = VertexCloud(vecs)
         names = None if emit is None else [graph_to_json(g) for g in members]
         for i, j in pairs:
-            cert = oracle_adjacent(vecs[i], vecs[j], cloud, synthesize_witness=False)
+            cert = oracle_adjacent(vecs[i], vecs[j], cloud)
             closed = are_neighbors(members[i], members[j], spec)
             if emit is not None:
                 emit({"kind": cert.kind, "verified": cert.verified,

@@ -172,8 +172,7 @@ def test_criterion_5():
             members = list(enumerate_family(spec))
             vecs = [characteristic_imset(g, idx).bits for g in members]
             for i, j in combinations(range(len(members)), 2):
-                cert = oracle_adjacent(vecs[i], vecs[j], vecs,
-                                       synthesize_witness=False)
+                cert = oracle_adjacent(vecs[i], vecs[j], vecs)
                 assert cert.verified
                 closed = are_neighbors(members[i], members[j], spec)
                 assert closed == (cert.kind == "adjacency"), \

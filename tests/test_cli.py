@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cimset.cli
 import cimset.verify
@@ -329,3 +333,122 @@ def test_missing_file_message(diag21, capsys):
     _, fam, _ = diag21
     assert main(["imset", "--family", fam, "--graph", "/does/not/exist.json"]) == 1
     assert "cannot read graph file" in capsys.readouterr().err
+
+
+def _one_refusal_line(err):
+    return err.startswith("cimset: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def _refused(capsys, argv):
+    """The stderr of main(argv), which must exit 1 with one line starting `cimset: `."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert _one_refusal_line(err), err
+    return err
+
+
+@pytest.mark.parametrize("command", ["learn", "compare-k2"])
+@pytest.mark.parametrize("scores", [1, 2.5, None, True, "a1", {"child": "a1", "score": 0}])
+def test_scores_must_be_a_list(tmp_path, command, scores, capsys):
+    table = json.loads(Path(FIX, "example_k2_forward.json").read_text())
+    path = _write_json(tmp_path / "table.json", dict(table, scores=scores))
+    assert "'scores' must be a list of entries" in _refused(capsys, [command, "--scores", path])
+
+
+def test_unwritable_certificates_file_is_refused(tmp_path, capsys):
+    certs = tmp_path / "missing" / "certs.jsonl"
+    err = _refused(capsys, ["verify", "--family", f"{FIX}/diag_2_2.json",
+                            "--certificates", str(certs)])
+    assert f"cannot write certificates file {certs}" in err
+
+
+def test_unwritable_graph_file_is_refused(tmp_path, capsys):
+    out = tmp_path / "missing" / "graph.json"
+    err = _refused(capsys, ["learn", "--scores", f"{FIX}/example_k2_forward.json",
+                            "--out", str(out)])
+    assert f"cannot write graph file {out}" in err
+
+
+def test_missing_data_file_is_refused(tmp_path, capsys):
+    data = tmp_path / "missing.csv"
+    err = _refused(capsys, ["learn", "--data", str(data), "--family", f"{FIX}/diag_2_2.json"])
+    assert f"cannot read data file {data}" in err
+
+
+def test_data_file_that_is_not_utf8_is_refused(tmp_path, capsys):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(b"a1,a2,b1,b2\n\xff,0,0,0\n")
+    err = _refused(capsys, ["learn", "--data", str(data), "--family", f"{FIX}/diag_2_2.json"])
+    assert f"{data}: not UTF-8 text" in err
+
+
+def test_data_file_with_an_oversized_field_is_refused(tmp_path, capsys):
+    # a quote left open swallows the rest of the file into one field
+    data = tmp_path / "open_quote.csv"
+    data.write_text('a1,a2,b1,b2\n"' + "0,0,0,0\n" * 20000)
+    err = _refused(capsys, ["learn", "--data", str(data), "--family", f"{FIX}/diag_2_2.json"])
+    assert f"{data}: not a readable CSV (field larger than field limit" in err
+
+
+def test_json_file_that_is_not_utf8_is_refused(tmp_path, capsys):
+    family = tmp_path / "latin1.json"
+    family.write_bytes(b'{"ordering": ["\xff"]}')
+    assert f"{family}: not UTF-8 text" in _refused(capsys, ["enumerate", "--family", str(family)])
+
+
+# The fixture inputs the fuzz property mutates, one file per name
+_FUZZ_INPUTS = {
+    "family": Path(FIX, "diag_2_2.json").read_bytes(),
+    "graph": json.dumps({"ordering": ["a1", "a2", "b1", "b2"],
+                         "parents": [[], [], ["a1"], ["a1", "a2"]]}).encode(),
+    "scores": Path(FIX, "diag_2_2_rational.json").read_bytes(),
+    "data": Path(FIX, "diag_2_2_duplicated.csv").read_bytes(),
+}
+# the seven subcommands, each reading the inputs named in braces
+_FUZZ_ARGVS = [
+    ["imset", "--family", "{family}", "--graph", "{graph}", "--full"],
+    ["facets", "--family", "{family}"],
+    ["neighbors", "--family", "{family}", "--graph", "{graph}"],
+    ["verify", "--family", "{family}", "--certificates", "{certificates}"],
+    ["learn", "--data", "{data}", "--family", "{family}", "--method", "all", "--out", "{out}"],
+    ["learn", "--scores", "{scores}", "--rational"],
+    ["compare-k2", "--scores", "{scores}"],
+    ["compare-k2", "--data", "{data}", "--family", "{family}", "--criterion", "ll"],
+    ["enumerate", "--family", "{family}"],
+]
+# bytes that JSON and CSV give meaning to, or any byte at all
+_FUZZ_BYTES = st.one_of(st.sampled_from(b'0123456789-./"[]{},:\n ab'), st.integers(0, 255))
+_FUZZ_EDITS = st.lists(st.tuples(st.sampled_from(("replace", "insert", "delete")),
+                                 st.integers(0, 1 << 16), _FUZZ_BYTES), min_size=1, max_size=4)
+
+
+def _mutate(raw, edits):
+    buf = bytearray(raw)
+    for op, at, byte in edits:
+        if op == "insert" or not buf:
+            buf.insert(at % (len(buf) + 1), byte)
+        elif op == "replace":
+            buf[at % len(buf)] = byte
+        else:
+            del buf[at % len(buf)]
+    return bytes(buf)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_FUZZ_ARGVS), st.data())
+def test_mutated_inputs_exit_0_1_or_2_and_refuse_in_one_line(argv, data):
+    names = [name for name in _FUZZ_INPUTS if f"{{{name}}}" in argv]
+    target = data.draw(st.sampled_from(names))
+    edits = data.draw(_FUZZ_EDITS)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as where:
+        paths = {"certificates": f"{where}/certs.jsonl", "out": f"{where}/graph.json"}
+        for name in names:
+            paths[name] = f"{where}/{name}"
+            raw = _FUZZ_INPUTS[name]
+            Path(paths[name]).write_bytes(_mutate(raw, edits) if name == target else raw)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([a.format(**paths) for a in argv])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert _one_refusal_line(err.getvalue()), err.getvalue()

@@ -153,11 +153,7 @@ def test_square_side_adjacent():
     assert cert.kind == "adjacency"
     assert cert.verified
     assert cert.replay()
-    w = cert.payload["witness"]
-    d = sum(wi * e for wi, e in zip(w, (0, 0)))
-    assert d == sum(wi * e for wi, e in zip(w, (1, 0)))
-    for u in ((0, 1), (1, 1)):
-        assert sum(wi * e for wi, e in zip(w, u)) <= d - 1
+    assert set(cert.payload) == {"v1", "v2", "candidates", "excluded", "farkas"}
 
 
 def test_oracle_guards():
@@ -186,9 +182,8 @@ def test_vertex_cloud_packs_once():
 def test_oracle_refuses_clouds_outside_the_01_domain(cloud, match):
     with pytest.raises(DomainError, match=match):
         VertexCloud(cloud)
-    for witness in (False, True):
-        with pytest.raises(DomainError, match=match):
-            oracle_adjacent(cloud[0], cloud[1], cloud, synthesize_witness=witness)
+    with pytest.raises(DomainError, match=match):
+        oracle_adjacent(cloud[0], cloud[1], cloud)
 
 
 def test_facet_check_refuses_clouds_outside_the_01_domain():
@@ -204,7 +199,7 @@ def test_oracle_matches_combinatorial_rule():
     members = list(enumerate_family(spec))
     cloud = [characteristic_imset(g, idx).bits for g in members]
     for (i, g1), (j, g2) in combinations(list(enumerate(members)), 2):
-        cert = oracle_adjacent(cloud[i], cloud[j], cloud, synthesize_witness=False)
+        cert = oracle_adjacent(cloud[i], cloud[j], cloud)
         assert cert.verified
         assert (cert.kind == "adjacency") == are_neighbors(g1, g2, spec)
 
@@ -235,9 +230,8 @@ def test_packed_oracle_on_random_families(spec, data):
     for _ in range(3):
         i = data.draw(st.integers(0, size - 1))
         j = (i + data.draw(st.integers(1, size - 1))) % size
-        witness = data.draw(st.booleans())
-        cert = oracle_adjacent(vecs[i], vecs[j], cloud, synthesize_witness=witness)
-        raw = oracle_adjacent(vecs[i], vecs[j], vecs, synthesize_witness=witness)
+        cert = oracle_adjacent(vecs[i], vecs[j], cloud)
+        raw = oracle_adjacent(vecs[i], vecs[j], vecs)
         assert (cert.kind, cert.payload) == (raw.kind, raw.payload)
         assert cert.verified and cert.replay()
         assert (cert.kind == "adjacency") == are_neighbors(members[i], members[j], spec)
@@ -250,8 +244,7 @@ def test_packed_oracle_on_random_families(spec, data):
             farkas = cert.payload["farkas"]
             assert len(farkas) == len(support) + 1
             assert all(type(y) is int for y in farkas) and math.gcd(*farkas) == 1
-            assert set(cert.payload) == {"v1", "v2", "candidates", "excluded", "farkas",
-                                         *(["witness"] if witness else [])}
+            assert set(cert.payload) == {"v1", "v2", "candidates", "excluded", "farkas"}
         else:
             assert all(u in candidates for u, _ in cert.payload["combination"])
 
@@ -279,7 +272,7 @@ def test_two_point_witnesses_agree_with_the_lp(spec, data):
         j = (i + data.draw(st.integers(1, size - 1))) % size
         with mock.patch.object(cimset.oracle, "_solve_phase1",
                                wraps=cimset.oracle._solve_phase1) as lp:
-            cert = oracle_adjacent(vecs[i], vecs[j], cloud, synthesize_witness=False)
+            cert = oracle_adjacent(vecs[i], vecs[j], cloud)
         assert (cert.kind == "adjacency") == _lp_adjacent(vecs[i], vecs[j], vecs)
         assert cert.verified and cert.replay()
         # only the LP certifies an edge; in a product of simplices swapping one
@@ -325,7 +318,7 @@ _REPEATING_CLOUDS = st.integers(1, 4).flatmap(lambda k: st.tuples(
 def test_adjacency_lp_on_distinct_rows_agrees_with_the_full_lp(cloud, data):
     i, j = data.draw(st.lists(st.integers(0, len(cloud) - 1), min_size=2, max_size=2,
                               unique=True))
-    cert = oracle_adjacent(cloud[i], cloud[j], cloud, synthesize_witness=False)
+    cert = oracle_adjacent(cloud[i], cloud[j], cloud)
     assert (cert.kind == "adjacency") == _lp_adjacent(cloud[i], cloud[j], cloud)
     assert cert.verified and cert.replay()
     if cert.kind == "adjacency":
@@ -342,7 +335,7 @@ def test_adjacency_lp_keeps_one_row_per_distinct_pattern():
     cloud = [(0, 0, 0), (1, 1, 1), (1, 0, 0)]
     with mock.patch.object(cimset.oracle, "_solve_phase1",
                            wraps=cimset.oracle._solve_phase1) as lp:
-        cert = oracle_adjacent(cloud[0], cloud[1], cloud, synthesize_witness=False)
+        cert = oracle_adjacent(cloud[0], cloud[1], cloud)
     assert lp.call_count == 1
     (rows, rhs, _), _ = lp.call_args
     assert [list(r) for r in rows] == [[1], [0], [1]] and list(rhs) == [1, 1, 2]
@@ -379,11 +372,6 @@ def test_tampered_certificates_fail_replay():
     assert _with_combination(cert, split).replay()
 
     cert2 = oracle_adjacent((0, 0), (1, 0), SQUARE)
-    w = cert2.payload["witness"]
-    for forged in ((w[0] + 1, w[1]), (w[0], w[1] + 100), (0, 0), w[:1], (0.0, -1.0)):
-        assert not Certificate("adjacency", dict(cert2.payload, witness=forged), False).replay()
-    # a witness the replay accepts on its own: equal on both ends, 1 below elsewhere
-    assert Certificate("adjacency", dict(cert2.payload, witness=(0, -1)), False).replay()
     bad_farkas = tuple(-y for y in cert2.payload["farkas"])
     cert2.payload["farkas"] = bad_farkas
     assert not cert2.replay()
@@ -892,19 +880,11 @@ def test_certificates_replay_and_tampered_ones_do_not(spec, data):
     size = len(vecs)
     i = data.draw(st.integers(0, size - 1))
     j = (i + data.draw(st.integers(1, size - 1))) % size
-    for witness in (False, True):
-        cert = oracle_adjacent(vecs[i], vecs[j], vecs, synthesize_witness=witness)
-        assert cert.verified and cert.replay()
-        if cert.kind != "adjacency":
-            continue
+    cert = oracle_adjacent(vecs[i], vecs[j], vecs)
+    assert cert.verified and cert.replay()
+    if cert.kind == "adjacency":
         negated = tuple(-y for y in cert.payload["farkas"])
         assert not Certificate("adjacency", dict(cert.payload, farkas=negated), False).replay()
-        if witness:
-            w = list(cert.payload["witness"])
-            t = data.draw(st.sampled_from([t for t in range(len(w)) if vecs[i][t] != vecs[j][t]]))
-            w[t] += 1
-            assert not Certificate("adjacency", dict(cert.payload, witness=tuple(w)),
-                                   False).replay()
 
     child = data.draw(st.sampled_from([c for c in range(spec.n) if spec.free_mask(c)]))
     k = spec.free_mask(child).bit_count()
