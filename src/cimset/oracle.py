@@ -2,7 +2,8 @@
 
 Everything here works from first principles on explicit vertex clouds:
 LP feasibility with exact rational pivoting (Bland's rule, so no cycling),
-midpoint convex-combination tests for adjacency, exact affine rank, facet
+adjacency by a two-point midpoint witness, a simplex face ranked mod 2 or
+an LP over the segment between the two vertices, exact affine rank, facet
 verification, and exhaustive brute-force structure learning.  None of it
 relies on the closed-form block structure it is used to certify.
 
@@ -245,8 +246,8 @@ class Certificate:
 def _zero_one(vecs, d: int) -> bool:
     """Whether every vector has d entries, each 0 or 1.
 
-    Both midpoint replays rest on this: a vertex is then nonnegative where
-    the midpoint is 0 and at most 1 where it is 1.  Vectors of ints in
+    Both segment replays rest on this: a vertex is then nonnegative where
+    both endpoints are 0 and at most 1 where both are 1.  Vectors of ints in
     0..255 are packed into one bytes object and checked by one `translate`;
     any other entry, such as 1.0 or Fraction(1), takes the set check.
     """
@@ -280,31 +281,86 @@ def _replay_non_adjacency(p) -> bool:
                 mix[j] += num * e
     if total != den:
         return False
-    return all(2 * mix[j] == den * (v1[j] + v2[j]) for j in range(len(v1)))
+    # the combination is a point of the segment [v1, v2]: den times it is
+    # t v1 + (den - t) v2, one t on every coordinate where v1 and v2 differ.
+    # No combination of 0/1 vectors other than v1 and v2 reaches either end
+    ts = set()
+    for m, a, b in zip(mix, v1, v2):
+        if a == b:
+            if m != den * a:
+                return False
+        else:
+            ts.add(m if a else den - m)
+    return len(ts) == 1
 
 
 def _replay_adjacency(p) -> bool:
     v1, v2 = p["v1"], p["v2"]
-    y = p["farkas"]
-    if not _zero_one([v1, v2, *p["candidates"], *p["excluded"]], len(v1)):
+    face = [v1, v2, *p["candidates"]]
+    if not _zero_one([*face, *p["excluded"]], len(v1)):
         return False
     target = list(map(operator.add, v1, v2))
-    # the LP rows are the coordinates where exactly one endpoint is 1
-    support = [j for j, t in enumerate(target) if t == 1]
-    if len(y) != len(support) + 1:
-        return False
-    # vertices pruned before the LP must each be forced to weight zero by a
-    # coordinate where the midpoint is 0 (they carry a 1) or 1 (they carry
-    # a 0); those coordinates come from v1 + v2, never from the payload
+    # vertices pruned from the face must each be forced off it by a
+    # coordinate where both endpoints are 0 (they carry a 1) or both are 1
+    # (they carry a 0); those coordinates come from v1 + v2, never from the
+    # payload
     zero_cols = [j for j, t in enumerate(target) if t == 0]
     two_cols = [j for j, t in enumerate(target) if t == 2]
     for vec in p["excluded"]:
         if not any(map(vec.__getitem__, zero_cols)) and all(map(vec.__getitem__, two_cols)):
             return False
+    if "farkas" not in p:
+        base, *rest = _masks(face)
+        return _independent_mod2(base, rest)
+    y = p["farkas"]
+    # the LP rows are the coordinates where exactly one endpoint is 1, each
+    # with the column of t, v2_j - v1_j, and right-hand side v2_j
+    support = [j for j, t in enumerate(target) if t == 1]
+    if len(y) != len(support) + 1:
+        return False
     for vec in p["candidates"]:
         if sum(map(operator.mul, y, map(vec.__getitem__, support))) + y[-1] > 0:
             return False
-    return sum(map(operator.mul, y, map(target.__getitem__, support))) + 2 * y[-1] > 0
+    ys = y[:-1]
+    if sum(map(operator.mul, ys, (v2[j] - v1[j] for j in support))) > 0:
+        return False
+    return sum(map(operator.mul, ys, map(v2.__getitem__, support))) + y[-1] > 0
+
+
+def _masks(vecs) -> List[int]:
+    """One int per 0/1 vector, with a distinct bit set for each coordinate that is 1.
+
+    Vectors of bytes-like ints are packed one coordinate per byte; any other
+    integral 0/1 entries, such as 1.0 or Fraction(1), one coordinate per bit.
+    """
+    try:
+        return [int.from_bytes(bytes(tuple(v)), "little") for v in vecs]
+    except (TypeError, ValueError):
+        return [sum(1 << j for j, e in enumerate(v) if e) for v in vecs]
+
+
+def _independent_mod2(base: int, masks) -> bool:
+    """Whether the vectors of `masks` less `base` are linearly independent mod 2.
+
+    For 0/1 vectors u - b is u XOR b mod 2.  A rational dependence scaled to
+    coprime integers is a nonzero dependence mod 2, so independence mod 2
+    proves that `base` and `masks` are affinely independent over the
+    rationals.  The converse fails: a dependent result proves nothing.
+    Each difference is reduced against a basis keyed by its top bit.
+    """
+    basis: Dict[int, int] = {}
+    for mask in masks:
+        x = mask ^ base
+        while x:
+            top = x.bit_length() - 1
+            b = basis.get(top)
+            if b is None:
+                basis[top] = x
+                break
+            x ^= b
+        else:
+            return False
+    return True
 
 
 def _replay_facet(p) -> bool:
@@ -365,17 +421,22 @@ class VertexCloud:
 
 
 def oracle_adjacent(v1, v2, cloud) -> Certificate:
-    """Decide vertex adjacency on conv(cloud) by the midpoint test.
+    """Decide vertex adjacency on conv(cloud).
 
-    Two distinct vertices of a 0/1 polytope are adjacent exactly when their
-    midpoint cannot be written as a convex combination of the remaining
-    vertices.  The one walk over the cloud that prunes the candidates also
-    looks for two of them, u and w, with u + w = v1 + v2; the first such
-    pair settles non-adjacency with the combination ½u + ½w.  Otherwise an
-    exact LP over the candidates decides, and it is the only route to an
-    adjacency verdict, certified by the LP's Farkas refutation.  The cloud
-    is a `VertexCloud` or any iterable of 0/1 vectors; pass a `VertexCloud`
-    to convert it once for many calls.
+    Two distinct vertices v1, v2 of a polytope are adjacent exactly when no
+    point of the segment [v1, v2] is a convex combination of the remaining
+    vertices.  For 0/1 vertices only the candidates can take part: the
+    vertices that agree with v1 and v2 wherever the two agree.  With v1, v2
+    they are the vertices of the face that fixes those coordinates.  The
+    one walk over the cloud that prunes the candidates also looks for two
+    of them, u and w, with u + w = v1 + v2; the first such pair settles
+    non-adjacency with the combination ½u + ½w, the midpoint.  Otherwise,
+    when the face's vertices are affinely independent mod 2, the face is a
+    simplex and v1v2 is an edge: the certificate names the face and carries
+    no `farkas`.  Any other face goes to an exact LP over the candidates,
+    which decides either way; its adjacency verdict is certified by the
+    LP's Farkas refutation.  The cloud is a `VertexCloud` or any iterable
+    of 0/1 vectors; pass a `VertexCloud` to convert it once for many calls.
     """
     b1, b2 = _vec(v1), _vec(v2)
     if b1 == b2:
@@ -388,14 +449,15 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
     m1 = cloud.masks[cloud.index[b1]]
     m2 = cloud.masks[cloud.index[b2]]
 
-    # a combination with weight on u needs u to vanish where the midpoint
-    # does and to be 1 where both endpoints are; every candidate then meets
+    # a combination with weight on u needs u to vanish where both endpoints
+    # do and to be 1 where both endpoints are; every candidate then meets
     # those coordinates, so the LP keeps only the rows where exactly one
-    # endpoint is 1, each with right-hand side 1, plus the convexity row.
+    # endpoint is 1, plus the convexity row.
     # A candidate u has one possible two-point partner w with u + w = v1 + v2:
     # 1 where both endpoints are, and where exactly one is, 1 just where u is 0
     outside, both, diff = ~(m1 | m2), m1 & m2, m1 ^ m2
     candidates = []
+    face = [m2]
     excluded = []
     seen: Dict[int, Tuple[int, ...]] = {}
     for u, mask in zip(cloud.vecs, cloud.masks):
@@ -411,24 +473,35 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
                               {"v1": b1, "v2": b2, "combination": [(w, half), (u, half)]})
         seen[mask] = u
         candidates.append(u)
+        face.append(mask)
 
-    # support coordinates often repeat a row pattern; equal rows with the
-    # same right-hand side are one equality, so the LP keeps the first of
-    # each and the Farkas vector is 0 on the repeats
+    # a face whose vertices are affinely independent is a simplex, and any
+    # two vertices of a simplex span an edge of it, so of the polytope too
+    if _independent_mod2(m1, face):
+        return _certified("adjacency", {"v1": b1, "v2": b2, "candidates": tuple(candidates),
+                                        "excluded": tuple(excluded)})
+
+    # the LP asks for weights x >= 0 on the candidates, summing to 1, and a
+    # t >= 0 with sum_u x_u u = t v1 + (1 - t) v2: on a support coordinate j,
+    # where v1 and v2 differ, sum_u x_u u_j + (v2_j - v1_j) t = v2_j.  Support
+    # coordinates often repeat a row; equal rows are one equality, so the LP
+    # keeps the first of each and the Farkas vector is 0 on the repeats
     support = [j for j, (a, b) in enumerate(zip(b1, b2)) if a != b]
     first: Dict[Tuple[int, ...], int] = {}
-    for t, j in enumerate(support):
-        first.setdefault(tuple([u[j] for u in candidates]), t)
-    lp_rows = [*first, (1,) * len(candidates)]
-    x, y = _solve_phase1(lp_rows, [1] * len(first) + [2], [True] * len(lp_rows))
+    for r, j in enumerate(support):
+        first.setdefault((*[u[j] for u in candidates], b2[j]), r)
+    lp_rows = [(*row[:-1], 2 * row[-1] - 1) for row in first]
+    lp_rows.append((1,) * len(candidates) + (0,))
+    rhs = [row[-1] for row in first] + [1]
+    x, y = _solve_phase1(lp_rows, rhs, [True] * len(lp_rows))
 
     if x is not None:
-        combo = [(candidates[t], x[t] / 2) for t in range(len(candidates)) if x[t]]
+        combo = [(u, xu) for u, xu in zip(candidates, x) if xu]
         return _certified("non-adjacency", {"v1": b1, "v2": b2, "combination": combo})
 
     farkas = [0] * len(support) + [y[-1]]
-    for t, yt in zip(first.values(), y):
-        farkas[t] = yt
+    for r, yr in zip(first.values(), y):
+        farkas[r] = yr
     return _certified("adjacency", {"v1": b1, "v2": b2, "candidates": tuple(candidates),
                                     "excluded": tuple(excluded), "farkas": tuple(farkas)})
 

@@ -154,7 +154,7 @@ def test_criterion_4():
             assert got == (1 if s == sp else 0)
 
 
-# --- 5: combinatorial adjacency rule vs the exact-LP midpoint oracle --------
+# --- 5: combinatorial adjacency rule vs the exact adjacency oracle ----------
 
 def test_criterion_5():
     with criterion(5, 120.0):

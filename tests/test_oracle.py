@@ -138,6 +138,57 @@ def test_infeasible_systems_get_an_integer_farkas_vector_in_lowest_terms(system)
 
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
+# Clouds for the pair (cloud[0], cloud[1]).  Its face, the vertices that agree
+# with both wherever the two agree, is all but the last vertex, which has a 1
+# where both have a 0.  SIMPLEX_FACE's face is a simplex.  The other two faces
+# have five vertices in three dimensions, so they are affinely dependent, mod 2
+# too, and the LP decides.  In the pyramid over the square z = 0 the pair is an
+# edge.  In the bipyramid over the triangle x + y + z = 2 it is not, although
+# no convex combination of the other vertices is the midpoint: the segment
+# meets the triangle at (2/3, 2/3, 2/3).
+SIMPLEX_FACE = [(0, 0, 0, 0), (1, 1, 1, 0), (1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1)]
+PYRAMID = [(0, 0, 0, 0), (1, 1, 1, 0), (1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0),
+           (0, 0, 1, 1)]
+BIPYRAMID = [(0, 0, 0, 0), (1, 1, 1, 0), (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0),
+             (0, 0, 1, 1)]
+
+
+def _lp_calls():
+    """A spy on the oracle's exact LP."""
+    return mock.patch.object(cimset.oracle, "_solve_phase1", wraps=cimset.oracle._solve_phase1)
+
+
+def _independent_mod2(b1, b2, candidates):
+    """Whether the face's differences from b1 are linearly independent mod 2.
+
+    The rank of the rows over GF(2), by elimination on lists of bits.
+    """
+    rows = [[a ^ b for a, b in zip(u, b1)] for u in (b2, *candidates)]
+    rank = 0
+    for col in range(len(b1)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank == len(rows)
+
+
+def _assert_lp_route(cert):
+    """An LP adjacency payload: a lowest-terms int Farkas vector, one per LP row."""
+    v1, v2 = cert.payload["v1"], cert.payload["v2"]
+    assert set(cert.payload) == {"v1", "v2", "candidates", "excluded", "farkas"}
+    assert not _independent_mod2(v1, v2, cert.payload["candidates"])
+    # rows only where exactly one endpoint is 1, plus the convexity row
+    support = [k for k, (a, b) in enumerate(zip(v1, v2)) if a != b]
+    farkas = cert.payload["farkas"]
+    assert len(farkas) == len(support) + 1
+    assert all(type(y) is int for y in farkas) and math.gcd(*farkas) == 1
+    assert all(farkas[t] == 0 for t in _repeated_rows(cert))
+
 
 def test_square_diagonal_not_adjacent():
     cert = oracle_adjacent((0, 0), (1, 1), SQUARE)
@@ -149,11 +200,23 @@ def test_square_diagonal_not_adjacent():
 
 
 def test_square_side_adjacent():
-    cert = oracle_adjacent((0, 0), (1, 0), SQUARE)
+    # the side's face is the side itself, a segment, so a simplex: no LP
+    with _lp_calls() as lp:
+        cert = oracle_adjacent((0, 0), (1, 0), SQUARE)
+    assert lp.call_count == 0
     assert cert.kind == "adjacency"
     assert cert.verified
     assert cert.replay()
+    assert cert.payload == {"v1": (0, 0), "v2": (1, 0), "candidates": (),
+                            "excluded": ((0, 1), (1, 1))}
+    # the pyramid's lateral edge lies on a face that is no simplex
+    with _lp_calls() as lp:
+        cert = oracle_adjacent(PYRAMID[0], PYRAMID[1], PYRAMID)
+    assert lp.call_count == 1
+    assert cert.kind == "adjacency" and cert.verified and cert.replay()
     assert set(cert.payload) == {"v1", "v2", "candidates", "excluded", "farkas"}
+    assert cert.payload["candidates"] == tuple(PYRAMID[2:5])
+    assert cert.payload["excluded"] == (PYRAMID[5],)
 
 
 def test_oracle_guards():
@@ -239,22 +302,24 @@ def test_packed_oracle_on_random_families(spec, data):
         if cert.kind == "adjacency":
             assert cert.payload["candidates"] == candidates
             assert cert.payload["excluded"] == excluded
-            # rows only where exactly one endpoint is 1, plus the convexity row
-            support = tuple(k for k, (a, b) in enumerate(zip(vecs[i], vecs[j])) if a + b == 1)
-            farkas = cert.payload["farkas"]
-            assert len(farkas) == len(support) + 1
-            assert all(type(y) is int for y in farkas) and math.gcd(*farkas) == 1
-            assert set(cert.payload) == {"v1", "v2", "candidates", "excluded", "farkas"}
+            # in a product of simplices an edge's face lies in one factor, a
+            # simplex: no Farkas vector; _assert_lp_route pins the LP route
+            assert _independent_mod2(vecs[i], vecs[j], candidates)
+            assert set(cert.payload) == {"v1", "v2", "candidates", "excluded"}
         else:
             assert all(u in candidates for u, _ in cert.payload["combination"])
 
 
 def _lp_adjacent(b1, b2, vecs):
-    """Adjacency decided by the LP alone: the full midpoint system on every other vertex."""
+    """Adjacency decided by the LP alone, on every coordinate and every other vertex.
+
+    b1b2 is an edge exactly when no point t b1 + s b2 (t, s >= 0, t + s = 1)
+    is a convex combination of the other vertices.
+    """
     others = [u for u in vecs if u not in (b1, b2)]
-    rows = [[u[j] for u in others] for j in range(len(b1))] + [[1] * len(others)]
-    rhs = [*map(operator.add, b1, b2), 2]
-    return lp_feasible(rows, rhs, range(len(rows))) is None
+    rows = [[*(u[j] for u in others), -b1[j], -b2[j]] for j in range(len(b1))]
+    rows += [[1] * len(others) + [0, 0], [0] * len(others) + [1, 1]]
+    return lp_feasible(rows, [0] * len(b1) + [1, 1], range(len(rows))) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -270,14 +335,14 @@ def test_two_point_witnesses_agree_with_the_lp(spec, data):
     for _ in range(3):
         i = data.draw(st.integers(0, size - 1))
         j = (i + data.draw(st.integers(1, size - 1))) % size
-        with mock.patch.object(cimset.oracle, "_solve_phase1",
-                               wraps=cimset.oracle._solve_phase1) as lp:
+        with _lp_calls() as lp:
             cert = oracle_adjacent(vecs[i], vecs[j], cloud)
         assert (cert.kind == "adjacency") == _lp_adjacent(vecs[i], vecs[j], vecs)
         assert cert.verified and cert.replay()
-        # only the LP certifies an edge; in a product of simplices swapping one
-        # differing block gives every non-edge a partner, found without the LP
-        assert lp.call_count == (cert.kind == "adjacency")
+        # in a product of simplices an edge's face lies in one factor, a
+        # simplex, so its rank certifies it, and swapping one differing block
+        # gives every non-edge a partner: the LP never runs
+        assert lp.call_count == 0
         if cert.kind == "non-adjacency":
             (w, lam_w), (u, lam_u) = cert.payload["combination"]
             assert lam_w == lam_u == Fraction(1, 2)
@@ -290,64 +355,111 @@ def test_lp_decides_a_non_adjacent_pair_without_a_two_point_witness():
     cloud = [(0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 0, 1), (0, 1, 1, 0), (1, 0, 1, 0),
              (1, 1, 0, 1)]
     assert not _lp_adjacent(cloud[0], cloud[1], cloud)
-    with mock.patch.object(cimset.oracle, "_solve_phase1",
-                           wraps=cimset.oracle._solve_phase1) as lp:
+    with _lp_calls() as lp:
         cert = oracle_adjacent(cloud[0], cloud[1], cloud)
     assert lp.call_count == 1
     assert cert.kind == "non-adjacency" and cert.verified and cert.replay()
     assert dict(cert.payload["combination"]) == {u: Fraction(1, 4) for u in cloud[2:]}
 
 
+def test_lp_finds_a_non_edge_whose_segment_misses_the_midpoint():
+    # no combination of the bipyramid's other vertices is the midpoint of
+    # 0000 and 1110, but a third of each of the triangle's is 2/3 of the way
+    with _lp_calls() as lp:
+        cert = oracle_adjacent(BIPYRAMID[0], BIPYRAMID[1], BIPYRAMID)
+    assert lp.call_count == 1
+    assert not _lp_adjacent(BIPYRAMID[0], BIPYRAMID[1], BIPYRAMID)
+    assert cert.kind == "non-adjacency" and cert.verified and cert.replay()
+    assert dict(cert.payload["combination"]) == {u: Fraction(1, 3) for u in BIPYRAMID[2:5]}
+    # a combination off the segment's line proves nothing
+    skew = [(BIPYRAMID[2], Fraction(1, 2)), (BIPYRAMID[3], Fraction(1, 4)),
+            (BIPYRAMID[4], Fraction(1, 4))]
+    assert not _with_combination(cert, skew).replay()
+    beside = {"v1": (0, 0, 0), "v2": (1, 1, 0), "combination": [((0, 0, 1), Fraction(1))]}
+    assert not Certificate("non-adjacency", beside, False).replay()
+    # (1, 1, 1, -2) passes every check of a Farkas vector but the one on the
+    # column of t: it shows only that t >= 1/3, and the centroid is at t = 1/3
+    forged = {"v1": BIPYRAMID[0], "v2": BIPYRAMID[1], "candidates": tuple(BIPYRAMID[2:5]),
+              "excluded": (BIPYRAMID[5],), "farkas": (1, 1, 1, -2)}
+    assert not Certificate("adjacency", forged, False).replay()
+
+
 def _repeated_rows(cert):
-    """Positions of an adjacency certificate's LP rows that repeat an earlier row's pattern."""
+    """Positions of an adjacency certificate's LP rows that repeat an earlier row.
+
+    A row is its pattern over the candidates and v2's entry, which sets
+    both t's coefficient and the right-hand side.
+    """
     v1, v2, candidates = cert.payload["v1"], cert.payload["v2"], cert.payload["candidates"]
-    patterns = [tuple(u[j] for u in candidates) for j in range(len(v1)) if v1[j] != v2[j]]
-    return [t for t, row in enumerate(patterns) if row in patterns[:t]]
+    rows = [(*(u[j] for u in candidates), v2[j]) for j in range(len(v1)) if v1[j] != v2[j]]
+    return [t for t, row in enumerate(rows) if row in rows[:t]]
 
 
 # 0/1 clouds whose coordinates repeat: distinct vectors over k columns,
 # widened by copying columns, so LP rows repeat and the LP decides both ways
-_REPEATING_CLOUDS = st.integers(1, 4).flatmap(lambda k: st.tuples(
-    st.lists(st.tuples(*[st.integers(0, 1)] * k), min_size=2, max_size=8, unique=True),
+_REPEATING_CLOUDS = st.integers(1, 6).flatmap(lambda k: st.tuples(
+    st.lists(st.tuples(*[st.integers(0, 1)] * k), min_size=2, max_size=12, unique=True),
     st.lists(st.integers(0, k - 1), max_size=2 * k))).map(
     lambda case: [tuple(v[c] for c in [*range(len(v)), *case[1]]) for v in case[0]])
 
 
-@settings(max_examples=150, deadline=None)
+def _has_two_point_witness(b1, b2, candidates):
+    target = tuple(map(operator.add, b1, b2))
+    return any(tuple(map(operator.add, u, w)) == target for u, w in combinations(candidates, 2))
+
+
+@settings(max_examples=200, deadline=None)
 @given(_REPEATING_CLOUDS, st.data())
 def test_adjacency_lp_on_distinct_rows_agrees_with_the_full_lp(cloud, data):
     i, j = data.draw(st.lists(st.integers(0, len(cloud) - 1), min_size=2, max_size=2,
                               unique=True))
-    cert = oracle_adjacent(cloud[i], cloud[j], cloud)
-    assert (cert.kind == "adjacency") == _lp_adjacent(cloud[i], cloud[j], cloud)
+    b1, b2 = cloud[i], cloud[j]
+    with _lp_calls() as lp:
+        cert = oracle_adjacent(b1, b2, cloud)
+    assert (cert.kind == "adjacency") == _lp_adjacent(b1, b2, cloud)
     assert cert.verified and cert.replay()
+    # the LP runs exactly when the face is dependent mod 2 and the walk found
+    # no two-point witness, itself a dependence: u + w - v1 - v2 = 0
+    candidates, _ = _filter_by_definition(b1, b2, cloud)
+    simplex = _independent_mod2(b1, b2, candidates)
+    walked = _has_two_point_witness(b1, b2, candidates)
+    assert not (simplex and walked)
+    assert lp.call_count == (not simplex and not walked)
     if cert.kind == "adjacency":
-        support = [c for c, (a, b) in enumerate(zip(cloud[i], cloud[j])) if a != b]
-        farkas = cert.payload["farkas"]
-        assert len(farkas) == len(support) + 1
-        assert all(type(y) is int for y in farkas) and math.gcd(*farkas) == 1
-        assert all(farkas[t] == 0 for t in _repeated_rows(cert))
+        assert ("farkas" in cert.payload) == (not simplex)
+        if not simplex:
+            _assert_lp_route(cert)
+            negated = tuple(-y for y in cert.payload["farkas"])
+            assert not Certificate("adjacency", dict(cert.payload, farkas=negated),
+                                   False).replay()
+
+
+# the pyramid with coordinates 0 and 2 copied; coordinate 3 is no LP row,
+# so LP rows 3 and 4 repeat rows 0 and 2
+_WIDE_PYRAMID = [(*v, v[0], v[2]) for v in PYRAMID]
 
 
 def test_adjacency_lp_keeps_one_row_per_distinct_pattern():
-    # the triangle's edge from 000 to 111 has one candidate, 100, over which
-    # coordinates 1 and 2 are the same row
-    cloud = [(0, 0, 0), (1, 1, 1), (1, 0, 0)]
-    with mock.patch.object(cimset.oracle, "_solve_phase1",
-                           wraps=cimset.oracle._solve_phase1) as lp:
-        cert = oracle_adjacent(cloud[0], cloud[1], cloud)
-    assert lp.call_count == 1
-    (rows, rhs, _), _ = lp.call_args
-    assert [list(r) for r in rows] == [[1], [0], [1]] and list(rhs) == [1, 1, 2]
-    assert cert.kind == "adjacency" and cert.verified and cert.replay()
-    farkas = cert.payload["farkas"]
-    assert len(farkas) == 4 and _repeated_rows(cert) == [2] and farkas[2] == 0
-    # equal rows with equal right-hand sides take any split of one multiplier
-    y1 = farkas[1]
-    assert y1
-    for split in ((0, y1), (-y1, 2 * y1), (y1, 0)):
-        moved = (farkas[0], *split, farkas[3])
-        assert Certificate("adjacency", dict(cert.payload, farkas=moved), False).replay()
+    # over the candidates 1000, 1100 and 0100, coordinates 0 and 4 are one row
+    # and so are 2 and 5; reversed, t enters each row with the other sign
+    for i, j, sign, b in ((0, 1, 1, 1), (1, 0, -1, 0)):
+        with _lp_calls() as lp:
+            cert = oracle_adjacent(_WIDE_PYRAMID[i], _WIDE_PYRAMID[j], _WIDE_PYRAMID)
+        assert lp.call_count == 1
+        (rows, rhs, _), _ = lp.call_args
+        assert [list(r) for r in rows] == [[1, 1, 0, sign], [0, 1, 1, sign],
+                                           [0, 0, 0, sign], [1, 1, 1, 0]]
+        assert list(rhs) == [b, b, b, 1]
+        assert cert.kind == "adjacency" and cert.verified and cert.replay()
+        _assert_lp_route(cert)
+        farkas = cert.payload["farkas"]
+        assert len(farkas) == 6 and _repeated_rows(cert) == [3, 4]
+        # equal rows with equal right-hand sides take any split of one multiplier
+        y0 = farkas[0]
+        assert y0
+        for split in ((0, y0), (-y0, 2 * y0), (y0, 0)):
+            moved = (split[0], *farkas[1:3], split[1], *farkas[4:])
+            assert Certificate("adjacency", dict(cert.payload, farkas=moved), False).replay()
 
 
 def _with_combination(cert, combo):
@@ -371,19 +483,61 @@ def test_tampered_certificates_fail_replay():
     split = [((1, 0), Fraction(1, 4)), ((1, 0), Fraction(1, 4)), ((0, 1), Fraction(1, 2))]
     assert _with_combination(cert, split).replay()
 
-    cert2 = oracle_adjacent((0, 0), (1, 0), SQUARE)
-    bad_farkas = tuple(-y for y in cert2.payload["farkas"])
-    cert2.payload["farkas"] = bad_farkas
-    assert not cert2.replay()
-
     # in the triangle the diagonal is an edge, with (1, 0) the one candidate
     cert3 = oracle_adjacent((0, 0), (1, 1), [(0, 0), (1, 0), (1, 1)])
     assert cert3.kind == "adjacency" and cert3.replay()
     assert cert3.payload["candidates"] == ((1, 0),)
     moved = dict(cert3.payload, candidates=(), excluded=((1, 0),))
     assert not Certificate("adjacency", moved, False).replay()
-    short = dict(cert3.payload, farkas=cert3.payload["farkas"][1:])
+
+    # the LP route
+    cert2 = oracle_adjacent(PYRAMID[0], PYRAMID[1], PYRAMID)
+    u, *rest = cert2.payload["candidates"]
+    moved = dict(cert2.payload, candidates=tuple(rest), excluded=(u, PYRAMID[5]))
+    assert not Certificate("adjacency", moved, False).replay()
+    short = dict(cert2.payload, farkas=cert2.payload["farkas"][1:])
     assert not Certificate("adjacency", short, False).replay()
+    bad_farkas = tuple(-y for y in cert2.payload["farkas"])
+    cert2.payload["farkas"] = bad_farkas
+    assert not cert2.replay()
+
+
+@pytest.mark.parametrize("cloud", [SQUARE, SIMPLEX_FACE, PYRAMID[:3] + PYRAMID[5:]])
+def test_tampered_rank_certificates_fail_replay(cloud):
+    cert = oracle_adjacent(cloud[0], cloud[1], cloud)
+    assert cert.kind == "adjacency" and cert.verified and "farkas" not in cert.payload
+    p = cert.payload
+    face = (p["v1"], p["v2"], *p["candidates"])
+    # a 0/1 vertex on the face that is an affine combination of it mod 2:
+    # the XOR of three face vertices, or of v1, v2 and v2, which is v1
+    three = face[:3] if len(face) >= 3 else (p["v1"], p["v2"], p["v2"])
+    extra = tuple(sum(es) % 2 for es in zip(*three))
+    dependent = dict(p, candidates=(*p["candidates"], extra))
+    assert not Certificate("adjacency", dependent, False).replay()
+    for u in p["candidates"]:
+        moved = dict(p, candidates=tuple(c for c in p["candidates"] if c != u),
+                     excluded=(*p["excluded"], u))
+        assert not Certificate("adjacency", moved, False).replay()
+    # v2 lies on the face too, so no coordinate forces it off
+    both_ends = dict(p, excluded=(*p["excluded"], p["v2"]))
+    assert not Certificate("adjacency", both_ends, False).replay()
+
+
+def test_the_worst_diagnosis_8_1_pair_is_ranked_without_the_lp():
+    # the member with no parents against the one with all eight: its face is
+    # the whole cloud of 256 vertices, a simplex
+    spec = diagnosis_family(8, 1)
+    idx = coordinate_index(spec)
+    vecs = [characteristic_imset(g, idx).bits for g in enumerate_family(spec)]
+    lo = min(vecs, key=sum)
+    hi = max(vecs, key=sum)
+    assert sum(lo) == 0 and sum(hi) == 255
+    with _lp_calls() as lp:
+        cert = oracle_adjacent(lo, hi, VertexCloud(vecs))
+        assert cert.kind == "adjacency" and cert.verified and cert.replay()
+    assert lp.call_count == 0
+    assert len(cert.payload["candidates"]) == 254 and cert.payload["excluded"] == ()
+    assert "farkas" not in cert.payload
 
 
 def test_forged_forced_zero_columns_do_not_certify_the_square_diagonal():
@@ -436,9 +590,19 @@ def test_zero_one_check(vecs, want):
 
 @pytest.mark.parametrize("one", [1.0, True, Fraction(1), np.int64(1)])
 def test_replays_read_integral_entries_of_any_type(one):
-    side = oracle_adjacent((0, 0), (1, 0), SQUARE)
-    candidates = tuple(tuple(one if e else 0 for e in u) for u in side.payload["candidates"])
-    assert Certificate("adjacency", dict(side.payload, candidates=candidates), False).replay()
+    # one pair on each adjacency route, both with candidates and excluded vertices
+    for cloud, lp_route in ((SIMPLEX_FACE, False), (PYRAMID, True)):
+        cert = oracle_adjacent(cloud[0], cloud[1], cloud)
+        p = cert.payload
+        assert cert.kind == "adjacency" and p["candidates"] and p["excluded"]
+        assert ("farkas" in p) == lp_route
+        converted = {key: tuple(tuple(one if e else 0 for e in u) for u in p[key])
+                     for key in ("candidates", "excluded")}
+        assert Certificate("adjacency", dict(p, **converted), False).replay()
+        # the conversion keeps the tampering visible
+        u, *rest = converted["candidates"]
+        moved = dict(p, candidates=tuple(rest), excluded=(*converted["excluded"], u))
+        assert not Certificate("adjacency", moved, False).replay()
     diagonal = oracle_adjacent((0, 0), (1, 1), SQUARE)
     combo = [(tuple(one if e else 0 for e in u), lam) for u, lam in diagonal.payload["combination"]]
     assert _with_combination(diagonal, combo).replay()
@@ -454,7 +618,7 @@ def test_adjacency_replay_refuses_a_farkas_of_the_wrong_length(farkas):
     # one multiplier per coordinate where v1 and v2 differ, (0, 1) here, and
     # one for the convexity row
     payload = {"v1": (0, 1), "v2": (1, 0), "candidates": ((1, 1),), "excluded": (),
-               "farkas": (-1, 0, 1)}
+               "farkas": (-1, -1, 2)}
     assert Certificate("adjacency", payload, False).replay() is True
     assert Certificate("adjacency", dict(payload, farkas=farkas), False).replay() is False
 
@@ -473,7 +637,9 @@ _PAIR = {"v1": (0, 1), "v2": (1, 0)}
     # a candidate that is no vector, a multiplier that is no number, no multipliers
     ("adjacency", dict(_PAIR, candidates=[0], excluded=(), farkas=(1, 1, -1))),
     ("adjacency", dict(_PAIR, candidates=(), excluded=(), farkas=(1, "x", 2))),
-    ("adjacency", dict(_PAIR, candidates=(), excluded=())),
+    # no multipliers on a face that is no simplex, although the pair is an edge
+    ("adjacency", {"v1": PYRAMID[0], "v2": PYRAMID[1], "candidates": tuple(PYRAMID[2:5]),
+                   "excluded": (PYRAMID[5],)}),
     # a combination term without its weight (ValueError), or no list of terms
     ("non-adjacency", dict(_PAIR, combination=[((0, 0),)])),
     ("non-adjacency", dict(_PAIR, combination=5)),
@@ -482,6 +648,9 @@ _PAIR = {"v1": (0, 1), "v2": (1, 0)}
                    "excluded": (), "farkas": (1, -1)}),
     ("non-adjacency", {"v1": (0,) * 5, "v2": (1,) * 5,
                        "combination": [((1,) * 5, Fraction(1, 2)), (5, Fraction(1, 2))]}),
+    # no multipliers on the bipyramid's face either, where the pair is no edge
+    ("adjacency", {"v1": BIPYRAMID[0], "v2": BIPYRAMID[1],
+                   "candidates": tuple(BIPYRAMID[2:5]), "excluded": (BIPYRAMID[5],)}),
 ])
 def test_malformed_certificates_replay_false(kind, payload):
     assert Certificate(kind, payload, False).replay() is False
@@ -883,8 +1052,17 @@ def test_certificates_replay_and_tampered_ones_do_not(spec, data):
     cert = oracle_adjacent(vecs[i], vecs[j], vecs)
     assert cert.verified and cert.replay()
     if cert.kind == "adjacency":
-        negated = tuple(-y for y in cert.payload["farkas"])
-        assert not Certificate("adjacency", dict(cert.payload, farkas=negated), False).replay()
+        # a rank payload: v1 named again among the candidates is dependent,
+        # and a candidate moved to excluded is not forced off the face
+        p = cert.payload
+        twice = dict(p, candidates=(*p["candidates"], p["v1"]))
+        assert not Certificate("adjacency", twice, False).replay()
+        if p["candidates"]:
+            u, *rest = p["candidates"]
+            moved = dict(p, candidates=tuple(rest), excluded=(*p["excluded"], u))
+            assert not Certificate("adjacency", moved, False).replay()
+        # the LP route's negated Farkas vector is pinned on random clouds in
+        # test_adjacency_lp_on_distinct_rows_agrees_with_the_full_lp
 
     child = data.draw(st.sampled_from([c for c in range(spec.n) if spec.free_mask(c)]))
     k = spec.free_mask(child).bit_count()
