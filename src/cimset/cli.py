@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -53,12 +54,41 @@ def _load_json(path, what):
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
 
 
-def _open_out(path, what):
-    """`path` opened for writing text; an unwritable path is a FormatError naming it."""
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot write {what} file {path}: {exc.strerror or exc}") from None
+class _OutFile:
+    """`path` opened for writing text, as a context manager.
+
+    An OSError from opening the file, from one of its writes or from its
+    close is a FormatError naming it; what the `with` block raises itself
+    passes through.
+    """
+
+    def __init__(self, path, what):
+        self._path, self._what = path, what
+        try:
+            self._fh = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise self._refusal(exc) from None
+
+    def _refusal(self, exc):
+        return FormatError(f"cannot write {self._what} file {self._path}: "
+                           f"{exc.strerror or exc}")
+
+    def write(self, text):
+        try:
+            return self._fh.write(text)
+        except OSError as exc:
+            raise self._refusal(exc) from None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            self._fh.close()
+        except OSError as exc:
+            # the block's own error wins over the flush failing again on close
+            if exc_type is None:
+                raise self._refusal(exc) from None
 
 
 def _graph_text(g):
@@ -178,7 +208,7 @@ def cmd_verify(args) -> int:
     spec = family_from_json(_load_json(args.family, "family"))
     checks = CHECKS if args.checks == "all" else args.checks.split(",")
     if args.certificates:
-        with _open_out(args.certificates, "certificates") as fh:
+        with _OutFile(args.certificates, "certificates") as fh:
             rows = verify_family(spec, checks, args.limit, args.seed,
                                  lambda record: fh.write(json.dumps(record) + "\n"))
     else:
@@ -242,7 +272,7 @@ def cmd_learn(args) -> int:
     results = {name: runners[name](table, spec) for name in wanted}
     if args.out:
         first = results[wanted[0]]
-        with _open_out(args.out, "graph") as fh:
+        with _OutFile(args.out, "graph") as fh:
             json.dump(graph_to_json(first.graph), fh, indent=2)
             fh.write("\n")
         print(f"wrote {first.method} graph to {args.out}", file=sys.stderr)
@@ -306,6 +336,9 @@ def _add_table_source(p):
                    help="accepted for interface stability; execution is sequential")
 
 
+# built once per process: parse_args keeps no state on the parser, so repeated
+# main() calls in one process share it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="cimset", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

@@ -46,7 +46,8 @@ def verify_family(spec, checks, limit, seed, emit=None):
     """
     bad = [c for c in checks if c not in CHECKS]
     if bad:
-        raise FormatError(f"unknown checks: {', '.join(bad)}")
+        raise FormatError(f"unknown checks: {', '.join(c or repr(c) for c in bad)} "
+                          f"(choose from {', '.join(CHECKS)})")
     size = spec.family_size()
     limits.check("ADJACENCY_CLOUD_MAX", size, "verify refuses families over the "
                  f"vertex-cloud limit: family has {size} members")

@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -367,6 +369,96 @@ def test_unwritable_graph_file_is_refused(tmp_path, capsys):
     err = _refused(capsys, ["learn", "--scores", f"{FIX}/example_k2_forward.json",
                             "--out", str(out)])
     assert f"cannot write graph file {out}" in err
+
+
+class _FullDisk(io.StringIO):
+    """A file on a full disk: its `write` or its `close` raises ENOSPC."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self._failing = failing
+
+    def _full(self):
+        return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        if self._failing == "write":
+            raise self._full()
+        return super().write(text)
+
+    def close(self):
+        super().close()
+        if self._failing == "close":
+            raise self._full()
+
+
+def _full_disk_for_writes(monkeypatch, failing):
+    """Make cimset.cli open every file it writes on a full disk."""
+    real = open
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        return _FullDisk(failing) if "w" in mode else real(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cimset.cli, "open", fake_open, raising=False)
+
+
+@pytest.mark.parametrize("failing", ["write", "close"])
+def test_certificates_write_failure_is_refused(tmp_path, capsys, monkeypatch, failing):
+    _full_disk_for_writes(monkeypatch, failing)
+    certs = tmp_path / "certs.jsonl"
+    err = _refused(capsys, ["verify", "--family", f"{FIX}/diag_2_2.json",
+                            "--certificates", str(certs)])
+    assert err == f"cimset: cannot write certificates file {certs}: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("failing", ["write", "close"])
+def test_graph_write_failure_is_refused(tmp_path, capsys, monkeypatch, failing):
+    _full_disk_for_writes(monkeypatch, failing)
+    out = tmp_path / "graph.json"
+    err = _refused(capsys, ["learn", "--scores", f"{FIX}/example_k2_forward.json",
+                            "--out", str(out)])
+    assert err == f"cimset: cannot write graph file {out}: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_parser_is_built_once_per_process():
+    assert cimset.cli.build_parser() is cimset.cli.build_parser()
+
+
+def _outcome(capsys, argv):
+    """main(argv)'s exit code, stdout and stderr."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_keeps_no_options_between_calls(tmp_path, capsys):
+    certs = tmp_path / "certs.jsonl"
+    full = ["verify", "--family", f"{FIX}/diag_2_2.json", "--certificates", str(certs)]
+    first = _outcome(capsys, full)
+    assert len(certs.read_text().splitlines()) == 128
+    assert _outcome(capsys, full[:3] + ["--limit", "5"] + full[3:])[0] == 0
+    assert len(certs.read_text().splitlines()) == 13
+    assert _outcome(capsys, full) == first
+    assert len(certs.read_text().splitlines()) == 128
+
+
+def test_refused_argv_leaves_the_shared_parser_unchanged(capsys):
+    argv = ["learn", "--scores", f"{FIX}/example_k2_forward.json", "--method", "all"]
+    first = _outcome(capsys, argv)
+    assert first[0] == 0
+    assert "argument --method: invalid choice: 'x'" in _refused(capsys, ["learn", "--method", "x"])
+    assert _outcome(capsys, argv) == first
+
+
+def test_help_twice_gives_the_same_text(capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert all(name in texts[0] for name in ("imset", "verify", "compare-k2", "enumerate"))
 
 
 def test_missing_data_file_is_refused(tmp_path, capsys):

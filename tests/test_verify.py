@@ -36,6 +36,12 @@ def test_unknown_check_refused_before_enumeration():
     # 65536 members: the size guard would refuse too, but the names are checked first
     with pytest.raises(FormatError, match="unknown checks: nonsense, bogus"):
         verify_family(diagnosis_family(4, 4), ["product", "nonsense", "bogus"], 2000, 0)
+    # an empty name, as `--checks adjacency,` gives, is shown quoted, and the
+    # message ends with the names there are
+    with pytest.raises(FormatError) as refused:
+        verify_family(diagnosis_family(4, 4), ["adjacency", ""], 2000, 0)
+    assert str(refused.value) == \
+        "unknown checks: '' (choose from product, dimension, adjacency, facets)"
 
 
 def test_size_guard():
