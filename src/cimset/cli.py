@@ -22,7 +22,7 @@ from .imsets import (_subset_labels, characteristic_imset, coordinate_index,
 from .learn import compare, k2_forward, k2_backward, optimize_exact
 from .scoring import build_score_table, load_csv, score_table_from_json
 from .subsets import bits_of, iter_graded_subsets
-from .verify import CHECKS, verify_family
+from .verify import CHECKS, check_request, verify_family
 
 
 class _Parser(argparse.ArgumentParser):
@@ -207,6 +207,7 @@ def cmd_neighbors(args) -> int:
 def cmd_verify(args) -> int:
     spec = family_from_json(_load_json(args.family, "family"))
     checks = CHECKS if args.checks == "all" else args.checks.split(",")
+    check_request(spec, checks)  # before --certificates is truncated
     if args.certificates:
         with _OutFile(args.certificates, "certificates") as fh:
             rows = verify_family(spec, checks, args.limit, args.seed,

@@ -18,6 +18,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import chain, count, islice
 from operator import add, and_, mul, or_
 from typing import Dict, List, Optional, Tuple
 
@@ -90,7 +91,36 @@ class Dataset:
                 and self.cardinalities == other.cardinalities and self.rows == other.rows)
 
 
-_BLOCK = 1024  # CSV rows read and coded at a time, to bound the tokens held
+_BLOCK = 1024  # CSV lines read, parsed and coded at a time, to bound the tokens held
+
+
+def _blocks(fh):
+    """The data rows of `fh`, a block at a time, as (records, take): the block's
+    rows in file order are records[take].
+
+    Each distinct line of a block is parsed once, from a fresh reader state.
+    If every one of them ends its own record, the file-order parse also starts
+    afresh at every line and gives it that same record; a closing blank line
+    tests the last distinct line as well.  From the first block where a quoted
+    field runs across lines, records are read in file order and take is the
+    identity.
+    """
+    while lines := list(islice(fh, _BLOCK)):
+        ids = dict.fromkeys(lines)
+        try:
+            records = list(csv.reader(chain(ids, ("\n",))))
+        except csv.Error:  # the file-order read decides whether, and where, to refuse
+            break
+        if len(records) <= len(ids):
+            break
+        records.pop()  # the closing blank line's empty record
+        number = dict(zip(ids, count()))
+        yield records, np.fromiter(map(number.__getitem__, lines), np.intp, len(lines))
+    else:
+        return
+    reader = csv.reader(chain(lines, fh))
+    while block := list(islice(reader, _BLOCK)):
+        yield block, np.arange(len(block))
 
 
 def load_csv(path, ordering: NodeOrdering) -> Dataset:
@@ -98,13 +128,12 @@ def load_csv(path, ordering: NodeOrdering) -> Dataset:
 
     Columns are matched by header name and may appear in any order; extra
     columns are ignored.  Labels are stripped; state indices follow first
-    appearance per column.  Each column's distinct tokens in a block of
-    rows are labelled once.
+    appearance per column.  Each distinct line of a block is parsed once and
+    each column's distinct tokens in it are labelled once (`_blocks`).
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise FormatError(f"{path}: empty file")
             header = [h.strip() for h in header]
@@ -119,17 +148,18 @@ def load_csv(path, ordering: NodeOrdering) -> Dataset:
             labels: List[Dict[str, int]] = [{} for _ in cols]  # stripped label -> state
             chunks = [[] for _ in cols]  # each column's codes, one array per block
             start = 2  # file row of the block's first row
-            while block := [raw for _, raw in zip(range(_BLOCK), reader)]:
-                columns = list(zip(*block))  # as many as the shortest row has
+            for records, take in _blocks(fh):
+                columns = list(zip(*records))  # as many as the shortest record has
                 for label, chunk, c in zip(labels, chunks, cols):
                     if c < len(columns):
                         code = {tok: label.setdefault(tok.strip(), len(label))
                                 for tok in dict.fromkeys(columns[c])}
                         chunk.append(np.fromiter(map(code.__getitem__, columns[c]), np.int64,
-                                                 len(block)))
+                                                 len(records))[take])
                 if len(columns) <= max(cols) or any("" in label for label in labels):
-                    _raise_bad_cell(path, ordering, cols, block, start)
-                start += len(block)
+                    _raise_bad_cell(path, ordering, cols, map(records.__getitem__, take.tolist()),
+                                    start)
+                start += len(take)
     except OSError as exc:
         raise FormatError(f"cannot read data file {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

@@ -34,6 +34,18 @@ def _sampled_pairs(size, limit, seed):
         yield i, i + 1 + r - first
 
 
+def check_request(spec, checks):
+    """Refuse an unknown check name, then a family over ADJACENCY_CLOUD_MAX,
+    as `verify_family` does before it does any work."""
+    bad = [c for c in checks if c not in CHECKS]
+    if bad:
+        raise FormatError(f"unknown checks: {', '.join(c or repr(c) for c in bad)} "
+                          f"(choose from {', '.join(CHECKS)})")
+    size = spec.family_size()
+    limits.check("ADJACENCY_CLOUD_MAX", size, "verify refuses families over the "
+                 f"vertex-cloud limit: family has {size} members")
+
+
 def verify_family(spec, checks, limit, seed, emit=None):
     """Run the named checks on `spec`: one (name, passed, detail) row each, in CHECKS order.
 
@@ -44,13 +56,8 @@ def verify_family(spec, checks, limit, seed, emit=None):
     `emit`, when given, gets each certificate as a JSON dict; adjacency
     records share one serialized graph per member.
     """
-    bad = [c for c in checks if c not in CHECKS]
-    if bad:
-        raise FormatError(f"unknown checks: {', '.join(c or repr(c) for c in bad)} "
-                          f"(choose from {', '.join(CHECKS)})")
+    check_request(spec, checks)
     size = spec.family_size()
-    limits.check("ADJACENCY_CLOUD_MAX", size, "verify refuses families over the "
-                 f"vertex-cloud limit: family has {size} members")
     idx = coordinate_index(spec)
     members = list(enumerate_family(spec))
     vecs = [characteristic_imset(g, idx).bits for g in members]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cimset.cli
+import cimset.limits
 import cimset.verify
 from cimset.cli import main
 from cimset.graphs import (FamilySpec, NodeOrdering, diagnosis_family, family_to_json,
@@ -369,6 +370,23 @@ def test_unwritable_graph_file_is_refused(tmp_path, capsys):
     err = _refused(capsys, ["learn", "--scores", f"{FIX}/example_k2_forward.json",
                             "--out", str(out)])
     assert f"cannot write graph file {out}" in err
+
+
+@pytest.mark.parametrize("refusal, message", [
+    (["--checks", "nonsense"], "unknown checks: nonsense"),
+    (["--checks", "product"], "over the limit ADJACENCY_CLOUD_MAX = 15"),
+])
+def test_refused_verify_keeps_the_certificates_file(tmp_path, capsys, monkeypatch,
+                                                    refusal, message):
+    certs = tmp_path / "certs.jsonl"
+    argv = ["verify", "--family", f"{FIX}/diag_2_2.json", "--certificates", str(certs)]
+    assert main(argv) == 0
+    kept = certs.read_bytes()
+    assert len(kept.splitlines()) == 128
+    capsys.readouterr()
+    monkeypatch.setattr(cimset.limits, "ADJACENCY_CLOUD_MAX", 15)
+    assert message in _refused(capsys, argv + refusal)
+    assert certs.read_bytes() == kept
 
 
 class _FullDisk(io.StringIO):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import functools
 import itertools
@@ -175,6 +176,79 @@ def test_load_csv_equals_the_row_constructor(tmp_path):
     for crit in CRITERIA:
         assert _tables_identical(build_score_table(loaded, spec, crit),
                                  build_score_table(built, spec, crit))
+
+
+def _file_order_rows(path, names):
+    """The rows of a CSV read by one file-order csv.reader, relabelled by first appearance."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *records = csv.reader(fh)
+    cols = [header.index(name) for name in names]
+    return _first_appearance([tuple(r[c].strip() for c in cols) for r in records])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_load_csv_equals_a_file_order_reader(tmp_path, seed):
+    rng = random.Random(seed)
+    labels = ["x", " x", "x ", "y", '"y"', '"x,1"', '" x,1 "', '"q""z"', "z"]
+    lines = [",".join(rng.choice(labels) for _ in range(4)) for _ in range(rng.randint(3, 40))]
+    rows = rng.choices(lines, k=2 * cimset.scoring._BLOCK + rng.randint(1, 300))
+    p = tmp_path / "d.csv"
+    p.write_bytes("".join(line + rng.choice(["\n", "\r\n"])
+                          for line in ["c,a,junk,b"] + rows).encode())
+    names = ("a", "b", "c")
+    data = load_csv(p, NodeOrdering(names))
+    assert data.n_rows == len(rows)
+    assert data.rows == _file_order_rows(p, names)
+
+
+@pytest.mark.parametrize("where", [(0,), (1,), (0, 1)])
+def test_load_csv_reads_a_quoted_label_across_lines(tmp_path, where):
+    block = cimset.scoring._BLOCK
+    rows = [["s0,p", "s1,q", "s0,p"][k % 3] for k in range(2 * block)]
+    for b in where:  # into the first block, a later one or both, twice each
+        rows[b * block + 5] = rows[b * block + 9] = '"yes\nno",q'
+    p = tmp_path / "d.csv"
+    p.write_text("a,b\n" + "".join(row + "\n" for row in rows))
+    data = load_csv(p, NodeOrdering(("a", "b")))
+    assert data.n_rows == len(rows)
+    assert data.rows == _file_order_rows(p, ("a", "b"))
+    assert data.cardinalities == (3, 2)
+
+
+@pytest.mark.parametrize("before", [0, 1])
+def test_load_csv_reads_on_past_a_last_distinct_line_that_opens_a_quote(tmp_path, before):
+    # the block's distinct lines end with '"z,r', which opens a quote that
+    # swallows the repeated 'x,p' after it: two rows, not three
+    rows = ["w,q"] * (before * cimset.scoring._BLOCK) + ["x,p", '"z,r', "x,p"]
+    p = tmp_path / "d.csv"
+    p.write_text("a,b\n" + "".join(row + "\n" for row in rows))
+    data = load_csv(p, NodeOrdering(("a",)))
+    assert data.n_rows == len(rows) - 1
+    assert data.rows == _file_order_rows(p, ("a",))
+    assert data.rows[-1] == (data.cardinalities[0] - 1,)
+
+
+def test_load_csv_reads_a_quote_closed_by_a_repeated_line(tmp_path):
+    # in file order 'q",z' closes the quote '"open' opens; among the distinct
+    # lines nothing closes it, and the long lines after it overflow the field limit
+    rows = ['q",z', '"open', 'q",z'] + [f"{k}{'y' * 1000},z" for k in range(200)]
+    p = tmp_path / "d.csv"
+    p.write_text("a,b\n" + "".join(row + "\n" for row in rows))
+    data = load_csv(p, NodeOrdering(("a", "b")))
+    assert data.n_rows == len(rows) - 1
+    assert data.rows == _file_order_rows(p, ("a", "b"))
+
+
+def test_load_csv_refuses_a_repeated_bad_line_at_its_first_row(tmp_path):
+    block = cimset.scoring._BLOCK
+    rows = ["s0,s1", "s1,s0"] * (block + 10)
+    rows[block + 3] = rows[block + 11] = rows[2 * block + 2] = "s1"
+    rows[block + 7] = rows[block + 9] = "s1,"
+    p = tmp_path / "d.csv"
+    p.write_text("a,b\n" + "".join(row + "\n" for row in rows))
+    # the header is file row 1 and the data rows follow it
+    with pytest.raises(FormatError, match=f"row {block + 5} is missing column 'b'$"):
+        load_csv(p, NodeOrdering(("a", "b")))
 
 
 # --- local scores -----------------------------------------------------------
