@@ -109,6 +109,22 @@ def _print_json(obj):
     sys.stdout.write(json.dumps(obj, indent=2, default=_fraction_text) + "\n")
 
 
+def _print_graphs(graphs, fmt, noun):
+    """One graph per stdout line, as JSON or text, then `N <noun>` on stderr."""
+    count = 0
+    for g in graphs:
+        count += 1
+        print(json.dumps(graph_to_json(g)) if fmt == "json" else _graph_text(g))
+    print(f"{count} {noun}", file=sys.stderr)
+
+
+def _print_results(results):
+    """Each learner's score line and graph line, as text."""
+    for r in results:
+        print(f"{r.method}: score={r.total_score}")
+        print(f"  {_graph_text(r.graph)}")
+
+
 # --- commands -------------------------------------------------------------
 
 def cmd_imset(args) -> int:
@@ -193,14 +209,7 @@ def cmd_neighbors(args) -> int:
             raise DomainError("graph is not a member of the family")
         print(spec.degree())
         return 0
-    count = 0
-    for h in neighbors(g, spec):
-        count += 1
-        if args.format == "json":
-            print(json.dumps(graph_to_json(h)))
-        else:
-            print(_graph_text(h))
-    print(f"{count} neighbors", file=sys.stderr)
+    _print_graphs(neighbors(g, spec), args.format, "neighbors")
     return 0
 
 
@@ -280,9 +289,7 @@ def cmd_learn(args) -> int:
     if args.format == "json":
         _print_json({r.method: _result_json(r) for r in results.values()})
     else:
-        for r in results.values():
-            print(f"{r.method}: score={r.total_score}")
-            print(f"  {_graph_text(r.graph)}")
+        _print_results(results.values())
     return 0
 
 
@@ -294,9 +301,7 @@ def cmd_compare(args) -> int:
     doc["agreement"] = {k: list(v) for k, v in rep.agreement.items()}
     doc["structural_hamming"] = dict(rep.hamming)
     if args.format == "text":
-        for name, r in rep.results.items():
-            print(f"{name}: score={r.total_score}")
-            print(f"  {_graph_text(r.graph)}")
+        _print_results(rep.results.values())  # keyed by each result's method
         for name in rep.gaps:
             print(f"gap {name}: {rep.gaps[name]}; hamming {rep.hamming[name]}; "
                   f"children agree {sum(rep.agreement[name])}/{len(rep.agreement[name])}")
@@ -307,14 +312,7 @@ def cmd_compare(args) -> int:
 
 def cmd_enumerate(args) -> int:
     spec = family_from_json(_load_json(args.family, "family"))
-    count = 0
-    for g in enumerate_family(spec, limit=args.limit):
-        count += 1
-        if args.format == "json":
-            print(json.dumps(graph_to_json(g)))
-        else:
-            print(_graph_text(g))
-    print(f"{count} graphs", file=sys.stderr)
+    _print_graphs(enumerate_family(spec, limit=args.limit), args.format, "graphs")
     return 0
 
 

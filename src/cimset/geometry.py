@@ -72,14 +72,12 @@ def product_structure(spec: FamilySpec) -> ProductStructure:
 
 
 def affine_dimension_formula(spec: FamilySpec) -> int:
-    """Affine dimension of the family polytope: each free child adds 2**f - 1.
+    """Affine dimension of the family polytope: the sum of its factors' dimensions.
 
     Coordinate copies across floor subsets move in lockstep, so multiplicity
     does not increase the affine dimension.
     """
-    if spec.max_parents is not None:
-        raise UnsupportedError("dimension formula for capped families is unsupported")
-    return sum((1 << spec.free_mask(i).bit_count()) - 1 for i in range(spec.n))
+    return sum(f.dimension for f in product_structure(spec).factors)
 
 
 class FacetSystem:

@@ -9,7 +9,8 @@ relies on the closed-form block structure it is used to certify.
 
 Rational vectors and matrices are plain sequences of ints or
 fractions.Fraction values; points are Fractions and Farkas vectors ints,
-both in lowest terms.
+both in lowest terms.  A 0/1 vertex, and every vector of a certificate
+payload, is bytes, one byte per coordinate, as a characteristic imset is.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -243,42 +243,55 @@ class Certificate:
             return False
 
 
-def _zero_one(vecs, d: int) -> bool:
-    """Whether every vector has d entries, each 0 or 1.
+def _zero_one(vecs, d: int) -> Optional[List[bytes]]:
+    """Each vector as bytes, one byte per entry, or None unless every vector has
+    d entries, each 0 or 1: the oracle's one reader of 0/1 vertices.
 
-    Both segment replays rest on this: a vertex is then nonnegative where
-    both endpoints are 0 and at most 1 where both are 1.  Vectors of ints in
-    0..255 are packed into one bytes object and checked by one `translate`;
-    any other entry, such as 1.0 or Fraction(1), takes the set check.
+    Both segment replays rest on it: a vertex is then nonnegative where both
+    endpoints are 0 and at most 1 where both are 1.  Vectors of ints in
+    0..255 are packed by `bytes(tuple(v))`, which refuses the int 5 and reads
+    an int64 array by its entries, not its buffer, and one `translate` checks
+    them all; any other entry, such as 1.0 or Fraction(1), or a `CharImset`,
+    takes the set check.
     """
-    if not set(map(len, vecs)) <= {d}:
-        return False
     try:
-        packed = b"".join(bytes(tuple(v)) for v in vecs)
+        packed = [v if type(v) is bytes else bytes(tuple(v)) for v in vecs]
     except (TypeError, ValueError):
-        return {0, 1}.issuperset(chain.from_iterable(vecs))
-    return not packed.translate(None, b"\x00\x01")
+        packed = []
+        for v in vecs:
+            t = v.bits if isinstance(v, CharImset) else tuple(v)
+            if not {0, 1}.issuperset(t):
+                return None
+            packed.append(bytes(map(bool, t)))
+    if set(map(len, packed)) - {d} or b"".join(packed).translate(None, b"\x00\x01"):
+        return None
+    return packed
+
+
+# The bitmask of a packed 0/1 vector: bit 8j is set where coordinate j is 1.
+_mask = partial(int.from_bytes, byteorder="little")
 
 
 def _replay_non_adjacency(p) -> bool:
-    v1, v2 = p["v1"], p["v2"]
     combo = p["combination"]
     if not combo or not all(isinstance(lam, numbers.Rational) for _, lam in combo):
         return False
-    if not _zero_one([v1, v2, *(vec for vec, _ in combo)], len(v1)):
+    packed = _zero_one([p["v1"], p["v2"], *(vec for vec, _ in combo)], len(p["v1"]))
+    if packed is None:
         return False
+    v1, v2, *vecs = packed
     # the weights as int numerators over their common denominator
     den = math.lcm(*(lam.denominator for _, lam in combo))
     total = 0
     mix = [0] * len(v1)
-    for vec, lam in combo:
+    for vec, (_, lam) in zip(vecs, combo):
         num = lam.numerator * (den // lam.denominator)
-        if num < 0 or tuple(vec) in (tuple(v1), tuple(v2)):
+        if num < 0 or vec == v1 or vec == v2:
             return False
         total += num
         for j, e in enumerate(vec):
             if e:
-                mix[j] += num * e
+                mix[j] += num
     if total != den:
         return False
     # the combination is a point of the segment [v1, v2]: den times it is
@@ -295,48 +308,35 @@ def _replay_non_adjacency(p) -> bool:
 
 
 def _replay_adjacency(p) -> bool:
-    v1, v2 = p["v1"], p["v2"]
-    face = [v1, v2, *p["candidates"]]
-    if not _zero_one([*face, *p["excluded"]], len(v1)):
+    candidates = p["candidates"]
+    packed = _zero_one([p["v1"], p["v2"], *candidates, *p["excluded"]], len(p["v1"]))
+    if packed is None:
         return False
-    target = list(map(operator.add, v1, v2))
-    # vertices pruned from the face must each be forced off it by a
-    # coordinate where both endpoints are 0 (they carry a 1) or both are 1
-    # (they carry a 0); those coordinates come from v1 + v2, never from the
-    # payload
-    zero_cols = [j for j, t in enumerate(target) if t == 0]
-    two_cols = [j for j, t in enumerate(target) if t == 2]
-    for vec in p["excluded"]:
-        if not any(map(vec.__getitem__, zero_cols)) and all(map(vec.__getitem__, two_cols)):
+    k = len(candidates)
+    m1, m2, *masks = map(_mask, packed)
+    # vertices pruned from the face must each be forced off it by a 1 where
+    # both endpoints are 0 or a 0 where both are 1, the walk's own test;
+    # those coordinates come from v1 and v2, never from a list in the payload
+    outside, both = ~(m1 | m2), m1 & m2
+    for mask in masks[k:]:
+        if not (mask & outside or (mask & both) != both):
             return False
     if "farkas" not in p:
-        base, *rest = _masks(face)
-        return _independent_mod2(base, rest)
+        return _independent_mod2(m1, [m2, *masks[:k]])
     y = p["farkas"]
+    v1, v2, *vecs = packed
     # the LP rows are the coordinates where exactly one endpoint is 1, each
     # with the column of t, v2_j - v1_j, and right-hand side v2_j
-    support = [j for j, t in enumerate(target) if t == 1]
+    support = [j for j, (a, b) in enumerate(zip(v1, v2)) if a != b]
     if len(y) != len(support) + 1:
         return False
-    for vec in p["candidates"]:
+    for vec in vecs[:k]:
         if sum(map(operator.mul, y, map(vec.__getitem__, support))) + y[-1] > 0:
             return False
     ys = y[:-1]
     if sum(map(operator.mul, ys, (v2[j] - v1[j] for j in support))) > 0:
         return False
     return sum(map(operator.mul, ys, map(v2.__getitem__, support))) + y[-1] > 0
-
-
-def _masks(vecs) -> List[int]:
-    """One int per 0/1 vector, with a distinct bit set for each coordinate that is 1.
-
-    Vectors of bytes-like ints are packed one coordinate per byte; any other
-    integral 0/1 entries, such as 1.0 or Fraction(1), one coordinate per bit.
-    """
-    try:
-        return [int.from_bytes(bytes(tuple(v)), "little") for v in vecs]
-    except (TypeError, ValueError):
-        return [sum(1 << j for j, e in enumerate(v) if e) for v in vecs]
 
 
 def _independent_mod2(base: int, masks) -> bool:
@@ -364,9 +364,9 @@ def _independent_mod2(base: int, masks) -> bool:
 
 
 def _replay_facet(p) -> bool:
-    vecs = [_vec(v) for v in p["cloud"]]
-    vertex = _facet_vertex(p["s"], vecs, len(p["coefficients"]))
-    return _facet_verdict(p["coefficients"], vecs, vertex, lambda: _independent(vecs))[0]
+    cloud = VertexCloud(p["cloud"])
+    vertex = _facet_vertex(p["s"], cloud.vecs, len(p["coefficients"]))
+    return _facet_verdict(p["coefficients"], cloud, vertex)[0]
 
 
 _REPLAY = {
@@ -379,34 +379,36 @@ _REPLAY = {
 # --- adjacency ----------------------------------------------------------
 
 class VertexCloud:
-    """A 0/1 vertex cloud converted once for repeated oracle calls.
+    """A 0/1 vertex cloud packed once for repeated oracle calls.
 
-    Holds the vertices as integer tuples (`vecs`), one bitmask per vertex
-    with bit j set where coordinate j is 1 (`masks`), and the position of
-    each distinct vector (`index`).  Every vertex must be a 0/1 vector and
-    all must have the same length: the pruning in `oracle_adjacent` is
-    only sound for 0/1 vertices.
+    Holds the vertices as bytes, one byte per coordinate (`vecs`), one
+    bitmask per vertex with bit 8j set where coordinate j is 1 (`masks`),
+    and the position of each distinct vertex (`index`).  Every vertex must
+    be a 0/1 vector and all must have the same length: the pruning in
+    `oracle_adjacent` is only sound for 0/1 vertices.
     """
 
     __slots__ = ("vecs", "masks", "index", "_simplex")
 
     def __init__(self, cloud):
-        vecs: List[Tuple[int, ...]] = []
-        masks: List[int] = []
-        index: Dict[Tuple[int, ...], int] = {}
-        for t, u in enumerate(cloud):
-            raw = u.bits if isinstance(u, CharImset) else tuple(u)
-            if any(e != 0 and e != 1 for e in raw):
-                raise DomainError(f"cloud vertex {t} {raw!r} is not a 0/1 vector")
-            vec = _vec(raw)
-            if vecs and len(vec) != len(vecs[0]):
-                raise DomainError(f"cloud vertex {t} has {len(vec)} coordinates, "
-                                  f"vertex 0 has {len(vecs[0])}")
+        cloud = list(cloud)
+        head = cloud[0] if cloud else b""
+        width = len(head.bits if isinstance(head, CharImset) else head)
+        vecs = _zero_one(cloud, width)
+        if vecs is None:
+            # name the first vertex that is no 0/1 vector or has another width
+            for t, u in enumerate(cloud):
+                raw = u.bits if isinstance(u, CharImset) else tuple(u)
+                if not {0, 1}.issuperset(raw):
+                    raise DomainError(f"cloud vertex {t} {raw!r} is not a 0/1 vector")
+                if len(raw) != width:
+                    raise DomainError(f"cloud vertex {t} has {len(raw)} coordinates, "
+                                      f"vertex 0 has {width}")
+        index: Dict[bytes, int] = {}
+        for t, vec in enumerate(vecs):
             index.setdefault(vec, t)
-            vecs.append(vec)
-            masks.append(sum(1 << j for j, e in enumerate(vec) if e))
         self.vecs = tuple(vecs)
-        self.masks = tuple(masks)
+        self.masks = tuple(map(_mask, vecs))
         self.index = index
         self._simplex: Optional[bool] = None
 
@@ -416,7 +418,7 @@ class VertexCloud:
     def simplex(self) -> bool:
         """Whether the vertices are affinely independent; ranked on the first call only."""
         if self._simplex is None:
-            self._simplex = _independent(self.vecs)
+            self._simplex = _affine_rank(list(self.vecs)) == len(self.vecs) - 1
         return self._simplex
 
 
@@ -436,18 +438,21 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
     no `farkas`.  Any other face goes to an exact LP over the candidates,
     which decides either way; its adjacency verdict is certified by the
     LP's Farkas refutation.  The cloud is a `VertexCloud` or any iterable
-    of 0/1 vectors; pass a `VertexCloud` to convert it once for many calls.
+    of 0/1 vectors; pass a `VertexCloud` to pack it once for many calls.
     """
-    b1, b2 = _vec(v1), _vec(v2)
-    if b1 == b2:
-        raise DegeneratePairError("adjacency oracle called with identical vertices")
     if not isinstance(cloud, VertexCloud):
         cloud = VertexCloud(cloud)
     limits.check("ADJACENCY_CLOUD_MAX", len(cloud), f"cloud of {len(cloud)} vertices")
-    if b1 not in cloud.index or b2 not in cloud.index:
+    pair = _zero_one((v1, v2), len(cloud.vecs[0]) if cloud.vecs else 0)
+    # a query that is no 0/1 vector of the cloud's width is read as an int
+    # tuple only to word its refusal: no int tuple is a key of the index
+    b1, b2 = pair if pair is not None else (_vec(v1), _vec(v2))
+    if b1 == b2:
+        raise DegeneratePairError("adjacency oracle called with identical vertices")
+    i1, i2 = cloud.index.get(b1), cloud.index.get(b2)
+    if i1 is None or i2 is None:
         raise DomainError("both query vertices must belong to the cloud")
-    m1 = cloud.masks[cloud.index[b1]]
-    m2 = cloud.masks[cloud.index[b2]]
+    m1, m2 = cloud.masks[i1], cloud.masks[i2]
 
     # a combination with weight on u needs u to vanish where both endpoints
     # do and to be 1 where both endpoints are; every candidate then meets
@@ -459,7 +464,7 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
     candidates = []
     face = [m2]
     excluded = []
-    seen: Dict[int, Tuple[int, ...]] = {}
+    seen: Dict[int, bytes] = {}
     for u, mask in zip(cloud.vecs, cloud.masks):
         if mask == m1 or mask == m2:
             continue
@@ -533,11 +538,6 @@ def affine_dimension(cloud) -> int:
 # rows at a time, so the unit rows found in one block clear the next.
 _RANK_BLOCK_CELLS = 1 << 16
 _RANK_BLOCK_ROWS = 32
-
-
-def _independent(vecs) -> bool:
-    """Whether the int-tuple vectors are affinely independent: the vertices of a simplex."""
-    return _affine_rank(list(vecs)) == len(vecs) - 1
 
 
 def _affine_rank(vecs: list) -> int:
@@ -667,21 +667,20 @@ def oracle_facet_check(sys_row, cloud) -> Certificate:
     s, coeffs = sys_row
     if not isinstance(cloud, VertexCloud):
         cloud = VertexCloud(cloud)
-    vecs = cloud.vecs
-    vertex = _facet_vertex(s, vecs, len(coeffs))
+    vertex = _facet_vertex(s, cloud.vecs, len(coeffs))
     coeffs = _integers(tuple(coeffs), f"facet row {s}", "coefficient")
-    # the cloud's vectors are int tuples already
-    verified, failing = _facet_verdict(coeffs, vecs, vertex, cloud.simplex)
-    return Certificate("facet", {"s": s, "coefficients": coeffs, "cloud": vecs,
+    verified, failing = _facet_verdict(coeffs, cloud, vertex)
+    return Certificate("facet", {"s": s, "coefficients": coeffs, "cloud": cloud.vecs,
                                  "failing": failing}, verified)
 
 
-def _facet_vertex(s, vecs: Sequence[Tuple[int, ...]], ncoeffs: int) -> Tuple[int, ...]:
+def _facet_vertex(s, vecs: Sequence[bytes], ncoeffs: int) -> bytes:
     """The block vertex whose parent set is s, the one vertex off a facet row of s.
 
     A block over k elements has vertices of 2**k - 1 entries and rows of 2**k
-    coefficients.  A cloud of fewer than two vertices, which has no facets,
-    any other width, or an s that is not an int in range(k) is a `DomainError`.
+    coefficients; the cloud's vertices have one width.  A cloud of fewer than
+    two vertices, which has no facets, any other width, or an s that is not
+    an int in range(k) is a `DomainError`.
     """
     if len(vecs) < 2:
         raise DomainError("facet check needs a cloud of at least two vertices, "
@@ -689,28 +688,28 @@ def _facet_vertex(s, vecs: Sequence[Tuple[int, ...]], ncoeffs: int) -> Tuple[int
     width = len(vecs[0])
     k = (width + 1).bit_length() - 1
     universe = (1 << k) - 1
-    if universe != width or ncoeffs != 1 << k or set(map(len, vecs)) != {width}:
+    if universe != width or ncoeffs != 1 << k:
         raise DomainError("coefficient row and cloud dimensions are inconsistent")
     if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s & ~universe:
         raise DomainError(f"facet row {s} is outside the ground set of {k} elements")
-    return tuple(1 if (t & s) == t else 0 for t in iter_graded_subsets(universe))
+    return bytes((t & s) == t for t in iter_graded_subsets(universe))
 
 
-def _facet_verdict(coeffs, vecs: Sequence[Tuple[int, ...]], vertex: Tuple[int, ...],
-                   simplex: Callable[[], bool]):
-    """(verified, failing) of the facet row `coeffs`, constant first, on int-tuple vertices.
+def _facet_verdict(coeffs, cloud: VertexCloud, vertex: bytes):
+    """(verified, failing) of the facet row `coeffs`, constant first, on the cloud.
 
     A facet is nonnegative, off the row only at `vertex`, and tight on a set
-    of affine dimension len(vecs) - 2.  Once the values pass, the last holds
-    exactly when the cloud is a simplex, which `simplex()` decides: a subset
-    of independent vertices is independent, and `vertex`, where the affine
-    row is positive, lies off the tight set's hull.  failing names the first
-    test to break: the first negative vertex; the first vertex off the row,
-    or None when none is; "tight-set-rank".  It is None on success.
+    of affine dimension len(cloud) - 2.  Once the values pass, the last
+    holds exactly when the cloud is a simplex, which `cloud.simplex()`
+    decides: a subset of independent vertices is independent, and `vertex`,
+    where the affine row is positive, lies off the tight set's hull.  failing
+    names the first test to break: the first negative vertex; the first
+    vertex off the row, or None when none is; "tight-set-rank".  It is None
+    on success.
     """
     const, linear = coeffs[0], coeffs[1:]
     off = []
-    for vec in vecs:
+    for vec in cloud.vecs:
         val = const + sum(map(operator.mul, linear, vec))
         if val < 0:
             return False, vec
@@ -718,7 +717,7 @@ def _facet_verdict(coeffs, vecs: Sequence[Tuple[int, ...]], vertex: Tuple[int, .
             off.append(vec)
     if len(off) != 1 or off[0] != vertex:
         return False, off[0] if off else None
-    if not simplex():
+    if not cloud.simplex():
         return False, "tight-set-rank"
     return True, None
 

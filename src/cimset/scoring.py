@@ -132,7 +132,8 @@ def load_csv(path, ordering: NodeOrdering) -> Dataset:
     each column's distinct tokens in it are labelled once (`_blocks`).
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig skips the byte-order mark that spreadsheet exports put first
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader(fh), None)
             if header is None:
                 raise FormatError(f"{path}: empty file")

@@ -207,16 +207,16 @@ def test_square_side_adjacent():
     assert cert.kind == "adjacency"
     assert cert.verified
     assert cert.replay()
-    assert cert.payload == {"v1": (0, 0), "v2": (1, 0), "candidates": (),
-                            "excluded": ((0, 1), (1, 1))}
+    assert cert.payload == {"v1": b"\x00\x00", "v2": b"\x01\x00", "candidates": (),
+                            "excluded": (b"\x00\x01", b"\x01\x01")}
     # the pyramid's lateral edge lies on a face that is no simplex
     with _lp_calls() as lp:
         cert = oracle_adjacent(PYRAMID[0], PYRAMID[1], PYRAMID)
     assert lp.call_count == 1
     assert cert.kind == "adjacency" and cert.verified and cert.replay()
     assert set(cert.payload) == {"v1", "v2", "candidates", "excluded", "farkas"}
-    assert cert.payload["candidates"] == tuple(PYRAMID[2:5])
-    assert cert.payload["excluded"] == (PYRAMID[5],)
+    assert cert.payload["candidates"] == tuple(map(bytes, PYRAMID[2:5]))
+    assert cert.payload["excluded"] == (bytes(PYRAMID[5]),)
 
 
 def test_oracle_guards():
@@ -226,11 +226,26 @@ def test_oracle_guards():
         oracle_adjacent((0, 0), (2, 2), SQUARE)
 
 
+@pytest.mark.parametrize("v1, v2, cloud", [
+    ((0,), (1,), []),
+    ((), (1,), []),
+    ((0, 0, 0), (1, 0, 0), SQUARE),
+    (b"\x00", b"\x01", SQUARE),
+    ((0, 0), (1, 0, 0), SQUARE),
+])
+def test_queries_off_the_cloud_are_refused(v1, v2, cloud):
+    # an empty cloud has no width to read a query at, and a query of another
+    # length is no vertex of the cloud
+    with pytest.raises(DomainError, match="both query vertices must belong to the cloud"):
+        oracle_adjacent(v1, v2, cloud)
+
+
 def test_vertex_cloud_packs_once():
     cloud = VertexCloud([(0, 0), (True, False), (0, 1), (1, 1), (0, 1)])
-    assert cloud.vecs == ((0, 0), (1, 0), (0, 1), (1, 1), (0, 1))
-    assert cloud.masks == (0b00, 0b01, 0b10, 0b11, 0b10)
-    assert cloud.index == {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
+    assert cloud.vecs == (b"\x00\x00", b"\x01\x00", b"\x00\x01", b"\x01\x01", b"\x00\x01")
+    # one byte per coordinate: coordinate j is bit 8j
+    assert cloud.masks == (0x000, 0x001, 0x100, 0x101, 0x100)
+    assert cloud.index == {b"\x00\x00": 0, b"\x01\x00": 1, b"\x00\x01": 2, b"\x01\x01": 3}
     assert len(cloud) == 5
 
 
@@ -300,14 +315,14 @@ def test_packed_oracle_on_random_families(spec, data):
         assert (cert.kind == "adjacency") == are_neighbors(members[i], members[j], spec)
         candidates, excluded = _filter_by_definition(vecs[i], vecs[j], vecs)
         if cert.kind == "adjacency":
-            assert cert.payload["candidates"] == candidates
-            assert cert.payload["excluded"] == excluded
+            assert cert.payload["candidates"] == tuple(map(bytes, candidates))
+            assert cert.payload["excluded"] == tuple(map(bytes, excluded))
             # in a product of simplices an edge's face lies in one factor, a
             # simplex: no Farkas vector; _assert_lp_route pins the LP route
             assert _independent_mod2(vecs[i], vecs[j], candidates)
             assert set(cert.payload) == {"v1", "v2", "candidates", "excluded"}
         else:
-            assert all(u in candidates for u, _ in cert.payload["combination"])
+            assert all(tuple(u) in candidates for u, _ in cert.payload["combination"])
 
 
 def _lp_adjacent(b1, b2, vecs):
@@ -359,7 +374,7 @@ def test_lp_decides_a_non_adjacent_pair_without_a_two_point_witness():
         cert = oracle_adjacent(cloud[0], cloud[1], cloud)
     assert lp.call_count == 1
     assert cert.kind == "non-adjacency" and cert.verified and cert.replay()
-    assert dict(cert.payload["combination"]) == {u: Fraction(1, 4) for u in cloud[2:]}
+    assert dict(cert.payload["combination"]) == {bytes(u): Fraction(1, 4) for u in cloud[2:]}
 
 
 def test_lp_finds_a_non_edge_whose_segment_misses_the_midpoint():
@@ -370,7 +385,8 @@ def test_lp_finds_a_non_edge_whose_segment_misses_the_midpoint():
     assert lp.call_count == 1
     assert not _lp_adjacent(BIPYRAMID[0], BIPYRAMID[1], BIPYRAMID)
     assert cert.kind == "non-adjacency" and cert.verified and cert.replay()
-    assert dict(cert.payload["combination"]) == {u: Fraction(1, 3) for u in BIPYRAMID[2:5]}
+    assert dict(cert.payload["combination"]) == {bytes(u): Fraction(1, 3)
+                                                 for u in BIPYRAMID[2:5]}
     # a combination off the segment's line proves nothing
     skew = [(BIPYRAMID[2], Fraction(1, 2)), (BIPYRAMID[3], Fraction(1, 4)),
             (BIPYRAMID[4], Fraction(1, 4))]
@@ -434,6 +450,35 @@ def test_adjacency_lp_on_distinct_rows_agrees_with_the_full_lp(cloud, data):
                                    False).replay()
 
 
+def _as_tuples(payload):
+    """An adjacency or non-adjacency payload with every vector an int tuple."""
+    out = dict(payload, v1=tuple(payload["v1"]), v2=tuple(payload["v2"]))
+    for key in ("candidates", "excluded"):
+        if key in payload:
+            out[key] = tuple(map(tuple, payload[key]))
+    if "combination" in payload:
+        out["combination"] = [(tuple(u), lam) for u, lam in payload["combination"]]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_REPEATING_CLOUDS, st.data())
+def test_one_vertex_form_for_tuple_bytes_and_vertex_cloud_queries(cloud, data):
+    # the oracle reads every 0/1 vertex as bytes, so int tuples, bytes and a
+    # VertexCloud give one certificate; its vectors are bytes, and as int
+    # tuples they still replay
+    i, j = data.draw(st.lists(st.integers(0, len(cloud) - 1), min_size=2, max_size=2,
+                              unique=True))
+    packed = [bytes(v) for v in cloud]
+    cert = oracle_adjacent(cloud[i], cloud[j], cloud)
+    assert cert == oracle_adjacent(packed[i], packed[j], packed)
+    assert cert == oracle_adjacent(cloud[i], cloud[j], VertexCloud(cloud))
+    assert cert.verified and cert.payload["v1"] == packed[i]
+    converted = _as_tuples(cert.payload)
+    assert converted["v1"] == cloud[i] and converted["v2"] == cloud[j]
+    assert Certificate(cert.kind, converted, False).replay()
+
+
 # the pyramid with coordinates 0 and 2 copied; coordinate 3 is no LP row,
 # so LP rows 3 and 4 repeat rows 0 and 2
 _WIDE_PYRAMID = [(*v, v[0], v[2]) for v in PYRAMID]
@@ -486,7 +531,7 @@ def test_tampered_certificates_fail_replay():
     # in the triangle the diagonal is an edge, with (1, 0) the one candidate
     cert3 = oracle_adjacent((0, 0), (1, 1), [(0, 0), (1, 0), (1, 1)])
     assert cert3.kind == "adjacency" and cert3.replay()
-    assert cert3.payload["candidates"] == ((1, 0),)
+    assert cert3.payload["candidates"] == (b"\x01\x00",)
     moved = dict(cert3.payload, candidates=(), excluded=((1, 0),))
     assert not Certificate("adjacency", moved, False).replay()
 
@@ -585,7 +630,12 @@ def test_replays_refuse_vectors_that_are_not_01(payload):
     ([(0, 1), (0,)], False),
 ])
 def test_zero_one_check(vecs, want):
-    assert cimset.oracle._zero_one(vecs, 2) is want
+    got = cimset.oracle._zero_one(vecs, 2)
+    assert (got is not None) is want
+    if want:
+        # an accepted vector comes back as bytes, one byte per entry
+        assert got == [bytes(int(e) for e in v) for v in vecs]
+        assert all(type(v) is bytes for v in got)
 
 
 @pytest.mark.parametrize("one", [1.0, True, Fraction(1), np.int64(1)])
@@ -913,7 +963,7 @@ def test_facet_check_rejects_valid_inequality_that_is_not_a_facet():
     cert = oracle_facet_check((0b01, [0, 1, 1, 0]), cloud)
     assert not cert.verified
     # off at {a, b}, {b} and {a}; the first of them fails the row
-    assert cert.payload["failing"] == (1, 1, 1)
+    assert cert.payload["failing"] == b"\x01\x01\x01"
 
 
 @pytest.mark.parametrize("s, row, failing", [
@@ -927,7 +977,7 @@ def test_facet_check_rejects_valid_inequality_that_is_not_a_facet():
 def test_facet_check_failing_vertex(s, row, failing):
     cert = oracle_facet_check((s, row), _block_cloud(2))
     assert not cert.verified and not cert.replay()
-    assert cert.payload["failing"] == failing
+    assert cert.payload["failing"] == (None if failing is None else bytes(failing))
 
 
 def test_facet_check_failing_tight_set_rank():
@@ -1000,7 +1050,8 @@ def _facet_cases(draw):
 def test_facet_verdict_matches_the_per_row_tight_set_rank(case):
     k, cloud, s, row = case
     cert = oracle_facet_check((s, row), cloud)
-    want = _per_row_verdict(row, cloud, vertex_block_vector(k, s))
+    # the reference reads the cloud as the bytes the certificate holds
+    want = _per_row_verdict(row, list(map(bytes, cloud)), bytes(vertex_block_vector(k, s)))
     assert (cert.verified, cert.payload["failing"]) == want
     assert cert.replay() is cert.verified
 

@@ -9,6 +9,7 @@ import random
 import time
 from collections import Counter, OrderedDict
 from fractions import Fraction
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -122,6 +123,20 @@ def test_load_csv_reads_crlf_and_quoted_commas(tmp_path):
     data = load_csv(p, NodeOrdering(("a", "b")))
     assert data.rows == ((0, 0), (1, 1), (0, 1))
     assert data.cardinalities == (2, 2)
+
+
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a byte-order mark, which was
+    # once read into the first column's name: "column 'a1' missing"
+    plain = Path(__file__).resolve().parent.parent / "fixtures" / "binary_demo.csv"
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    o = NodeOrdering(("a1", "a2", "b1", "b2"))
+    assert load_csv(marked, o) == load_csv(plain, o)
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"\xef\xbb\xbfa1,a2,b1,b2\n\xff,0,0,0\n")
+    with pytest.raises(FormatError, match="not UTF-8 text"):
+        load_csv(latin1, o)
 
 
 def _first_appearance(rows):
