@@ -20,7 +20,8 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial, reduce
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -323,7 +324,7 @@ def _replay_adjacency(p) -> bool:
             return False
     if "farkas" not in p:
         return _independent_mod2(m1, [m2, *masks[:k]])
-    y = p["farkas"]
+    y = _integers(tuple(p["farkas"]), "farkas vector", "multiplier")
     v1, v2, *vecs = packed
     # the LP rows are the coordinates where exactly one endpoint is 1, each
     # with the column of t, v2_j - v1_j, and right-hand side v2_j
@@ -365,8 +366,9 @@ def _independent_mod2(base: int, masks) -> bool:
 
 def _replay_facet(p) -> bool:
     cloud = VertexCloud(p["cloud"])
-    vertex = _facet_vertex(p["s"], cloud.vecs, len(p["coefficients"]))
-    return _facet_verdict(p["coefficients"], cloud, vertex)[0]
+    coeffs = _integers(tuple(p["coefficients"]), "facet row", "coefficient")
+    vertex = _facet_vertex(p["s"], cloud.vecs, len(coeffs))
+    return _facet_verdict(coeffs, cloud, vertex)[0]
 
 
 _REPLAY = {
@@ -383,12 +385,13 @@ class VertexCloud:
 
     Holds the vertices as bytes, one byte per coordinate (`vecs`), one
     bitmask per vertex with bit 8j set where coordinate j is 1 (`masks`),
-    and the position of each distinct vertex (`index`).  Every vertex must
-    be a 0/1 vector and all must have the same length: the pruning in
-    `oracle_adjacent` is only sound for 0/1 vertices.
+    and the position of each distinct vertex (`index`).  The first
+    adjacency query packs one bitset per coordinate (`columns()`).  Every
+    vertex must be a 0/1 vector and all must have the same length: the
+    pruning in `oracle_adjacent` is only sound for 0/1 vertices.
     """
 
-    __slots__ = ("vecs", "masks", "index", "_simplex")
+    __slots__ = ("vecs", "masks", "index", "_simplex", "_columns")
 
     def __init__(self, cloud):
         cloud = list(cloud)
@@ -411,6 +414,7 @@ class VertexCloud:
         self.masks = tuple(map(_mask, vecs))
         self.index = index
         self._simplex: Optional[bool] = None
+        self._columns: Optional[Tuple[int, ...]] = None
 
     def __len__(self) -> int:
         return len(self.vecs)
@@ -421,6 +425,26 @@ class VertexCloud:
             self._simplex = _affine_rank(list(self.vecs)) == len(self.vecs) - 1
         return self._simplex
 
+    def columns(self) -> Tuple[int, ...]:
+        """One bitset per coordinate, bit t set where vertex t is 1; packed on the first call."""
+        if self._columns is None:
+            n, width = len(self.vecs), len(self.vecs[0]) if self.vecs else 0
+            matrix = np.frombuffer(b"".join(self.vecs), dtype=np.uint8).reshape(n, width)
+            packed = np.packbits(matrix.T, axis=1, bitorder="little")
+            self._columns = tuple(int.from_bytes(row, "little") for row in packed)
+        return self._columns
+
+
+# Swaps the bytes 0 and 1: a packed 0/1 vector's complement
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+# Reads the digits of a binary numeral as the bytes 0 and 1
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _selector(bits: int, n: int) -> bytes:
+    """Byte t is 1 where bit t of `bits` is set, for t < n: a `compress` selector."""
+    return f"{bits:0{n}b}"[::-1].encode().translate(_DIGITS)
+
 
 def oracle_adjacent(v1, v2, cloud) -> Certificate:
     """Decide vertex adjacency on conv(cloud).
@@ -429,16 +453,17 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
     point of the segment [v1, v2] is a convex combination of the remaining
     vertices.  For 0/1 vertices only the candidates can take part: the
     vertices that agree with v1 and v2 wherever the two agree.  With v1, v2
-    they are the vertices of the face that fixes those coordinates.  The
-    one walk over the cloud that prunes the candidates also looks for two
-    of them, u and w, with u + w = v1 + v2; the first such pair settles
-    non-adjacency with the combination ½u + ½w, the midpoint.  Otherwise,
-    when the face's vertices are affinely independent mod 2, the face is a
-    simplex and v1v2 is an edge: the certificate names the face and carries
-    no `farkas`.  Any other face goes to an exact LP over the candidates,
-    which decides either way; its adjacency verdict is certified by the
-    LP's Farkas refutation.  The cloud is a `VertexCloud` or any iterable
-    of 0/1 vectors; pass a `VertexCloud` to pack it once for many calls.
+    they are the vertices of the face that fixes those coordinates, which
+    the cloud's per-coordinate column bitsets pick out.  A walk over the
+    face's vertices, in cloud order, looks for two candidates u and w with
+    u + w = v1 + v2; the first such pair settles non-adjacency with the
+    combination ½u + ½w, the midpoint.  Otherwise, when the face's vertices
+    are affinely independent mod 2, the face is a simplex and v1v2 is an
+    edge: the certificate names the face and carries no `farkas`.  Any
+    other face goes to an exact LP over the candidates, which decides either
+    way; its adjacency verdict is certified by the LP's Farkas refutation.
+    The cloud is a `VertexCloud` or any iterable of 0/1 vectors; pass a
+    `VertexCloud` to pack it once for many calls.
     """
     if not isinstance(cloud, VertexCloud):
         cloud = VertexCloud(cloud)
@@ -457,20 +482,34 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
     # a combination with weight on u needs u to vanish where both endpoints
     # do and to be 1 where both endpoints are; every candidate then meets
     # those coordinates, so the LP keeps only the rows where exactly one
-    # endpoint is 1, plus the convexity row.
-    # A candidate u has one possible two-point partner w with u + w = v1 + v2:
-    # 1 where both endpoints are, and where exactly one is, 1 just where u is 0
-    outside, both, diff = ~(m1 | m2), m1 & m2, m1 ^ m2
+    # endpoint is 1, plus the convexity row.  Over the cloud's column
+    # bitsets those vertices, the face, are the AND of the columns where
+    # both endpoints are 1 less the OR of the columns where both are 0
+    both, diff = m1 & m2, m1 ^ m2
+    n, width = len(cloud), len(b1)
+    columns = cloud.columns()
+    everyone = (1 << n) - 1
+    face = reduce(operator.and_, compress(columns, both.to_bytes(width, "little")), everyone)
+    neither = (m1 | m2).to_bytes(width, "little").translate(_FLIP)
+    face &= ~reduce(operator.or_, compress(columns, neither), 0)
+
+    # the walk visits the face's bits in cloud order, skipping copies of v1
+    # and v2.  A candidate u has one possible two-point partner w with
+    # u + w = v1 + v2: 1 where both endpoints are, and where exactly one is,
+    # 1 just where u is 0
+    masks, vecs = cloud.masks, cloud.vecs
     candidates = []
-    face = [m2]
-    excluded = []
+    face_masks = [m2]
     seen: Dict[int, bytes] = {}
-    for u, mask in zip(cloud.vecs, cloud.masks):
+    rest = face
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        t = low.bit_length() - 1
+        mask = masks[t]
         if mask == m1 or mask == m2:
             continue
-        if mask & outside or (mask & both) != both:
-            excluded.append(u)
-            continue
+        u = vecs[t]
         w = seen.get(both | (diff & ~mask))
         if w is not None:
             half = Fraction(1, 2)
@@ -478,13 +517,14 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
                               {"v1": b1, "v2": b2, "combination": [(w, half), (u, half)]})
         seen[mask] = u
         candidates.append(u)
-        face.append(mask)
+        face_masks.append(mask)
+    excluded = tuple(compress(vecs, _selector(everyone ^ face, n)))
 
     # a face whose vertices are affinely independent is a simplex, and any
     # two vertices of a simplex span an edge of it, so of the polytope too
-    if _independent_mod2(m1, face):
+    if _independent_mod2(m1, face_masks):
         return _certified("adjacency", {"v1": b1, "v2": b2, "candidates": tuple(candidates),
-                                        "excluded": tuple(excluded)})
+                                        "excluded": excluded})
 
     # the LP asks for weights x >= 0 on the candidates, summing to 1, and a
     # t >= 0 with sum_u x_u u = t v1 + (1 - t) v2: on a support coordinate j,
@@ -508,7 +548,7 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
     for r, yr in zip(first.values(), y):
         farkas[r] = yr
     return _certified("adjacency", {"v1": b1, "v2": b2, "candidates": tuple(candidates),
-                                    "excluded": tuple(excluded), "farkas": tuple(farkas)})
+                                    "excluded": excluded, "farkas": tuple(farkas)})
 
 
 def _certified(kind: str, payload: dict) -> Certificate:
@@ -692,7 +732,13 @@ def _facet_vertex(s, vecs: Sequence[bytes], ncoeffs: int) -> bytes:
         raise DomainError("coefficient row and cloud dimensions are inconsistent")
     if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s & ~universe:
         raise DomainError(f"facet row {s} is outside the ground set of {k} elements")
-    return bytes((t & s) == t for t in iter_graded_subsets(universe))
+    return bytes((t & s) == t for t in _graded_subsets(universe))
+
+
+@cache
+def _graded_subsets(universe: int) -> Tuple[int, ...]:
+    """The nonempty subsets of `universe` in graded-lex order: a block's coordinates."""
+    return tuple(iter_graded_subsets(universe))
 
 
 def _facet_verdict(coeffs, cloud: VertexCloud, vertex: bytes):
@@ -710,7 +756,9 @@ def _facet_verdict(coeffs, cloud: VertexCloud, vertex: bytes):
     const, linear = coeffs[0], coeffs[1:]
     off = []
     for vec in cloud.vecs:
-        val = const + sum(map(operator.mul, linear, vec))
+        # a 0/1 vertex picks the int coefficients it sums: exact, with no
+        # product per coordinate
+        val = const + sum(compress(linear, vec))
         if val < 0:
             return False, vec
         if val:

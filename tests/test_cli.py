@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -161,6 +162,29 @@ def test_verify_all_pass(diag21, tmp_path, capsys):
     assert all(c["verified"] for c in recorded)
     kinds = {c["kind"] for c in recorded}
     assert "facet" in kinds and {"adjacency", "non-adjacency"} & kinds
+
+
+# sha256 of stdout and of the --certificates file of `cimset verify --checks
+# all` on two fixtures, recorded before the oracle summed facet rows over a
+# vertex's ones and walked only a pair's face: its speed-ups must write the
+# same bytes
+_PINNED_VERIFY = {
+    "diag_2_2": ("e86920f5da12842f4935c1beaa3bd0338e0f580ae9c3717188ceb2ca3d2ff542",
+                 "6eae5b64ddf281b7983c46ae2329b52cdabec4346b280ab4c29e4a6d991653f9"),
+    "diag_3_1": ("321dcd5b7570f019a2a6986f9a2d66cce4a20785bdde35ad6d5d54ebec297504",
+                 "9be7ead999557d10ec1bccb61be94a9e1e2bd918c42ee6b2e42c4cd835201d73"),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(_PINNED_VERIFY))
+def test_verify_writes_the_pinned_bytes(fixture, tmp_path, capsys):
+    certs = tmp_path / "certs.jsonl"
+    assert main(["verify", "--family", f"{FIX}/{fixture}.json", "--checks", "all",
+                 "--certificates", str(certs)]) == 0
+    out = capsys.readouterr().out
+    digests = (hashlib.sha256(out.encode()).hexdigest(),
+               hashlib.sha256(certs.read_bytes()).hexdigest())
+    assert digests == _PINNED_VERIFY[fixture]
 
 
 def test_verify_json_format(diag21, capsys):

@@ -247,6 +247,8 @@ def test_vertex_cloud_packs_once():
     assert cloud.masks == (0x000, 0x001, 0x100, 0x101, 0x100)
     assert cloud.index == {b"\x00\x00": 0, b"\x01\x00": 1, b"\x00\x01": 2, b"\x01\x01": 3}
     assert len(cloud) == 5
+    # one bitset per coordinate: vertex t is bit t
+    assert cloud.columns() == (0b01010, 0b11100)
 
 
 @pytest.mark.parametrize("cloud, match", [
@@ -448,6 +450,49 @@ def test_adjacency_lp_on_distinct_rows_agrees_with_the_full_lp(cloud, data):
             negated = tuple(-y for y in cert.payload["farkas"])
             assert not Certificate("adjacency", dict(cert.payload, farkas=negated),
                                    False).replay()
+
+
+# 0/1 clouds drawn from a few vectors, so vertices repeat, copies of the pair
+# included; widths and sizes run past multiples of 8, where a packed column
+# and the face's bitset cross a byte
+_CLOUDS_WITH_COPIES = st.integers(1, 11).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(0, 1)] * d), min_size=2, max_size=6, unique=True)).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=21))
+
+
+def _first_two_point_witness(b1, b2, candidates):
+    """The first candidate u, in cloud order, with an earlier w where u + w = b1 + b2."""
+    target = tuple(map(operator.add, b1, b2))
+    for k, u in enumerate(candidates):
+        for w in candidates[:k]:
+            if tuple(map(operator.add, u, w)) == target:
+                return w, u
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CLOUDS_WITH_COPIES, st.data())
+def test_the_face_walk_matches_a_walk_over_every_vertex(cloud, data):
+    assume(len(set(cloud)) >= 2)
+    i = data.draw(st.integers(0, len(cloud) - 1))
+    j = data.draw(st.sampled_from([t for t, u in enumerate(cloud) if u != cloud[i]]))
+    b1, b2 = cloud[i], cloud[j]
+    with _lp_calls() as lp:
+        cert = oracle_adjacent(b1, b2, cloud)
+    assert cert.verified and cert.replay()
+    candidates, excluded = _filter_by_definition(b1, b2, cloud)
+    witness = _first_two_point_witness(b1, b2, candidates)
+    simplex = _independent_mod2(b1, b2, candidates)
+    if witness is not None:
+        half = Fraction(1, 2)
+        assert cert.payload["combination"] == [(bytes(witness[0]), half),
+                                               (bytes(witness[1]), half)]
+    elif cert.kind == "adjacency":
+        assert cert.payload["candidates"] == tuple(map(bytes, candidates))
+        assert cert.payload["excluded"] == tuple(map(bytes, excluded))
+    # the LP runs on exactly the faces that are no simplex mod 2 and have no
+    # two-point witness
+    assert lp.call_count == (witness is None and not simplex)
 
 
 def _as_tuples(payload):
@@ -701,6 +746,11 @@ _PAIR = {"v1": (0, 1), "v2": (1, 0)}
     # no multipliers on the bipyramid's face either, where the pair is no edge
     ("adjacency", {"v1": BIPYRAMID[0], "v2": BIPYRAMID[1],
                    "candidates": tuple(BIPYRAMID[2:5]), "excluded": (BIPYRAMID[5],)}),
+    # float multipliers or coefficients, where the equal ints replay True
+    # (test_adjacency_replay_refuses_a_farkas_of_the_wrong_length and
+    # test_integral_facet_coefficients_of_any_type_convert)
+    ("adjacency", dict(_PAIR, candidates=((1, 1),), excluded=(), farkas=(-1.0, -1.0, 2.0))),
+    ("facet", {"s": 0, "coefficients": [1.0, -1.0], "cloud": [(0,), (1,)]}),
 ])
 def test_malformed_certificates_replay_false(kind, payload):
     assert Certificate(kind, payload, False).replay() is False
@@ -1054,6 +1104,38 @@ def test_facet_verdict_matches_the_per_row_tight_set_rank(case):
     want = _per_row_verdict(row, list(map(bytes, cloud)), bytes(vertex_block_vector(k, s)))
     assert (cert.verified, cert.payload["failing"]) == want
     assert cert.replay() is cert.verified
+
+
+@settings(max_examples=300, deadline=None)
+@given(_facet_cases(), st.integers(1, 2 ** 70),
+       st.lists(_entries, min_size=8, max_size=8))
+def test_facet_verdict_on_rows_beyond_int64(case, scale, noise):
+    # the check sums the coefficients over a vertex's ones; the reference
+    # multiplies every coefficient by its entry, in Python ints of any size
+    k, cloud, s, row = case
+    vertex = bytes(vertex_block_vector(k, s))
+    for big in ([scale * c for c in row], [c + scale * e for c, e in zip(row, noise)]):
+        cert = oracle_facet_check((s, big), cloud)
+        want = _per_row_verdict(big, list(map(bytes, cloud)), vertex)
+        assert (cert.verified, cert.payload["failing"]) == want
+        assert cert.replay() is cert.verified
+    # a facet row scaled past int64 is still the facet
+    facet = facet_matrix(k).dense_row(s)
+    assert oracle_facet_check((s, [scale * c for c in facet]), _block_cloud(k)).verified
+
+
+def _zeta_row(k, s):
+    """1 at each nonempty t ⊆ s, t over range(k)'s subsets by size, then lexicographically."""
+    order = sorted(range(1, 1 << k),
+                   key=lambda t: (bin(t).count("1"), [b for b in range(k) if t >> b & 1]))
+    return bytes((t & s) == t for t in order)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_facet_vertex_is_the_zeta_row_of_s(k):
+    vecs = list(map(bytes, _block_cloud(k)))
+    for s in range(1 << k):
+        assert cimset.oracle._facet_vertex(s, vecs, 1 << k) == _zeta_row(k, s)
 
 
 def test_facet_check_refuses_a_one_vertex_cloud():
