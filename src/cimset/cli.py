@@ -219,8 +219,7 @@ def cmd_verify(args) -> int:
     check_request(spec, checks)  # before --certificates is truncated
     if args.certificates:
         with _OutFile(args.certificates, "certificates") as fh:
-            rows = verify_family(spec, checks, args.limit, args.seed,
-                                 lambda record: fh.write(json.dumps(record) + "\n"))
+            rows = verify_family(spec, checks, args.limit, args.seed, fh.write)
     else:
         rows = verify_family(spec, checks, args.limit, args.seed)
     print(f"family: {spec.family_size()} vertices, block dimension "

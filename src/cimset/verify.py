@@ -6,6 +6,8 @@ independent oracle finds on the family's enumerated vertex cloud.
 
 from __future__ import annotations
 
+import functools
+import json
 import random
 from itertools import combinations
 
@@ -34,6 +36,13 @@ def _sampled_pairs(size, limit, seed):
         yield i, i + 1 + r - first
 
 
+@functools.cache
+def _line_head(kind, verified):
+    """An adjacency certificate line up to its "pair": json's own text of the
+    other two keys with the closing brace cut off."""
+    return json.dumps({"kind": kind, "verified": verified})[:-1]
+
+
 def check_request(spec, checks):
     """Refuse an unknown check name, then a family over ADJACENCY_CLOUD_MAX,
     as `verify_family` does before it does any work."""
@@ -53,8 +62,9 @@ def verify_family(spec, checks, limit, seed, emit=None):
     `seed`, and stops at its first mismatch; facets certifies each distinct
     block cloud of the members' imsets once, emits its verdicts for every
     child with that cloud and skips a block of more than `limit` rows.
-    `emit`, when given, gets each certificate as a JSON dict; adjacency
-    records share one serialized graph per member.
+    `emit`, when given, gets each certificate as one line of JSON text with
+    its newline; adjacency lines are joined from graph texts encoded once
+    per member, in the bytes `json.dumps` gives the record.
     """
     check_request(spec, checks)
     size = spec.family_size()
@@ -84,13 +94,13 @@ def verify_family(spec, checks, limit, seed, emit=None):
             pairs, note = _sampled_pairs(size, limit, seed), f"{limit} sampled pairs (seed {seed})"
         mismatch = None
         cloud = VertexCloud(vecs)
-        names = None if emit is None else [graph_to_json(g) for g in members]
+        texts = None if emit is None else [json.dumps(graph_to_json(g)) for g in members]
         for i, j in pairs:
             cert = oracle_adjacent(vecs[i], vecs[j], cloud)
             closed = are_neighbors(members[i], members[j], spec)
             if emit is not None:
-                emit({"kind": cert.kind, "verified": cert.verified,
-                      "pair": [names[i], names[j]]})
+                head = _line_head(cert.kind, cert.verified)
+                emit(f'{head}, "pair": [{texts[i]}, {texts[j]}]}}\n')
             if not cert.verified or closed != (cert.kind == "adjacency"):
                 mismatch = (i, j)
                 break
@@ -127,9 +137,9 @@ def verify_family(spec, checks, limit, seed, emit=None):
                 checked += 1
                 failures += not verified
                 if emit is not None:
-                    emit({"kind": "facet", "verified": verified,
-                          "child": spec.ordering.names[i],
-                          "s": [names[b] for b in bits_of(s)]})
+                    emit(json.dumps({"kind": "facet", "verified": verified,
+                                     "child": spec.ordering.names[i],
+                                     "s": [names[b] for b in bits_of(s)]}) + "\n")
         detail = f"{checked} rows certified"
         if skipped:
             detail += f"; skipped blocks over --limit: {', '.join(skipped)}"

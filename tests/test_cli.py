@@ -173,18 +173,25 @@ _PINNED_VERIFY = {
                  "6eae5b64ddf281b7983c46ae2329b52cdabec4346b280ab4c29e4a6d991653f9"),
     "diag_3_1": ("321dcd5b7570f019a2a6986f9a2d66cce4a20785bdde35ad6d5d54ebec297504",
                  "9be7ead999557d10ec1bccb61be94a9e1e2bd918c42ee6b2e42c4cd835201d73"),
+    "p21_family": ("81dcb6146b8cd69e439cc5d21955f50f23c41b048d9ce4751923169808ff0f33",
+                   "cf923ed94b141605db43d77b4e349f7324d23bb6b95bdeecbcceea0f8388bbe2"),
+    # 120 pairs over --limit 40: the sampled pairs
+    "diag_2_2 --limit 40 --seed 7": (
+        "1cc62a2e7a7b93ad0670debef9660270ff60eab45ea0960a286f8d6776feafc8",
+        "df45f7b2b7a2be06363c70130e45743929f4c7f72a6883deb1eb014b67b63c31"),
 }
 
 
-@pytest.mark.parametrize("fixture", sorted(_PINNED_VERIFY))
-def test_verify_writes_the_pinned_bytes(fixture, tmp_path, capsys):
+@pytest.mark.parametrize("case", sorted(_PINNED_VERIFY))
+def test_verify_writes_the_pinned_bytes(case, tmp_path, capsys):
+    fixture, *options = case.split()
     certs = tmp_path / "certs.jsonl"
     assert main(["verify", "--family", f"{FIX}/{fixture}.json", "--checks", "all",
-                 "--certificates", str(certs)]) == 0
+                 "--certificates", str(certs), *options]) == 0
     out = capsys.readouterr().out
     digests = (hashlib.sha256(out.encode()).hexdigest(),
                hashlib.sha256(certs.read_bytes()).hexdigest())
-    assert digests == _PINNED_VERIFY[fixture]
+    assert digests == _PINNED_VERIFY[case]
 
 
 def test_verify_json_format(diag21, capsys):

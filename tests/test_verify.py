@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cimset.graphs
+import cimset.imsets
 import cimset.oracle
 import cimset.verify
 from cimset.errors import FormatError, ResourceError
@@ -19,10 +20,17 @@ from test_graphs import family_specs
 FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def _records(lines):
+    """The certificates of `emit`'s lines, each of which ends in its one newline."""
+    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines), lines
+    return [json.loads(line) for line in lines]
+
+
 def test_rows_of_a_fixture_family_follow_checks_order():
     spec = _diag_2_2()
-    records = []
-    rows = verify_family(spec, CHECKS, 2000, 0, records.append)
+    lines = []
+    rows = verify_family(spec, CHECKS, 2000, 0, lines.append)
+    records = _records(lines)
     assert rows == [("product", True, "16 vertices = product of per-block slice counts"),
                     ("dimension", True, "affine rank 6, formula 6"),
                     ("adjacency", True, "all 120 pairs"),
@@ -55,10 +63,10 @@ def test_size_guard():
 def test_falsified_adjacency_row(monkeypatch):
     # the closed-form rule denies the oracle's first edge, the pair of members 0 and 1
     monkeypatch.setattr(cimset.verify, "are_neighbors", lambda *a, **k: False)
-    records = []
-    rows = verify_family(diagnosis_family(2, 1), ["adjacency"], 2000, 0, records.append)
+    lines = []
+    rows = verify_family(diagnosis_family(2, 1), ["adjacency"], 2000, 0, lines.append)
     assert rows == [("adjacency", False, "mismatch on vertex pair 0,1")]
-    assert [r["kind"] for r in records] == ["adjacency"]
+    assert [r["kind"] for r in _records(lines)] == ["adjacency"]
 
 
 def _diag_2_2():
@@ -75,10 +83,10 @@ def test_falsified_facet_row_fails_every_child_of_its_block_size(monkeypatch):
         return dataclasses.replace(cert, verified=False) if sys_row[0] == 0b01 else cert
 
     monkeypatch.setattr(cimset.verify, "oracle_facet_check", deny_a1)
-    records = []
-    rows = verify_family(_diag_2_2(), ["facets"], 2000, 0, records.append)
+    lines = []
+    rows = verify_family(_diag_2_2(), ["facets"], 2000, 0, lines.append)
     assert rows == [("facets", False, "2 rows falsified")]
-    assert [(r["child"], r["s"]) for r in records if not r["verified"]] == \
+    assert [(r["child"], r["s"]) for r in _records(lines) if not r["verified"]] == \
         [("b1", ["a1"]), ("b2", ["a1"])]
 
 
@@ -90,10 +98,10 @@ def test_facet_blocks_over_the_limit_are_skipped_by_name():
 
 
 def test_children_of_one_block_size_get_the_same_facet_lines():
-    records = []
-    verify_family(_diag_2_2(), ["facets"], 2000, 0, records.append)
+    lines = []
+    verify_family(_diag_2_2(), ["facets"], 2000, 0, lines.append)
     by_child = {}
-    for r in records:
+    for r in _records(lines):
         by_child.setdefault(r.pop("child"), []).append(r)
     assert list(by_child) == ["b1", "b2"]
     assert by_child["b1"] == by_child["b2"] and len(by_child["b1"]) == 4
@@ -118,8 +126,9 @@ def test_every_check_passes_on_random_families(spec, seed):
     spec = dataclasses.replace(spec, max_parents=None)
     size = spec.family_size()
     assume(size <= 64)
-    records = []
-    rows = verify_family(spec, CHECKS, 40, seed, records.append)
+    lines = []
+    rows = verify_family(spec, CHECKS, 40, seed, lines.append)
+    records = _records(lines)
     assert [name for name, _, _ in rows] == list(CHECKS)
     assert all(ok for _, ok, _ in rows), rows
     assert all(r["verified"] for r in records)
@@ -144,10 +153,10 @@ def test_facets_are_certified_on_the_members_imsets(monkeypatch):
         return dataclasses.replace(c, bits=bytes(bits))
 
     monkeypatch.setattr(cimset.verify, "characteristic_imset", misencode)
-    records = []
-    rows = verify_family(_diag_2_2(), ["facets"], 2000, 0, records.append)
+    lines = []
+    rows = verify_family(_diag_2_2(), ["facets"], 2000, 0, lines.append)
     assert rows == [("facets", False, "4 rows falsified")]
-    assert [(r["child"], r["verified"]) for r in records] == \
+    assert [(r["child"], r["verified"]) for r in _records(lines)] == \
         [("b1", False)] * 4 + [("b2", True)] * 4
 
 
@@ -162,9 +171,59 @@ def test_sampled_pairs_are_those_of_the_listed_pairs(size, limit):
 
 def test_sampled_adjacency_pairs_keep_their_certificates():
     spec = diagnosis_family(3, 1)  # 8 members, 28 pairs
-    records = []
-    rows = verify_family(spec, ["adjacency"], 10, 3, records.append)
+    lines = []
+    rows = verify_family(spec, ["adjacency"], 10, 3, lines.append)
     assert rows == [("adjacency", True, "10 sampled pairs (seed 3)")]
     members = [cimset.graphs.graph_to_json(g) for g in cimset.graphs.enumerate_family(spec)]
     pairs = sorted(random.Random(3).sample(list(itertools.combinations(range(8), 2)), 10))
-    assert [r["pair"] for r in records] == [[members[i], members[j]] for i, j in pairs]
+    assert [r["pair"] for r in _records(lines)] == [[members[i], members[j]] for i, j in pairs]
+
+
+def _reference_lines(spec, limit, seed):
+    """The adjacency lines as one `json.dumps` of each whole record, its two
+    graph dicts included, on an oracle pass of the test's own."""
+    members = list(cimset.graphs.enumerate_family(spec))
+    idx = cimset.imsets.coordinate_index(spec)
+    vecs = [cimset.imsets.characteristic_imset(g, idx).bits for g in members]
+    pairs = list(itertools.combinations(range(len(members)), 2))
+    if len(pairs) > limit:
+        pairs = sorted(random.Random(seed).sample(pairs, limit))
+    cloud = cimset.oracle.VertexCloud(vecs)
+    lines = []
+    for i, j in pairs:
+        cert = cimset.oracle.oracle_adjacent(vecs[i], vecs[j], cloud)
+        ref = {"kind": cert.kind, "verified": cert.verified,
+               "pair": [cimset.graphs.graph_to_json(members[i]),
+                        cimset.graphs.graph_to_json(members[j])]}
+        lines.append(json.dumps(ref) + "\n")
+    return lines
+
+
+def _assert_lines_are_json_dumps(spec, limit, seed):
+    lines = []
+    rows = verify_family(spec, ["adjacency", "facets"], limit, seed, lines.append)
+    assert all(ok for _, ok, _ in rows), rows
+    want = _reference_lines(spec, limit, seed)
+    assert lines[:len(want)] == want
+    facets = _records(lines[len(want):])
+    assert lines[len(want):] == [json.dumps(r) + "\n" for r in facets]
+    assert all(r["kind"] == "facet" for r in facets)
+    return lines
+
+
+@settings(max_examples=120, deadline=None)
+@given(family_specs(), st.integers(0, 80), st.integers(0, 2 ** 32))
+def test_certificate_lines_are_the_json_dumps_of_each_record(spec, limit, seed):
+    # limits below a family's pair count take _sampled_pairs, the rest all pairs
+    spec = dataclasses.replace(spec, max_parents=None)
+    assume(spec.family_size() <= 64)
+    _assert_lines_are_json_dumps(spec, limit, seed)
+
+
+def test_certificate_lines_escape_node_names_as_json_does():
+    spec = full_ordered_family(("a\"b", "c\\d", "é", "x y"))  # 64 members, 2016 pairs
+    lines = _assert_lines_are_json_dumps(spec, 60, 5)
+    assert len(lines) == 60 + 2 + 4 + 8  # sampled pairs, then facet rows of k = 1, 2, 3
+    text = "".join(lines)
+    assert '"a\\"b"' in text and '"c\\\\d"' in text and '"\\u00e9"' in text
+    assert '"x y"' in text and "é" not in text
