@@ -22,7 +22,7 @@ from .imsets import (_subset_labels, characteristic_imset, coordinate_index,
 from .learn import compare, k2_forward, k2_backward, optimize_exact
 from .scoring import build_score_table, load_csv, score_table_from_json
 from .subsets import bits_of, iter_graded_subsets
-from .verify import CHECKS, check_request, verify_family
+from .verify import CHECKS, verify_family
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,19 +55,19 @@ def _load_json(path, what):
 
 
 class _OutFile:
-    """`path` opened for writing text, as a context manager.
+    """`path` written as text, as a context manager.
 
-    An OSError from opening the file, from one of its writes or from its
+    The file is opened, and an earlier one truncated, at the first write,
+    or at a clean exit from the `with` block that wrote nothing: a block
+    refused before its first write leaves an earlier file as it was.  An
+    OSError from opening the file, from one of its writes or from its
     close is a FormatError naming it; what the `with` block raises itself
     passes through.
     """
 
     def __init__(self, path, what):
         self._path, self._what = path, what
-        try:
-            self._fh = open(path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise self._refusal(exc) from None
+        self._fh = None
 
     def _refusal(self, exc):
         return FormatError(f"cannot write {self._what} file {self._path}: "
@@ -75,6 +75,8 @@ class _OutFile:
 
     def write(self, text):
         try:
+            if self._fh is None:
+                self._fh = open(self._path, "w", encoding="utf-8")
             return self._fh.write(text)
         except OSError as exc:
             raise self._refusal(exc) from None
@@ -83,6 +85,10 @@ class _OutFile:
         return self
 
     def __exit__(self, exc_type, exc, tb):
+        if exc_type is None and self._fh is None:
+            self.write("")  # a clean block that wrote nothing leaves an empty file
+        if self._fh is None:
+            return
         try:
             self._fh.close()
         except OSError as exc:
@@ -216,7 +222,6 @@ def cmd_neighbors(args) -> int:
 def cmd_verify(args) -> int:
     spec = family_from_json(_load_json(args.family, "family"))
     checks = CHECKS if args.checks == "all" else args.checks.split(",")
-    check_request(spec, checks)  # before --certificates is truncated
     if args.certificates:
         with _OutFile(args.certificates, "certificates") as fh:
             rows = verify_family(spec, checks, args.limit, args.seed, fh.write)

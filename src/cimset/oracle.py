@@ -1,7 +1,10 @@
 """Independent exact-arithmetic certification oracle.
 
 Everything here works from first principles on explicit vertex clouds:
-LP feasibility with exact rational pivoting (Bland's rule, so no cycling),
+LP feasibility with exact pivoting (Bland's rule, so no cycling) on one
+form, integer equality rows with b >= 0, to which `lp_feasible` reduces a
+general system by scaling each row to integers, adding a slack column per
+inequality row and negating a row whose right-hand side is negative,
 adjacency by a two-point midpoint witness, a simplex face ranked mod 2 or
 an LP over the segment between the two vertices, exact affine rank, facet
 verification, and exhaustive brute-force structure learning.  None of it
@@ -73,83 +76,33 @@ def _integers(t: tuple, owner: str, kind: str) -> Tuple[int, ...]:
 # multipliers are read from it.  Pivots cross-multiply, so every quantity
 # stays exact.
 
-def _normalize(row: List[int], den: int) -> Tuple[List[int], int]:
-    g = math.gcd(den, *row)
-    if g == 1:
-        return row, den
-    return [v // g for v in row], den // g
-
-
-def _solve_phase1(rows, rhs, eq_flags):
-    """Exact phase-1 simplex for {x >= 0 : Ax (<=|=) b}.
+def _solve_phase1(rows, rhs):
+    """Exact phase-1 simplex for {x >= 0 : Ax = b}, A integer and b >= 0 integer.
 
     Returns (x, None) for a feasible point x of Fractions, or
-    (None, farkas) where farkas is a list of ints in lowest terms with:
-    y_i <= 0 on inequality rows, sum_i y_i * A[i] <= 0 componentwise, and
-    sum_i y_i * b_i > 0, which refutes feasibility.
+    (None, farkas) where farkas is a list of ints in lowest terms with
+    sum_i y_i * A[i] <= 0 componentwise and sum_i y_i * b_i > 0, which
+    refutes feasibility.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    limits.check("LP_MAX", max(m, n), f"LP of size {m}x{n}")
-    if m == 0:
-        return (), None
-    if n == 0:
-        rows = [[] for _ in range(m)]
+    total = n + m  # the artificial of row i is column n + i
 
-    # integerize and flip rows so every right-hand side is nonnegative
-    int_rows: List[List[int]] = []
-    int_rhs: List[int] = []
-    scales: List[int] = []
-    signs: List[int] = []
-    for i in range(m):
-        row, bi, scale = list(rows[i]), rhs[i], 1
-        if {type(bi), *map(type, row)} != {int}:
-            coeffs = [_exact(v) for v in row]
-            b = _exact(bi)
-            scale = math.lcm(b.denominator, *(v.denominator for v in coeffs))
-            row = [int(v * scale) for v in coeffs]
-            bi = int(b * scale)
-        sign = 1
-        if bi < 0:
-            row = [-v for v in row]
-            bi = -bi
-            sign = -1
-        int_rows.append(row)
-        int_rhs.append(bi)
-        scales.append(scale)
-        signs.append(sign)
-
-    ineq_rows = [i for i in range(m) if not eq_flags[i]]
-    slack_col = {i: n + j for j, i in enumerate(ineq_rows)}
-    n_slack = len(ineq_rows)
-    art0 = n + n_slack
-    total = art0 + m
-
-    V: List[List[int]] = []
-    basis: List[int] = []
-    for i in range(m):
-        ext = int_rows[i] + [0] * (n_slack + m) + [int_rhs[i]]
-        if i in slack_col:
-            ext[slack_col[i]] = signs[i]
-        ext[art0 + i] = 1
-        V.append(ext)
-        basis.append(art0 + i)
+    V = [[*row, *(int(k == i) for k in range(m)), b]
+         for i, (row, b) in enumerate(zip(rows, rhs))]
+    basis = list(range(n, total))
 
     # phase-1 objective: minimize the sum of the artificials, priced out
     # against the starting basis, so its artificial columns are zero
     obj = [-sum(col) for col in zip(*V)]
-    obj[art0:total] = [0] * m
+    obj[n:total] = [0] * m
     obj_den = 1
 
     guard = 0
     while True:
         guard += 1
         assert guard < 2_000_000, "simplex failed to terminate"
-        enter = -1
-        for j in range(total):
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(total) if obj[j] < 0), -1)
         if enter < 0:
             break
         leave = -1
@@ -174,11 +127,12 @@ def _solve_phase1(rows, rhs, eq_flags):
                 V[i] = row if g == 1 else [v // g for v in row]
         f = obj[enter]
         if f:
-            obj, obj_den = _normalize(
-                [a * p - f * b for a, b in zip(obj, prow)], obj_den * p)
+            obj, obj_den = [a * p - f * b for a, b in zip(obj, prow)], obj_den * p
+            g = math.gcd(obj_den, *obj)
+            obj, obj_den = [v // g for v in obj], obj_den // g
         basis[leave] = enter
 
-    if not any(V[i][-1] for i in range(m) if basis[i] >= art0):
+    if not any(V[i][-1] for i in range(m) if basis[i] >= n):
         x = [Fraction(0)] * n
         for i in range(m):
             j = basis[i]
@@ -186,24 +140,17 @@ def _solve_phase1(rows, rhs, eq_flags):
                 x[j] = Fraction(V[i][-1], V[i][j])
         return tuple(x), None
 
-    # Farkas multipliers: the duals 1 - obj[art0+i]/obj_den read off the
-    # artificial columns, times obj_den and mapped back through the per-row
-    # scaling and sign flips.  The check runs before the gcd division, so a
-    # zero vector fails it instead of dividing by zero.
-    farkas = [(obj_den - obj[art0 + i]) * signs[i] * scales[i] for i in range(m)]
-    _check_farkas(rows, rhs, eq_flags, farkas)
+    # Farkas multipliers: the duals 1 - obj[n+i]/obj_den read off the
+    # artificial columns, times obj_den.  The checks run before the gcd
+    # division, so a zero vector fails them instead of dividing by zero.
+    farkas = [obj_den - obj[n + i] for i in range(m)]
+    for col in zip(*rows):
+        if sum(map(operator.mul, farkas, col)) > 0:
+            raise AssertionError("Farkas combination is not nonpositive on a column")
+    if sum(map(operator.mul, farkas, rhs)) <= 0:
+        raise AssertionError("Farkas combination does not refute the right-hand side")
     g = math.gcd(*farkas)
     return None, [y // g for y in farkas]
-
-
-def _check_farkas(rows, rhs, eq_flags, farkas) -> None:
-    if any(y > 0 for y, eq in zip(farkas, eq_flags) if not eq):
-        raise AssertionError("Farkas multiplier has the wrong sign on an inequality row")
-    for col in zip(*rows):
-        if sum(map(operator.mul, farkas, map(_exact, col))) > 0:
-            raise AssertionError("Farkas combination is not nonpositive on a column")
-    if sum(map(operator.mul, farkas, map(_exact, rhs))) <= 0:
-        raise AssertionError("Farkas combination does not refute the right-hand side")
 
 
 def _eq_flags(m: int, equalities) -> List[bool]:
@@ -216,14 +163,46 @@ def _eq_flags(m: int, equalities) -> List[bool]:
     return flags
 
 
+def _standard_form(rows, rhs, eq_flags) -> Tuple[List[List[int]], List[int]]:
+    """{x >= 0 : Ax (<=|=) b} as the integer equality rows, b >= 0, the simplex solves.
+
+    Each row and its right-hand side are scaled to ints by the lcm of their
+    denominators, an inequality row gets its own slack column, +1, after the
+    given columns and in row order, and a row with b < 0 is negated, slack
+    included.  A solution's first columns solve the given system.
+    """
+    n = len(rows[0]) if rows else 0
+    n_slack = eq_flags.count(False)
+    slack = n  # the next inequality row's slack column
+    int_rows, int_rhs = [], []
+    for row, b, eq in zip(rows, rhs, eq_flags):
+        row = list(row)
+        if {type(b), *map(type, row)} != {int}:
+            coeffs, b = [_exact(v) for v in row], _exact(b)
+            scale = math.lcm(b.denominator, *(v.denominator for v in coeffs))
+            row, b = [int(v * scale) for v in coeffs], int(b * scale)
+        row += [0] * n_slack
+        if not eq:
+            row[slack] = 1
+            slack += 1
+        if b < 0:
+            row, b = [-v for v in row], -b
+        int_rows.append(row)
+        int_rhs.append(b)
+    return int_rows, int_rhs
+
+
 def lp_feasible(rows, rhs, equalities=None) -> Optional[Tuple[Fraction, ...]]:
     """A feasible point of {x >= 0 : Ax (<=|=) b}, or None when there is none."""
     if len(rows) != len(rhs):
         raise DomainError("rows and right-hand sides differ in length")
     if len({len(r) for r in rows}) > 1:
         raise DomainError("rows differ in length")
-    x, _ = _solve_phase1(rows, rhs, _eq_flags(len(rows), equalities))
-    return x
+    flags = _eq_flags(len(rows), equalities)
+    m, n = len(rows), len(rows[0]) if rows else 0
+    limits.check("LP_MAX", max(m, n), f"LP of size {m}x{n}")
+    x, _ = _solve_phase1(*_standard_form(rows, rhs, flags))
+    return None if x is None else x[:n]
 
 
 # --- certificates -------------------------------------------------------
@@ -538,7 +517,9 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
     lp_rows = [(*row[:-1], 2 * row[-1] - 1) for row in first]
     lp_rows.append((1,) * len(candidates) + (0,))
     rhs = [row[-1] for row in first] + [1]
-    x, y = _solve_phase1(lp_rows, rhs, [True] * len(lp_rows))
+    m, n = len(lp_rows), len(candidates) + 1
+    limits.check("LP_MAX", max(m, n), f"LP of size {m}x{n}")
+    x, y = _solve_phase1(lp_rows, rhs)
 
     if x is not None:
         combo = [(u, xu) for u, xu in zip(candidates, x) if xu]

@@ -43,18 +43,6 @@ def _line_head(kind, verified):
     return json.dumps({"kind": kind, "verified": verified})[:-1]
 
 
-def check_request(spec, checks):
-    """Refuse an unknown check name, then a family over ADJACENCY_CLOUD_MAX,
-    as `verify_family` does before it does any work."""
-    bad = [c for c in checks if c not in CHECKS]
-    if bad:
-        raise FormatError(f"unknown checks: {', '.join(c or repr(c) for c in bad)} "
-                          f"(choose from {', '.join(CHECKS)})")
-    size = spec.family_size()
-    limits.check("ADJACENCY_CLOUD_MAX", size, "verify refuses families over the "
-                 f"vertex-cloud limit: family has {size} members")
-
-
 def verify_family(spec, checks, limit, seed, emit=None):
     """Run the named checks on `spec`: one (name, passed, detail) row each, in CHECKS order.
 
@@ -66,8 +54,13 @@ def verify_family(spec, checks, limit, seed, emit=None):
     its newline; adjacency lines are joined from graph texts encoded once
     per member, in the bytes `json.dumps` gives the record.
     """
-    check_request(spec, checks)
+    bad = [c for c in checks if c not in CHECKS]
+    if bad:
+        raise FormatError(f"unknown checks: {', '.join(c or repr(c) for c in bad)} "
+                          f"(choose from {', '.join(CHECKS)})")
     size = spec.family_size()
+    limits.check("ADJACENCY_CLOUD_MAX", size, "verify refuses families over the "
+                 f"vertex-cloud limit: family has {size} members")
     idx = coordinate_index(spec)
     members = list(enumerate_family(spec))
     vecs = [characteristic_imset(g, idx).bits for g in members]

@@ -403,21 +403,57 @@ def test_unwritable_graph_file_is_refused(tmp_path, capsys):
     assert f"cannot write graph file {out}" in err
 
 
+# diag_2_2 widened to 66 nodes, the last of which may take the node at
+# position 64 as a parent
+_WIDE_MASKS = {"ordering": [f"v{i}" for i in range(66)], "floor": [[]] * 66,
+               "ceiling": [[]] * 65 + [["v64"]]}
+
+
+# each refusal says what it changes in a verify that wrote certificates
+# before: arguments it adds, keys of diag_2_2's family file, a limit or an
+# environment variable
 @pytest.mark.parametrize("refusal, message", [
-    (["--checks", "nonsense"], "unknown checks: nonsense"),
-    (["--checks", "product"], "over the limit ADJACENCY_CLOUD_MAX = 15"),
+    ({"argv": ["--checks", "nonsense"], "ADJACENCY_CLOUD_MAX": 15}, "unknown checks: nonsense"),
+    ({"argv": ["--checks", "product"], "ADJACENCY_CLOUD_MAX": 15},
+     "over the limit ADJACENCY_CLOUD_MAX = 15"),
+    ({"family": {"max_parents": 1}}, "coordinate geometry for capped families is unsupported"),
+    ({"family": _WIDE_MASKS}, "node position 64, so its masks need 65 bits, "
+                              "over the limit MASK_BITS = 63"),
+    ({"CIMSET_ENUM_LIMIT": "10"}, "family has 16 members, over the enumeration limit 10"),
 ])
 def test_refused_verify_keeps_the_certificates_file(tmp_path, capsys, monkeypatch,
                                                     refusal, message):
+    monkeypatch.delenv("CIMSET_ENUM_LIMIT", raising=False)
     certs = tmp_path / "certs.jsonl"
     argv = ["verify", "--family", f"{FIX}/diag_2_2.json", "--certificates", str(certs)]
     assert main(argv) == 0
     kept = certs.read_bytes()
     assert len(kept.splitlines()) == 128
     capsys.readouterr()
-    monkeypatch.setattr(cimset.limits, "ADJACENCY_CLOUD_MAX", 15)
-    assert message in _refused(capsys, argv + refusal)
+    if "ADJACENCY_CLOUD_MAX" in refusal:
+        monkeypatch.setattr(cimset.limits, "ADJACENCY_CLOUD_MAX", refusal["ADJACENCY_CLOUD_MAX"])
+    if "CIMSET_ENUM_LIMIT" in refusal:
+        monkeypatch.setenv("CIMSET_ENUM_LIMIT", refusal["CIMSET_ENUM_LIMIT"])
+    extra = list(refusal.get("argv", []))
+    if "family" in refusal:
+        family = json.loads(Path(FIX, "diag_2_2.json").read_text())
+        extra += ["--family", _write_json(tmp_path / "family.json",
+                                          dict(family, **refusal["family"]))]
+    assert message in _refused(capsys, argv + extra)
     assert certs.read_bytes() == kept
+
+
+def test_verify_that_writes_no_certificate_leaves_an_empty_file(tmp_path, capsys):
+    certs = tmp_path / "certs.jsonl"
+    certs.write_text("keep me\n")
+    argv = ["verify", "--family", f"{FIX}/diag_2_2.json", "--checks", "product"]
+    assert main(argv + ["--certificates", str(certs)]) == 0
+    assert certs.read_bytes() == b""
+    capsys.readouterr()
+    # an unwritable path is still refused when nothing is written to it
+    missing = tmp_path / "missing" / "certs.jsonl"
+    err = _refused(capsys, argv + ["--certificates", str(missing)])
+    assert f"cannot write certificates file {missing}" in err
 
 
 class _FullDisk(io.StringIO):

@@ -12,6 +12,7 @@ from cimset.oracle import affine_dimension, learn_bruteforce, lp_feasible, oracl
 from cimset.scoring import Dataset, ScoreTable, build_score_table
 from cimset.subsets import pdep, pext
 from cimset.verify import verify_family
+from test_oracle import _WIDE_PYRAMID
 
 DIAG = diagnosis_family(2, 1)  # 4 members, each with 3 neighbors
 EMPTY = ParentMap(DIAG.ordering, (0, 0, 0))
@@ -42,6 +43,9 @@ REFUSALS = [
         Dataset(DIAG.ordering, (2, 2, 2), ((0, 1, 1), (1, 0, 1))), DIAG, "ll")),
     ("ADJACENCY_CLOUD_MAX", 3, lambda: verify_family(DIAG, ["product"], 0, 0)),
     ("MASK_BITS", 1, lambda: coordinate_index(DIAG)),
+    # the adjacency LP: three distinct rows and the convexity row, over three
+    # candidates and t
+    ("LP_MAX", 3, lambda: oracle_adjacent(_WIDE_PYRAMID[0], _WIDE_PYRAMID[1], _WIDE_PYRAMID)),
 ]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import operator
 import random
@@ -16,8 +17,8 @@ from cimset.errors import DegeneratePairError, DomainError
 from cimset.geometry import are_neighbors, facet_matrix, vertex_block_vector
 from cimset.graphs import diagnosis_family, enumerate_family
 from cimset.imsets import characteristic_imset, coordinate_index
-from cimset.oracle import (Certificate, VertexCloud, _solve_phase1, affine_dimension,
-                           learn_bruteforce, lemma32_witness, lp_feasible, oracle_adjacent,
+from cimset.oracle import (Certificate, VertexCloud, _solve_phase1, _standard_form,
+                           affine_dimension, learn_bruteforce, lemma32_witness, lp_feasible, oracle_adjacent,
                            oracle_facet_check, witness_block_value)
 from cimset.scoring import ScoreTable
 from cimset.subsets import iter_submasks
@@ -123,15 +124,55 @@ def test_infeasible_systems_get_an_integer_farkas_vector_in_lowest_terms(system)
     rows = [r for r, _, _ in system]
     rhs = [b for _, b, _ in system]
     eq = [e for _, _, e in system]
-    x, y = _solve_phase1(rows, rhs, eq)
+    # the solver sees the system as lp_feasible reduces it: integer equality
+    # rows with nonnegative right-hand sides, one slack column per <= row
+    a, b = _standard_form(rows, rhs, eq)
+    assert all(type(v) is int for r in a for v in r) and all(type(v) is int for v in b)
+    assert min(b) >= 0
+    n = len(rows[0])
+    for s, k in enumerate(k for k, e in enumerate(eq) if not e):
+        assert [abs(r[n + s]) for r in a] == [int(i == k) for i in range(len(a))]
+    x, y = _solve_phase1(a, b)
     assert (x is None) != (y is None)
+    assert (y is None) == (lp_feasible(rows, rhs, [k for k, e in enumerate(eq) if e]) is not None)
     if y is None:
         return
     assert all(type(v) is int for v in y) and math.gcd(*y) == 1
-    assert all(v <= 0 for v, e in zip(y, eq) if not e)
-    for j in range(len(rows[0])):
-        assert sum(Fraction(v) * Fraction(r[j]) for v, r in zip(y, rows)) <= 0
-    assert sum(Fraction(v) * Fraction(b) for v, b in zip(y, rhs)) > 0
+    # every column, slack columns included: on the slack column of a <= row
+    # this is the sign condition on that row's multiplier
+    for col in zip(*a):
+        assert sum(map(operator.mul, y, col)) <= 0
+    assert sum(map(operator.mul, y, b)) > 0
+
+
+def _pinned_systems():
+    """About 300 systems {x >= 0 : Ax (<=|=) b} of int, bool and Fraction
+    entries, with negative right-hand sides and some all-zero or empty rows."""
+    rng = random.Random(28)
+
+    def entry():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return rng.random() < 0.5
+        if kind == 1:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return rng.randint(-3, 3)
+
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(0, 4)
+        rows = [[0] * n if rng.random() < 0.1 else [entry() for _ in range(n)]
+                for _ in range(m)]
+        rhs = [entry() for _ in range(m)]
+        yield rows, rhs, [i for i in range(m) if rng.random() < 0.5]
+
+
+def test_lp_feasible_points_are_pinned():
+    # the digest of every answer, feasible point or None, as the solver that
+    # took inequality rows, Fractions and negative right-hand sides itself gave it
+    got = [lp_feasible(*system) for system in _pinned_systems()]
+    assert sum(x is None for x in got) == 200
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "a5359831b6d47b9990580553f412cf9eb7939e8c0458a35e63e78984cc629c04")
 
 
 # --- adjacency oracle ---------------------------------------------------
@@ -536,7 +577,7 @@ def test_adjacency_lp_keeps_one_row_per_distinct_pattern():
         with _lp_calls() as lp:
             cert = oracle_adjacent(_WIDE_PYRAMID[i], _WIDE_PYRAMID[j], _WIDE_PYRAMID)
         assert lp.call_count == 1
-        (rows, rhs, _), _ = lp.call_args
+        (rows, rhs), _ = lp.call_args
         assert [list(r) for r in rows] == [[1, 1, 0, sign], [0, 1, 1, sign],
                                            [0, 0, 0, sign], [1, 1, 1, 0]]
         assert list(rhs) == [b, b, b, 1]
