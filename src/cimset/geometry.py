@@ -22,11 +22,10 @@ from .graphs import FamilySpec, ParentMap, _parent_map_unchecked, family_contain
 from .imsets import CharImset, coordinate_index
 from .subsets import (
     bits_of,
-    graded_subsets,
+    graded_positions,
     iter_graded_subsets,
     iter_submasks,
     mobius_supersets_inplace,
-    pdep,
     pext,
 )
 
@@ -107,11 +106,8 @@ class FacetSystem:
 
     @cached_property
     def _column(self) -> np.ndarray:
-        """Column of every subset: the inverse of the graded-lex order, built on first use."""
-        order = graded_subsets(self.universe)
-        column = np.empty_like(order)
-        column[order] = np.arange(len(order))
-        return column
+        """Column of every subset: its graded-lex position, built on first use."""
+        return graded_positions(self.k)
 
     def row_sparse(self, s: int) -> Iterator[Tuple[int, int]]:
         """Yield (column subset, sign) for the nonzero entries of row s."""
@@ -251,56 +247,37 @@ def edge_point_decompose(x, spec: FamilySpec) -> Optional[EdgeDecomposition]:
             raise DomainError("edge decomposition requires exact rational coordinates")
         vals.append(Fraction(v))
 
-    chosen = []          # (child, parent mask) for blocks pinned at a vertex
-    edge_block = None    # (child, small mask, big mask, weight of small)
+    first = list(spec.floor)
+    second = list(spec.floor)
+    edge_child, weight = None, Fraction(1)
     for block in index.blocks:
         k = block.universe.bit_count()
+        subs = index.block_subsets(block.child)
         arr = np.empty(1 << k, dtype=object)
         arr[0] = Fraction(1)
-        dense = pext(index.block_subsets(block.child), block.universe)
+        dense = pext(subs, block.universe)
         arr[dense] = np.array(vals[block.offset:block.offset + block.size], dtype=object)
         # Barycentric coordinates over the block simplex: invert the
         # superset-sum relation x(S) = sum of lambda_P over P containing S.
         mobius_supersets_inplace(arr, k)
-        nonzero = np.flatnonzero(arr != 0)
-        support = list(zip(pdep(nonzero, block.universe).tolist(), arr[nonzero].tolist()))
-        if any(lam < 0 for _, lam in support):
+        # the weights in the block's graded-lex order: the empty set, then its
+        # subsets; so an edge's endpoints come graded-lex first
+        lam = arr[np.concatenate(([0], dense))]
+        support = np.flatnonzero(lam != 0)
+        if len(support) > 2 or any(lam[support] < 0):
             return None
-        if len(support) == 1:
-            chosen.append((block.child, support[0][0]))
-        elif len(support) == 2:
-            if edge_block is not None:
+        parents = np.concatenate(([0], subs))[support].tolist()
+        first[block.child], second[block.child] = parents[0], parents[-1]
+        if len(parents) == 2:
+            if edge_child is not None:
                 return None
-            (p_a, lam_a), (p_b, lam_b) = support
-            # graded-lex order fixes which endpoint comes first
-            if _graded_key(p_a) > _graded_key(p_b):
-                p_a, lam_a, p_b, lam_b = p_b, lam_b, p_a, lam_a
-            edge_block = (block.child, p_a, p_b, lam_a)
-        else:
-            return None
+            edge_child, weight = block.child, lam[support[0]]
 
-    base = [spec.floor[i] for i in range(spec.n)]
-    for child, p in chosen:
-        base[child] = p
-    if edge_block is None:
-        g = _parent_map_unchecked(spec.ordering, tuple(base))
-        if not family_contains(spec, g):
-            return None
-        return EdgeDecomposition(None, g, g, Fraction(1), True)
-    child, p_a, p_b, lam_a = edge_block
-    first_parents = list(base)
-    second_parents = list(base)
-    first_parents[child] = p_a
-    second_parents[child] = p_b
-    g1 = _parent_map_unchecked(spec.ordering, tuple(first_parents))
-    g2 = _parent_map_unchecked(spec.ordering, tuple(second_parents))
+    g1 = _parent_map_unchecked(spec.ordering, tuple(first))
+    g2 = _parent_map_unchecked(spec.ordering, tuple(second))
     if not family_contains(spec, g1) or not family_contains(spec, g2):
         return None
-    return EdgeDecomposition(child, g1, g2, lam_a, False)
-
-
-def _graded_key(mask: int):
-    return (mask.bit_count(), bits_of(mask))
+    return EdgeDecomposition(edge_child, g1, g2, weight, edge_child is None)
 
 
 def vertex_block_vector(k: int, parent_positions_mask: int) -> Tuple[int, ...]:

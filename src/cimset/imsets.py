@@ -18,7 +18,7 @@ import numpy as np
 from . import limits
 from .errors import DomainError, NotAVertexError, UnsupportedError
 from .graphs import FamilySpec, ParentMap, _parent_map_unchecked, family_contains
-from .subsets import graded_rank, graded_subsets
+from .subsets import graded_positions, graded_subsets
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,9 @@ class CoordinateIndex:
         block = self.block_for_child(child)
         if subset_mask == 0 or subset_mask & ~block.universe:
             raise DomainError("coordinate subset must be a nonempty subset of the ceiling")
-        return block.offset + graded_rank(subset_mask, block.universe)
+        # the block lists its subsets in graded-lex order
+        row = np.flatnonzero(self.block_subsets(child) == subset_mask)
+        return block.offset + int(row[0])
 
     def coordinates(self) -> Iterator[Tuple[int, int]]:
         """All (child, subset mask) pairs in storage order."""
@@ -212,12 +214,10 @@ def export_full_vector(c: CharImset) -> List[int]:
     spec = c.index.spec
     n = spec.n
     limits.check("LATTICE_BITS", n, f"full vector over {n} nodes")
-    order = graded_subsets((1 << n) - 1)
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
+    position = graded_positions(n)
     # coordinate (i, S) is node set S plus i; every parent precedes its child
     index = c.index
-    full = np.zeros(len(order), dtype=np.uint8)
+    full = np.zeros(len(position), dtype=np.uint8)
     full[position[index._all_subsets | 1 << index._child_of]] = np.frombuffer(c.bits, np.uint8)
     # the empty set and the n singletons come first in graded-lex order
     return full[n + 1:].tolist()

@@ -8,7 +8,6 @@ then lexicographically on their sorted index lists.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 from typing import Iterator, List
 
@@ -70,6 +69,15 @@ def graded_subsets(universe: int, max_size: int | None = None) -> np.ndarray:
     return np.concatenate(levels)
 
 
+def graded_positions(k: int) -> np.ndarray:
+    """Position of every subset of range(k) in graded-lex order, indexed by
+    its mask: the inverse of graded_subsets((1 << k) - 1)."""
+    order = graded_subsets((1 << k) - 1)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    return position
+
+
 def iter_submasks(mask: int) -> Iterator[int]:
     """All submasks of `mask`, including 0 and mask itself (unspecified order)."""
     sub = mask
@@ -78,31 +86,6 @@ def iter_submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
-
-
-def combination_rank(positions, f: int) -> int:
-    """Lexicographic rank of an ascending k-combination drawn from range(f)."""
-    rank = 0
-    prev = -1
-    k = len(positions)
-    for i, c in enumerate(positions):
-        for v in range(prev + 1, c):
-            rank += math.comb(f - 1 - v, k - 1 - i)
-        prev = c
-    return rank
-
-
-def graded_rank(mask: int, universe: int) -> int:
-    """Position of nonempty `mask` among the nonempty graded-lex subsets of `universe`."""
-    if mask == 0 or mask & ~universe:
-        raise ValueError("mask must be a nonempty subset of the universe")
-    members = bits_of(universe)
-    pos_of = {b: i for i, b in enumerate(members)}
-    positions = [pos_of[b] for b in bits_of(mask)]
-    f = len(members)
-    k = len(positions)
-    base = sum(math.comb(f, j) for j in range(1, k))
-    return base + combination_rank(positions, f)
 
 
 def _check_mask_bits(universe: int) -> None:

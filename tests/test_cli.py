@@ -69,13 +69,18 @@ def test_facets_text(diag21, capsys):
     assert out[-1] == "b1 s={a1,a2}: + x[a1,a2] >= 0"
 
 
-def test_facets_limit_and_child(diag21, capsys):
+def test_facets_limit_and_child(diag21, tmp_path, capsys):
     _, fam, _ = diag21
     assert main(["facets", "--family", fam, "--child", "b1", "--limit", "2"]) == 0
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 2
     assert "row limit" in captured.err
     assert main(["facets", "--family", fam, "--child", "zz"]) == 1
+    capsys.readouterr()
+    point = _write_json(tmp_path / "point.json", family_to_json(
+        FamilySpec(NodeOrdering(("a", "b")), (0, 0b01), (0, 0b01))))
+    assert main(["facets", "--family", point]) == 1
+    assert "family is a single point; no facets to print" in capsys.readouterr().err
 
 
 def test_facets_json(diag21, capsys):
@@ -278,6 +283,9 @@ def test_learn_flag_validation(capsys):
     assert main(["learn", "--scores", f"{FIX}/example_k2_forward.json",
                  "--max-parents", "2"]) == 1
     assert "--max-parents applies only with --data" in capsys.readouterr().err
+    assert main(["learn", "--data", f"{FIX}/binary_demo.csv", "--family",
+                 f"{FIX}/diag_2_2.json", "--max-parents", "-1"]) == 1
+    assert "max_parents must be nonnegative" in capsys.readouterr().err
     assert main(["learn", "--data", f"{FIX}/binary_demo.csv"]) == 1
     assert "--data requires --family" in capsys.readouterr().err
     assert main(["learn"]) == 1

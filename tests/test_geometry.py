@@ -103,7 +103,7 @@ def test_row_listing_builds_no_column_positions(monkeypatch):
     # are built on first dense use, so a 22-element ground set costs nothing
     def refuse(*args, **kwargs):
         raise AssertionError("column positions built")
-    for lister in ("graded_subsets", "iter_graded_subsets"):
+    for lister in ("graded_positions", "iter_graded_subsets"):
         monkeypatch.setattr(cimset.geometry, lister, refuse)
     for k in (16, 22):
         sysk = FacetSystem(k)
@@ -221,6 +221,25 @@ def test_every_neighbor_midpoint_decomposes_to_its_edge(spec, data):
         assert {dec.first, dec.second} == {g, h}
 
 
+@settings(max_examples=5, deadline=None)
+@given(st.fractions(0, 1, max_denominator=64).filter(lambda t: 0 < t < 1))
+def test_every_edge_point_names_its_graded_lex_first_endpoint_first(t):
+    # a midpoint cannot tell the endpoints apart; t*c_g + (1 - t)*c_h can.
+    # d's block holds {c} and {a,b}, whose graded-lex and mask orders differ
+    spec = full_ordered_family(("a", "b", "c", "d"))
+    idx = coordinate_index(spec)
+    for g in enumerate_family(spec):
+        cg = characteristic_imset(g, idx).bits
+        for h in neighbors(g, spec):
+            ch = characteristic_imset(h, idx).bits
+            dec = edge_point_decompose([t * a + (1 - t) * b for a, b in zip(cg, ch)], spec)
+            child = next(i for i in range(spec.n) if g.parents[i] != h.parents[i])
+            order = spec.iter_admissible(child)
+            g_first = order.index(g.parents[child]) < order.index(h.parents[child])
+            assert not dec.is_vertex and dec.child == child
+            assert (dec.first, dec.second, dec.weight) == ((g, h, t) if g_first else (h, g, 1 - t))
+
+
 def test_edge_point_decompose_vertex_and_faces():
     spec = diagnosis_family(2, 1)
     idx = coordinate_index(spec)
@@ -241,6 +260,15 @@ def test_edge_point_decompose_vertex_and_faces():
         edge_point_decompose([0.5, 0.5, 0.5], spec)
     with pytest.raises(DomainError):
         edge_point_decompose([Fraction(1)], spec)
+    # with a floor: c must take a, so points whose support misses it are refused
+    o = NodeOrdering(("a", "b", "c"))
+    spec = FamilySpec(o, (0, 0, 0b01), (0, 0, 0b11))
+    half = Fraction(1, 2)
+    assert edge_point_decompose([Fraction(0)] * 3, spec) is None  # the vertex {}
+    assert edge_point_decompose([half, Fraction(0), Fraction(0)], spec) is None  # {}-{a}
+    dec = edge_point_decompose([Fraction(1), half, half], spec)
+    assert (dec.child, dec.first, dec.second, dec.weight, dec.is_vertex) == (
+        2, ParentMap(o, (0, 0, 0b01)), ParentMap(o, (0, 0, 0b11)), half, False)
 
 
 def test_edge_decompose_whole_family_pairs():

@@ -201,6 +201,8 @@ def test_graph_json_roundtrip():
         graph_from_json({"ordering": ["a", "b", "c"], "parents": [[], [], ["a", "b", "a"]]})
     with pytest.raises(FormatError, match=r"parents entry of 'b' lists \['a'\], not a node name"):
         graph_from_json({"ordering": ["a", "b"], "parents": [[], [["a"]]]})
+    with pytest.raises(FormatError, match="child 'a' lists a non-predecessor parent"):
+        graph_from_json({"ordering": ["a", "b"], "parents": [["b"], []]})
 
 
 def test_family_json_roundtrip():
@@ -212,6 +214,10 @@ def test_family_json_roundtrip():
     with pytest.raises(FormatError):
         family_from_json({"ordering": ["a"], "floor": [[]], "ceiling": [[]],
                           "max_parents": "two"})
+    with pytest.raises(FormatError, match="floor must list one entry per node"):
+        family_from_json({"ordering": ["a", "b"], "floor": [[]], "ceiling": [[], ["a"]]})
+    with pytest.raises(FormatError, match="floor of 'b' is not contained in its ceiling"):
+        family_from_json({"ordering": ["a", "b"], "floor": [[], ["a"]], "ceiling": [[], []]})
 
 
 @pytest.mark.parametrize("doc, field", [

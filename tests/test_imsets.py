@@ -51,6 +51,8 @@ def test_position_and_coordinates_agree():
     with pytest.raises(DomainError):
         idx.position(3, 0)
     with pytest.raises(DomainError):
+        idx.position(3, 0b1001)  # b1 itself is outside its ceiling
+    with pytest.raises(DomainError):
         idx.position(0, 0b1)  # a1 has no block
 
 

@@ -805,6 +805,10 @@ def test_affine_dimension_basic():
     assert affine_dimension([(0, 0), (1, 0), (0, 1)]) == 2
     # the standard 3-simplex spans dimension 3
     assert affine_dimension([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 3
+    # imsets are taken as they are: one block of 3 coordinates spans its 3-simplex
+    spec = diagnosis_family(2, 1)
+    idx = coordinate_index(spec)
+    assert affine_dimension([characteristic_imset(g, idx) for g in enumerate_family(spec)]) == 3
     with pytest.raises(DomainError):
         affine_dimension([])
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cimset.subsets import (bits_of, combination_rank, graded_rank, graded_subsets,
+from cimset.subsets import (bits_of, graded_positions, graded_subsets,
                             iter_graded_subsets, iter_submasks, mask_of,
                             mobius_subsets_inplace, mobius_supersets_inplace,
                             pdep, pext, zeta_subsets_inplace, zeta_supersets_inplace)
@@ -46,29 +46,12 @@ def test_graded_subsets_are_exact_past_bit_62():
     assert got[1:4].tolist() == [1 << 3, 1 << 64, 1 << 65]
 
 
-def test_graded_rank_matches_iteration():
-    universe = 0b11011
-    for j, s in enumerate(iter_graded_subsets(universe)):
-        assert graded_rank(s, universe) == j
-
-
-def test_graded_rank_rejects_bad_input():
-    with pytest.raises(ValueError):
-        graded_rank(0, 0b11)
-    with pytest.raises(ValueError):
-        graded_rank(0b100, 0b11)
-
-
-def test_combination_rank_full_sweep():
-    from itertools import combinations
-    f = 6
-    expect = 0
-    for k in range(1, f + 1):
-        for combo in combinations(range(f), k):
-            # rank is within the k-block, not across cardinalities
-            assert combination_rank(combo, f) == expect
-            expect += 1
-        expect = 0
+@pytest.mark.parametrize("k", range(9))
+def test_graded_positions_invert_the_graded_order(k):
+    order = list(iter_graded_subsets((1 << k) - 1, include_empty=True))
+    position = graded_positions(k)
+    assert len(position) == 1 << k
+    assert [position[s] for s in order] == list(range(1 << k))
 
 
 def test_submasks_complete():
