@@ -17,10 +17,10 @@ from .errors import CimsetError, DomainError, FormatError
 from .geometry import facet_system_for_child, neighbors, product_structure
 from .graphs import (enumerate_family, family_contains, family_from_json,
                      graph_from_json, graph_to_json)
-from .imsets import (_subset_labels, characteristic_imset, coordinate_index,
-                     export_full_vector, imset_text_lines)
+from .imsets import (characteristic_imset, coordinate_index, export_full_vector,
+                     full_vector_labels, imset_text_lines)
 from .learn import compare, k2_forward, k2_backward, optimize_exact
-from .scoring import build_score_table, load_csv, score_table_from_json
+from .scoring import CRITERIA, build_score_table, load_csv, score_table_from_json
 from .subsets import bits_of, iter_graded_subsets
 from .verify import CHECKS, verify_family
 
@@ -143,10 +143,7 @@ def cmd_imset(args) -> int:
         if args.format == "json":
             _print_json({"graph": graph_to_json(g), "full_vector": vec})
             return 0
-        # the n singletons come first; the vector starts after them
-        names = spec.ordering.names
-        labels = _subset_labels((1 << len(names)) - 1, names)[len(names):]
-        sys.stdout.write("".join(f"{lab} {v}\n" for lab, v in zip(labels, vec)))
+        sys.stdout.write("".join(f"{lab} {v}\n" for lab, v in zip(full_vector_labels(spec), vec)))
         return 0
     if args.format == "json":
         coords = [{"child": spec.ordering.names[ch],
@@ -171,7 +168,7 @@ def cmd_facets(args) -> int:
     out = []
     for i in children:
         sysk = facet_system_for_child(spec, i)
-        names = sysk.member_names
+        names = spec.ordering.names_of_mask(spec.free_mask(i))
         rows = []
         emitted = 0
         for s in iter_graded_subsets(sysk.universe, include_empty=True):
@@ -183,7 +180,7 @@ def cmd_facets(args) -> int:
             terms = [(tuple(names[b] for b in bits_of(t)), sign) for t, sign in entries]
             rows.append((tuple(names[b] for b in bits_of(s)), terms))
             emitted += 1
-        out.append((i, sysk.fixed_names, rows))
+        out.append((i, spec.ordering.names_of_mask(spec.floor[i]), rows))
 
     if args.format == "json":
         doc = [{"child": spec.ordering.names[i],
@@ -330,7 +327,7 @@ def _add_table_source(p):
     p.add_argument("--scores", help="score table JSON")
     p.add_argument("--data", help="CSV dataset")
     p.add_argument("--family", help="family JSON (required with --data)")
-    p.add_argument("--criterion", choices=("bic", "aic", "ll"), default=None,
+    p.add_argument("--criterion", choices=CRITERIA, default=None,
                    help="local score of --data (default bic)")
     p.add_argument("--max-parents", type=int, default=None)
     p.add_argument("--rational", action="store_true",
@@ -371,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify geometry claims with the exact oracle")
     p.add_argument("--family", required=True)
     p.add_argument("--checks", default="all",
-                   help="comma list of product,dimension,adjacency,facets")
+                   help=f"comma list of {','.join(CHECKS)}")
     p.add_argument("--limit", type=_nonnegative_int, default=2000,
                    help="max adjacency pairs / facet rows per block")
     p.add_argument("--seed", type=int, default=0)

@@ -2,8 +2,8 @@
 
 Per child, the possible block slices are the vertices of a simplex, so the
 convex hull of a family's imsets is a product of simplices.  This module
-gives the closed forms: the product factors, the facet inequality system
-of a block, vertex adjacency, and exact decomposition of edge points.
+gives the closed forms: the product factors, a block's facet system, vertex
+adjacency, edge-point decomposition and an edge's separating vectors.
 """
 
 from __future__ import annotations
@@ -12,16 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from . import limits
-from .errors import DegeneratePairError, DomainError, UnsupportedError
+from .errors import DegeneratePairError, DomainError
 from .graphs import FamilySpec, ParentMap, _parent_map_unchecked, family_contains
-from .imsets import CharImset, coordinate_index
+from .imsets import coordinate_index, require_uncapped
 from .subsets import (
-    bits_of,
     graded_positions,
     iter_graded_subsets,
     iter_submasks,
@@ -52,11 +51,7 @@ def product_structure(spec: FamilySpec) -> ProductStructure:
     multiplicity * dimension.  Children with no free parents pin their block
     to a single point and contribute no factor.
     """
-    if spec.max_parents is not None:
-        raise UnsupportedError(
-            "product structure for capped families is unsupported: facet "
-            "descriptions of the capped blocks are unknown"
-        )
+    require_uncapped(spec)
     factors = []
     total = 0
     for i in range(spec.n):
@@ -90,15 +85,12 @@ class FacetSystem:
     so each row supports the facet opposite the vertex of s.
     """
 
-    def __init__(self, k: int, member_names: Optional[Tuple[str, ...]] = None,
-                 fixed_names: Tuple[str, ...] = ()):
+    def __init__(self, k: int):
         if k < 1:
             raise DomainError("facet system needs a ground set of size >= 1")
         limits.check("LATTICE_BITS", k, f"facet ground set of size {k}")
         self.k = k
         self.universe = (1 << k) - 1
-        self.member_names = member_names
-        self.fixed_names = tuple(fixed_names)
 
     @property
     def nrows(self) -> int:
@@ -159,16 +151,13 @@ def facet_evaluate(system: FacetSystem, s: int, block_vector) -> object:
 def facet_system_for_child(spec: FamilySpec, child: int) -> FacetSystem:
     """Facet system of one child's block simplex.
 
-    The ground set is the child's free parent set; for children with a
+    The ground set is the child's free parent set, bit j its j-th member, so
+    a caller names rows from `spec.free_mask(child)`; for children with a
     nonempty floor the system applies to the block coordinates whose subset
     is floor union a free set (the copies over other floor subsets repeat
     those values).
     """
-    if spec.max_parents is not None:
-        raise UnsupportedError(
-            "facet systems for capped families are unsupported: the capped "
-            "block polytopes have no known inequality description"
-        )
+    require_uncapped(spec)
     if not 0 <= child < spec.n:
         raise DomainError(f"no child with index {child}")
     free = spec.free_mask(child)
@@ -176,10 +165,7 @@ def facet_system_for_child(spec: FamilySpec, child: int) -> FacetSystem:
         raise DomainError(
             f"child {spec.ordering.names[child]!r} has no free parents; its block is a point"
         )
-    names = spec.ordering.names
-    member_names = tuple(names[b] for b in bits_of(free))
-    fixed_names = tuple(names[b] for b in bits_of(spec.floor[child]))
-    return FacetSystem(free.bit_count(), member_names, fixed_names)
+    return FacetSystem(free.bit_count())
 
 
 def are_neighbors(g1: ParentMap, g2: ParentMap, spec: FamilySpec) -> bool:
@@ -289,3 +275,65 @@ def vertex_block_vector(k: int, parent_positions_mask: int) -> Tuple[int, ...]:
         1 if (t & parent_positions_mask) == t else 0
         for t in iter_graded_subsets(universe)
     )
+
+
+# --- hand-built separating vectors for single-symptom blocks -------------
+
+def lemma32_witness(pa1: int, pa2: int, m: int) -> Dict[int, int]:
+    """A cost vector over one block separating the edge (pa1, pa2).
+
+    Returns a sparse map from coordinate subset to weight, built by the
+    case analysis on how the two parent sets differ.
+    """
+    universe = (1 << m) - 1
+    if pa1 & ~universe or pa2 & ~universe:
+        raise DomainError("parent sets must live on the m disease nodes")
+    if pa1 == pa2:
+        raise DegeneratePairError("witness requested for identical parent sets")
+    w: Dict[int, int] = {}
+
+    def singles(mask, value):
+        mm = mask
+        while mm:
+            low = mm & -mm
+            w[low] = w.get(low, 0) + value
+            mm ^= low
+
+    d12 = pa1 & ~pa2
+    d21 = pa2 & ~pa1
+    if not d12 or not d21:
+        lo, hi = (pa1, pa2) if not d12 else (pa2, pa1)
+        extra = hi & ~lo
+        if extra.bit_count() > 1:
+            singles(lo, 1)
+            singles(universe & ~lo, -1)
+            w[extra] = w.get(extra, 0) + extra.bit_count()
+        else:
+            singles(lo, 1)
+            singles(universe & ~hi, -1)
+    else:
+        inter = pa1 & pa2
+        union = pa1 | pa2
+        n12, n21 = d12.bit_count(), d21.bit_count()
+        if n12 > 1 and n21 > 1:
+            singles(inter, 1)
+            singles(universe & ~inter, -1)
+            w[d12] = w.get(d12, 0) + n12 + 1
+            w[d21] = w.get(d21, 0) + n21 + 1
+            w[d12 | d21] = w.get(d12 | d21, 0) - 2
+        elif n12 == 1 and n21 == 1:
+            singles(union, 1)
+            singles(universe & ~union, -1)
+            w[d12 | d21] = w.get(d12 | d21, 0) - 2
+        else:
+            base, large = (pa1, d21) if n12 == 1 else (pa2, d12)
+            singles(base, 1)
+            singles(universe & ~base, -1)
+            w[large] = w.get(large, 0) + large.bit_count() + 1
+            w[d12 | d21] = w.get(d12 | d21, 0) - 2
+    return {mask: val for mask, val in w.items() if val}
+
+
+def witness_block_value(w: Dict[int, int], parent_mask: int) -> int:
+    """Evaluate a sparse block cost vector on the vertex with the given parents."""
+    return sum(val for mask, val in w.items() if (mask & parent_mask) == mask)

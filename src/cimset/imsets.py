@@ -29,15 +29,20 @@ class Block:
     size: int
 
 
+def require_uncapped(spec: FamilySpec) -> None:
+    """Refuse a capped family: its blocks are not full simplices over their ceilings."""
+    if spec.max_parents is not None:
+        raise UnsupportedError(
+            "coordinate geometry for capped families is unsupported: the block "
+            "polytopes are no longer full simplices over the ceiling lattice"
+        )
+
+
 class CoordinateIndex:
     """Layout of the stored imset coordinates for one family."""
 
     def __init__(self, spec: FamilySpec):
-        if spec.max_parents is not None:
-            raise UnsupportedError(
-                "coordinate geometry for capped families is unsupported: the block "
-                "polytopes are no longer full simplices over the ceiling lattice"
-            )
+        require_uncapped(spec)
         self.spec = spec
         blocks = []
         subset_arrays = []
@@ -221,3 +226,9 @@ def export_full_vector(c: CharImset) -> List[int]:
     full[position[index._all_subsets | 1 << index._child_of]] = np.frombuffer(c.bits, np.uint8)
     # the empty set and the n singletons come first in graded-lex order
     return full[n + 1:].tolist()
+
+
+def full_vector_labels(spec: FamilySpec) -> List[str]:
+    """`a,b,...` for each entry of export_full_vector: every label but the singletons'."""
+    limits.check("LATTICE_BITS", spec.n, f"full vector over {spec.n} nodes")
+    return _subset_labels((1 << spec.n) - 1, spec.ordering.names)[spec.n:]

@@ -136,13 +136,11 @@ class CompareReport:
 def compare(table: ScoreTable, spec: FamilySpec) -> CompareReport:
     """Exact vs both K2 variants: scores, gaps, per-child agreement, SHD."""
     exact = optimize_exact(table, spec)
-    results = {"exact": exact,
-               "k2-forward": k2_forward(table, spec),
-               "k2-backward": k2_backward(table, spec)}
+    results = {r.method: r for r in (exact, k2_forward(table, spec), k2_backward(table, spec))}
     gaps = {}
     agreement = {}
     hamming = {}
-    for name in ("k2-forward", "k2-backward"):
+    for name in METHODS[1:]:
         r = results[name]
         gaps[name] = exact.total_score - r.total_score
         agreement[name] = tuple(a == b for a, b in zip(exact.graph.parents, r.graph.parents))

@@ -6,7 +6,7 @@ import os
 
 from .errors import FormatError, ResourceError
 
-ENUM_LIMIT = 1 << 24         # family members enumerated (CIMSET_ENUM_LIMIT or --limit overrides)
+ENUM_LIMIT = 1 << 24         # family members enumerated (CIMSET_ENUM_LIMIT overrides)
 LATTICE_BITS = 22            # bits of a subset lattice laid out or walked
 MASK_BITS = 63               # bits of a coordinate block's int64 subset masks
 DENSE_MATRIX_MAX = 12        # facet ground set written out as a dense matrix
@@ -32,10 +32,12 @@ def default_enum_limit() -> int:
 
 def check(name: str, size: int, what: str, limit: int | None = None) -> None:
     """Refuse `what` if `size` is over `limit`, else over the limit `name` as read at this call."""
-    if limit is None:
+    given = limit is not None
+    if not given:
         limit = default_enum_limit() if name == "ENUM_LIMIT" else globals()[name]
     if size > limit and name == "ENUM_LIMIT":
-        raise ResourceError(f"{what}, over the enumeration limit {limit} (ENUM_LIMIT = "
-                            f"{ENUM_LIMIT}; CIMSET_ENUM_LIMIT or --limit overrides it)")
+        # the variable is named only where it set the limit, never over the caller's own
+        knob = "" if given else f" (ENUM_LIMIT = {ENUM_LIMIT}; CIMSET_ENUM_LIMIT overrides it)"
+        raise ResourceError(f"{what}, over the enumeration limit {limit}{knob}")
     if size > limit:
         raise ResourceError(f"{what}, over the limit {name} = {limit}")

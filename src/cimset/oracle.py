@@ -760,65 +760,3 @@ def learn_bruteforce(spec: FamilySpec, table) -> ParentMap:
     size = spec.family_size()
     limits.check("BRUTEFORCE_MAX", size, f"family of {size} members")
     return max(enumerate_family(spec), key=partial(table_graph_score, table))
-
-
-# --- hand-built separating vectors for single-symptom blocks -------------
-
-def lemma32_witness(pa1: int, pa2: int, m: int) -> Dict[int, int]:
-    """A cost vector over one block separating the edge (pa1, pa2).
-
-    Returns a sparse map from coordinate subset to weight, built by the
-    case analysis on how the two parent sets differ.
-    """
-    universe = (1 << m) - 1
-    if pa1 & ~universe or pa2 & ~universe:
-        raise DomainError("parent sets must live on the m disease nodes")
-    if pa1 == pa2:
-        raise DegeneratePairError("witness requested for identical parent sets")
-    w: Dict[int, int] = {}
-
-    def singles(mask, value):
-        mm = mask
-        while mm:
-            low = mm & -mm
-            w[low] = w.get(low, 0) + value
-            mm ^= low
-
-    d12 = pa1 & ~pa2
-    d21 = pa2 & ~pa1
-    if not d12 or not d21:
-        lo, hi = (pa1, pa2) if not d12 else (pa2, pa1)
-        extra = hi & ~lo
-        if extra.bit_count() > 1:
-            singles(lo, 1)
-            singles(universe & ~lo, -1)
-            w[extra] = w.get(extra, 0) + extra.bit_count()
-        else:
-            singles(lo, 1)
-            singles(universe & ~hi, -1)
-    else:
-        inter = pa1 & pa2
-        union = pa1 | pa2
-        n12, n21 = d12.bit_count(), d21.bit_count()
-        if n12 > 1 and n21 > 1:
-            singles(inter, 1)
-            singles(universe & ~inter, -1)
-            w[d12] = w.get(d12, 0) + n12 + 1
-            w[d21] = w.get(d21, 0) + n21 + 1
-            w[d12 | d21] = w.get(d12 | d21, 0) - 2
-        elif n12 == 1 and n21 == 1:
-            singles(union, 1)
-            singles(universe & ~union, -1)
-            w[d12 | d21] = w.get(d12 | d21, 0) - 2
-        else:
-            base, large = (pa1, d21) if n12 == 1 else (pa2, d12)
-            singles(base, 1)
-            singles(universe & ~base, -1)
-            w[large] = w.get(large, 0) + large.bit_count() + 1
-            w[d12 | d21] = w.get(d12 | d21, 0) - 2
-    return {mask: val for mask, val in w.items() if val}
-
-
-def witness_block_value(w: Dict[int, int], parent_mask: int) -> int:
-    """Evaluate a sparse block cost vector on the vertex with the given parents."""
-    return sum(val for mask, val in w.items() if (mask & parent_mask) == mask)

@@ -199,6 +199,41 @@ def test_verify_writes_the_pinned_bytes(case, tmp_path, capsys):
     assert digests == _PINNED_VERIFY[case]
 
 
+# a family whose one free child c has the floor {a}: facets names its rows by
+# the free set {b} and its fixed parents by the floor
+_FLOOR_FAMILY = {"ordering": ["a", "b", "c"], "floor": [[], [], ["a"]],
+                 "ceiling": [[], [], ["a", "b"]], "max_parents": None}
+_CI_GRAPH = {"ordering": ["a1", "a2", "b1", "b2"], "parents": [[], [], ["a1"], ["a1", "a2"]]}
+
+# sha256 of stdout of `cimset facets` and of `cimset imset --full` on
+# diag_2_2 with _CI_GRAPH, recorded while FacetSystem still carried its rows'
+# names and the CLI still sliced the full vector's labels itself: naming
+# rows from the family and labelling from imsets must print the same bytes
+_PINNED_RENDERS = {
+    "facets p21_family text": "4c8d54f4e2eb167ff1bb5616fcc287c3705fca0f1e01f7cde20cc6f304bb3c0f",
+    "facets p21_family json": "4956cae9a060a27379c29e8018da780c633eb38bb15f411e415e3da29659d5bf",
+    "facets diag_3_1 text": "b08611b3c94a42f608b434640965cee1394cdac085d4c45d3867379040be850a",
+    "facets diag_3_1 json": "33430f76d60c737a094342db1de71efeb72ff6798cdaced7c138767e95c0c5a5",
+    "facets floor text": "e3fcade5c3f14de17ef9d7b586674af29910c75052878bbd5e9605c6fb95d940",
+    "facets floor json": "a235cdb11e750d8a54223acedf9f134dc5d130f93d22e4597061c88e2b4a3e3c",
+    "imset-full diag_2_2 text": "1d0f28b7cef116c7518e24772b8e4b1a5e28935e139a8ef224f6b322d3b649c8",
+    "imset-full diag_2_2 json": "2167bd1aaffd69b2414c0b1c7183172a9ef8395bbb2c52b2f74777dd2dd099a6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_RENDERS))
+def test_renderers_write_the_pinned_bytes(case, tmp_path, capsys):
+    command, fixture, fmt = case.split()
+    family = (_write_json(tmp_path / "floor.json", _FLOOR_FAMILY) if fixture == "floor"
+              else f"{FIX}/{fixture}.json")
+    argv = ["facets", "--family", family]
+    if command == "imset-full":
+        argv = ["imset", "--family", family, "--full",
+                "--graph", _write_json(tmp_path / "graph.json", _CI_GRAPH)]
+    assert main(argv + ["--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _PINNED_RENDERS[case]
+
+
 def test_verify_json_format(diag21, capsys):
     _, fam, _ = diag21
     assert main(["verify", "--family", fam, "--checks", "product,dimension",
@@ -449,6 +484,19 @@ def test_refused_verify_keeps_the_certificates_file(tmp_path, capsys, monkeypatc
                                           dict(family, **refusal["family"]))]
     assert message in _refused(capsys, argv + extra)
     assert certs.read_bytes() == kept
+
+
+@pytest.mark.parametrize("argv, knob", [
+    # verify's --limit counts pairs, so it does not raise the enumeration limit
+    (["verify", "--family", f"{FIX}/diag_2_2.json", "--limit", "100000"], True),
+    # an explicit --limit is the limit: the variable does not raise it
+    (["enumerate", "--family", f"{FIX}/diag_2_2.json", "--limit", "3"], False),
+])
+def test_enumeration_refusal_names_only_the_knob_that_raises_it(capsys, monkeypatch, argv, knob):
+    monkeypatch.setenv("CIMSET_ENUM_LIMIT", "10")
+    err = _refused(capsys, argv)
+    assert "16 members, over the enumeration limit" in err
+    assert ("CIMSET_ENUM_LIMIT" in err) == knob and "--limit" not in err
 
 
 def test_verify_that_writes_no_certificate_leaves_an_empty_file(tmp_path, capsys):

@@ -119,8 +119,6 @@ def test_facet_system_for_child():
     spec = FamilySpec(o, (0, 0, 0, 0b01), (0, 0, 0b11, 0b111))
     sysd = facet_system_for_child(spec, 3)
     assert sysd.k == 2
-    assert sysd.member_names == ("b", "c")
-    assert sysd.fixed_names == ("a",)
     with pytest.raises(DomainError):
         facet_system_for_child(spec, 1)  # block is a point
     with pytest.raises(DomainError):
@@ -238,6 +236,26 @@ def test_every_edge_point_names_its_graded_lex_first_endpoint_first(t):
             g_first = order.index(g.parents[child]) < order.index(h.parents[child])
             assert not dec.is_vertex and dec.child == child
             assert (dec.first, dec.second, dec.weight) == ((g, h, t) if g_first else (h, g, 1 - t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(family_specs(min_free=3), st.data())
+def test_edge_points_in_wide_blocks_name_their_graded_lex_first_endpoint_first(spec, data):
+    # a block of three or more free parents holds pairs such as {c} and {a,b},
+    # whose mask order and graded-lex order disagree
+    spec = dataclasses.replace(spec, max_parents=None)
+    t = data.draw(st.fractions(0, 1, max_denominator=64).filter(lambda t: 0 < t < 1))
+    g = data.draw(members(spec))
+    idx = coordinate_index(spec)
+    cg = characteristic_imset(g, idx).bits
+    for h in neighbors(g, spec):
+        ch = characteristic_imset(h, idx).bits
+        dec = edge_point_decompose([t * a + (1 - t) * b for a, b in zip(cg, ch)], spec)
+        child = next(i for i in range(spec.n) if g.parents[i] != h.parents[i])
+        order = spec.iter_admissible(child)
+        g_first = order.index(g.parents[child]) < order.index(h.parents[child])
+        assert not dec.is_vertex and dec.child == child
+        assert (dec.first, dec.weight) == ((g, t) if g_first else (h, 1 - t))
 
 
 def test_edge_point_decompose_vertex_and_faces():

@@ -167,9 +167,18 @@ def test_enumerate_refuses_oversized(monkeypatch):
     monkeypatch.setenv("CIMSET_ENUM_LIMIT", "10")
     spec = diagnosis_family(2, 2)
     with pytest.raises(ResourceError, match=r"16 members, over the enumeration limit 10 "
-                       r"\(ENUM_LIMIT = 16777216; CIMSET_ENUM_LIMIT or --limit overrides it\)"):
+                       r"\(ENUM_LIMIT = 16777216; CIMSET_ENUM_LIMIT overrides it\)"):
         list(enumerate_family(spec))
     assert len(list(enumerate_family(spec, limit=16))) == 16
+
+
+def test_an_explicit_enumeration_limit_is_refused_without_naming_a_variable(monkeypatch):
+    # the variable does not raise a limit that the caller gave, so the refusal
+    # names neither it nor any command-line flag
+    monkeypatch.setenv("CIMSET_ENUM_LIMIT", "100")
+    with pytest.raises(ResourceError) as refused:
+        list(enumerate_family(diagnosis_family(2, 2), limit=10))
+    assert str(refused.value) == "family has 16 members, over the enumeration limit 10"
 
 
 @pytest.mark.parametrize("raw", ["-3", "ten"])
@@ -242,9 +251,12 @@ def test_family_json_rejects_ambiguous_input(doc, field):
 # --- properties of the per-spec admissible lists ---------------------------
 
 @st.composite
-def family_specs(draw):
-    """Random small families: floor <= ceiling <= predecessors, cap None or 0..n."""
-    n = draw(st.integers(1, 6))
+def family_specs(draw, min_free=0):
+    """Random small families: floor <= ceiling <= predecessors, cap None or 0..n.
+
+    With `min_free`, one child has at least that many free parents.
+    """
+    n = draw(st.integers(max(1, min_free + 1), 6))
     cap = draw(st.none() | st.integers(0, n))
     floor, ceiling = [], []
     for i in range(n):
@@ -254,6 +266,11 @@ def family_specs(draw):
             f &= f - 1
         floor.append(f)
         ceiling.append(c)
+    if min_free:
+        wide = draw(st.integers(min_free, n - 1))
+        free = sum(1 << b for b in draw(st.sets(st.integers(0, wide - 1), min_size=min_free)))
+        ceiling[wide] |= free
+        floor[wide] &= ~free
     ordering = NodeOrdering(tuple(f"v{i}" for i in range(n)))
     return FamilySpec(ordering, tuple(floor), tuple(ceiling), cap)
 

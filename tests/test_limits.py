@@ -7,7 +7,8 @@ from cimset.errors import DomainError, ResourceError
 from cimset.geometry import FacetSystem, neighbors
 from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family,
                            enumerate_family)
-from cimset.imsets import characteristic_imset, coordinate_index, export_full_vector
+from cimset.imsets import (characteristic_imset, coordinate_index, export_full_vector,
+                           full_vector_labels)
 from cimset.oracle import affine_dimension, learn_bruteforce, lp_feasible, oracle_adjacent
 from cimset.scoring import Dataset, ScoreTable, build_score_table
 from cimset.subsets import pdep, pext
@@ -25,38 +26,43 @@ def _one_wide_child(n):
     return FamilySpec(ordering, (0,) * n, (0,) * (n - 1) + ((1 << n - 1) - 1,))
 
 
-# (constant, a small value for it, a call that the small value refuses)
+# (constant, a small value for it, the call's name, a call that the small value
+# refuses); a case's id is its constant and its call's name, so a case added
+# anywhere renames no other
 REFUSALS = [
-    ("ENUM_LIMIT", 3, lambda: list(enumerate_family(DIAG))),
-    ("LATTICE_BITS", 1, lambda: coordinate_index(DIAG)),
-    ("LATTICE_BITS", 1, lambda: FacetSystem(2)),
-    ("LATTICE_BITS", 2, lambda: export_full_vector(
+    ("ENUM_LIMIT", 3, "enumerate_family", lambda: list(enumerate_family(DIAG))),
+    ("LATTICE_BITS", 1, "coordinate_index", lambda: coordinate_index(DIAG)),
+    ("LATTICE_BITS", 1, "FacetSystem", lambda: FacetSystem(2)),
+    ("LATTICE_BITS", 2, "export_full_vector", lambda: export_full_vector(
         characteristic_imset(EMPTY, coordinate_index(DIAG)))),
-    ("DENSE_MATRIX_MAX", 1, lambda: FacetSystem(2).dense_matrix()),
-    ("NEIGHBOR_LIMIT", 2, lambda: list(neighbors(EMPTY, DIAG))),
-    ("LP_MAX", 1, lambda: lp_feasible([[1], [1]], [1, 1])),
-    ("RANK_MAX", 1, lambda: affine_dimension(SQUARE)),
-    ("ADJACENCY_CLOUD_MAX", 3, lambda: oracle_adjacent((0, 0), (1, 0), SQUARE)),
-    ("BRUTEFORCE_MAX", 3, lambda: learn_bruteforce(
+    ("DENSE_MATRIX_MAX", 1, "dense_matrix", lambda: FacetSystem(2).dense_matrix()),
+    ("NEIGHBOR_LIMIT", 2, "neighbors", lambda: list(neighbors(EMPTY, DIAG))),
+    ("LP_MAX", 1, "lp_feasible", lambda: lp_feasible([[1], [1]], [1, 1])),
+    ("RANK_MAX", 1, "affine_dimension", lambda: affine_dimension(SQUARE)),
+    ("ADJACENCY_CLOUD_MAX", 3, "oracle_adjacent",
+     lambda: oracle_adjacent((0, 0), (1, 0), SQUARE)),
+    ("BRUTEFORCE_MAX", 3, "learn_bruteforce", lambda: learn_bruteforce(
         DIAG, ScoreTable(DIAG, ({0: 0}, {0: 0}, {0: 0, 1: 0, 2: 0, 3: 0})))),
-    ("TABLE_CHILD_LIMIT", 3, lambda: build_score_table(
+    ("TABLE_CHILD_LIMIT", 3, "build_score_table", lambda: build_score_table(
         Dataset(DIAG.ordering, (2, 2, 2), ((0, 1, 1), (1, 0, 1))), DIAG, "ll")),
-    ("ADJACENCY_CLOUD_MAX", 3, lambda: verify_family(DIAG, ["product"], 0, 0)),
-    ("MASK_BITS", 1, lambda: coordinate_index(DIAG)),
+    ("ADJACENCY_CLOUD_MAX", 3, "verify_family", lambda: verify_family(DIAG, ["product"], 0, 0)),
+    ("MASK_BITS", 1, "coordinate_index", lambda: coordinate_index(DIAG)),
     # the adjacency LP: three distinct rows and the convexity row, over three
     # candidates and t
-    ("LP_MAX", 3, lambda: oracle_adjacent(_WIDE_PYRAMID[0], _WIDE_PYRAMID[1], _WIDE_PYRAMID)),
+    ("LP_MAX", 3, "oracle_adjacent",
+     lambda: oracle_adjacent(_WIDE_PYRAMID[0], _WIDE_PYRAMID[1], _WIDE_PYRAMID)),
 ]
 
 
 def test_every_constant_has_a_refusal_case():
     constants = {name for name in vars(limits) if name.isupper()}
     assert len(constants) == 10
-    assert {name for name, _, _ in REFUSALS} == constants
+    assert {name for name, _, _, _ in REFUSALS} == constants
 
 
-@pytest.mark.parametrize("name, small, call", REFUSALS,
-                         ids=[f"{name}-{k}" for k, (name, _, _) in enumerate(REFUSALS)])
+@pytest.mark.parametrize("name, small, call", [(name, small, call)
+                                               for name, small, _, call in REFUSALS],
+                         ids=[f"{name}-{what}" for name, _, what, _ in REFUSALS])
 def test_refusal_names_its_constant(monkeypatch, name, small, call):
     monkeypatch.delenv("CIMSET_ENUM_LIMIT", raising=False)
     call()  # within the default limit
@@ -65,7 +71,7 @@ def test_refusal_names_its_constant(monkeypatch, name, small, call):
         call()
     if name == "ENUM_LIMIT":
         assert "enumeration limit" in str(refused.value)
-        assert "CIMSET_ENUM_LIMIT" in str(refused.value) and "--limit" in str(refused.value)
+        assert "CIMSET_ENUM_LIMIT" in str(refused.value) and "--limit" not in str(refused.value)
     else:
         assert "over the limit" in str(refused.value)
 
@@ -132,6 +138,13 @@ def test_lattice_bits_bounds_the_full_vector():
     c = characteristic_imset(ParentMap(spec.ordering, (0,) * 23), coordinate_index(spec))
     with pytest.raises(ResourceError, match="full vector over 23 nodes"):
         export_full_vector(c)
+
+
+def test_lattice_bits_bounds_the_full_vector_labels():
+    # the labels span the same 2**n node sets as the vector they name
+    spec = FamilySpec(NodeOrdering(tuple(f"v{i}" for i in range(23))), (0,) * 23, (0,) * 23)
+    with pytest.raises(ResourceError, match="full vector over 23 nodes.*LATTICE_BITS = 22"):
+        full_vector_labels(spec)
 
 
 def test_lp_max_bounds_rows_and_columns():

@@ -14,12 +14,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cimset.oracle
 from cimset.errors import DegeneratePairError, DomainError
-from cimset.geometry import are_neighbors, facet_matrix, vertex_block_vector
+from cimset.geometry import (are_neighbors, facet_matrix, lemma32_witness, vertex_block_vector,
+                             witness_block_value)
 from cimset.graphs import diagnosis_family, enumerate_family
 from cimset.imsets import characteristic_imset, coordinate_index
 from cimset.oracle import (Certificate, VertexCloud, _solve_phase1, _standard_form,
-                           affine_dimension, learn_bruteforce, lemma32_witness, lp_feasible, oracle_adjacent,
-                           oracle_facet_check, witness_block_value)
+                           affine_dimension, learn_bruteforce, lp_feasible, oracle_adjacent,
+                           oracle_facet_check)
 from cimset.scoring import ScoreTable
 from cimset.subsets import iter_submasks
 from test_graphs import family_specs
