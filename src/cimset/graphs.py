@@ -9,6 +9,7 @@ described per child by a floor (parents that must be present), a ceiling
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -123,6 +124,8 @@ class FamilySpec:
     _admissible: list = field(init=False, repr=False, compare=False)
     # degree(), summed once: neighbors() asks for it on every call
     _degree: int = field(init=False, repr=False, compare=False)
+    # The CoordinateIndex once imsets.coordinate_index has built it, else None.
+    _index: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "floor", tuple(self.floor))
@@ -150,6 +153,7 @@ class FamilySpec:
                     "the family is empty"
                 )
         object.__setattr__(self, "_admissible", [None] * n)
+        object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_degree",
                            sum(self.admissible_count(i) - 1 for i in range(n)))
 
@@ -227,6 +231,11 @@ def family_contains(spec: FamilySpec, g: ParentMap) -> bool:
     return True
 
 
+def _check_enum_limit(spec: FamilySpec, limit: Optional[int]) -> None:
+    size = spec.family_size()
+    limits.check("ENUM_LIMIT", size, f"family has {size} members", limit)
+
+
 def enumerate_family(spec: FamilySpec, limit: Optional[int] = None) -> Iterator[ParentMap]:
     """Stream every family member in canonical order.
 
@@ -236,8 +245,7 @@ def enumerate_family(spec: FamilySpec, limit: Optional[int] = None) -> Iterator[
     `limit` (default: `limits.default_enum_limit()`) at the call, before
     any member is produced.
     """
-    size = spec.family_size()
-    limits.check("ENUM_LIMIT", size, f"family has {size} members", limit)
+    _check_enum_limit(spec, limit)
     ordering = spec.ordering
     return (_parent_map_unchecked(ordering, combo)
             for combo in itertools.product(*(spec.iter_admissible(i) for i in range(spec.n))))
@@ -311,6 +319,24 @@ def graph_to_json(g: ParentMap) -> dict:
         "ordering": list(g.ordering.names),
         "parents": [list(g.parent_names(i)) for i in range(g.ordering.n)],
     }
+
+
+def family_graph_texts(spec: FamilySpec) -> Iterator[str]:
+    """`json.dumps(graph_to_json(g))` of every member g, in `enumerate_family` order.
+
+    Each text is joined from `json.dumps` fragments with json's default
+    separators: one for the ordering head and one per (child, admissible
+    parent set), so every byte, escapes included, is json's own.  Refuses
+    what `enumerate_family(spec)` refuses, at the call.
+    """
+    _check_enum_limit(spec, None)
+    names = spec.ordering.names_of_mask
+    # the record up to its parent lists: '{"ordering": [...], "parents": ['
+    record = graph_to_json(_parent_map_unchecked(spec.ordering, (0,) * spec.n))
+    head = json.dumps(dict(record, parents=[]))[:-len("]}")]
+    fragments = [[json.dumps(list(names(p))) for p in spec.iter_admissible(i)]
+                 for i in range(spec.n)]
+    return (f"{head}{', '.join(combo)}]}}" for combo in itertools.product(*fragments))
 
 
 def graph_from_json(obj) -> ParentMap:

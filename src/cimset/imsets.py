@@ -38,11 +38,22 @@ def require_uncapped(spec: FamilySpec) -> None:
         )
 
 
+def _require_layout(spec: FamilySpec) -> None:
+    """Refuse a capped family, or a ceiling over LATTICE_BITS nodes or MASK_BITS mask bits."""
+    require_uncapped(spec)
+    for i, universe in enumerate(spec.ceiling):
+        if universe:
+            name, k, top = spec.ordering.names[i], universe.bit_count(), universe.bit_length()
+            limits.check("LATTICE_BITS", k, f"ceiling of {name!r} has {k} nodes")
+            limits.check("MASK_BITS", top, f"ceiling of {name!r} holds node position "
+                                           f"{top - 1}, so its masks need {top} bits")
+
+
 class CoordinateIndex:
     """Layout of the stored imset coordinates for one family."""
 
     def __init__(self, spec: FamilySpec):
-        require_uncapped(spec)
+        _require_layout(spec)
         self.spec = spec
         blocks = []
         subset_arrays = []
@@ -51,11 +62,7 @@ class CoordinateIndex:
             universe = spec.ceiling[i]
             if universe == 0:
                 continue
-            name, k, top = spec.ordering.names[i], universe.bit_count(), universe.bit_length()
-            limits.check("LATTICE_BITS", k, f"ceiling of {name!r} has {k} nodes")
-            limits.check("MASK_BITS", top, f"ceiling of {name!r} holds node position "
-                                           f"{top - 1}, so its masks need {top} bits")
-            size = (1 << k) - 1
+            size = (1 << universe.bit_count()) - 1
             blocks.append(Block(i, universe, offset, size))
             subset_arrays.append(graded_subsets(universe)[1:])
             offset += size
@@ -117,7 +124,17 @@ class CoordinateIndex:
 
 
 def coordinate_index(spec: FamilySpec) -> CoordinateIndex:
-    return CoordinateIndex(spec)
+    """The family's coordinate index, built on the first call and kept on the spec.
+
+    Every call refuses what a new index would: a capped family, or a block
+    over the limits as they stand at the call.
+    """
+    _require_layout(spec)
+    index = spec._index
+    if index is None:
+        index = CoordinateIndex(spec)
+        object.__setattr__(spec, "_index", index)
+    return index
 
 
 @dataclass(frozen=True)

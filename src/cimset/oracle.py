@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
-from itertools import compress
+from itertools import compress, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -713,7 +713,8 @@ def _facet_vertex(s, vecs: Sequence[bytes], ncoeffs: int) -> bytes:
         raise DomainError("coefficient row and cloud dimensions are inconsistent")
     if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s & ~universe:
         raise DomainError(f"facet row {s} is outside the ground set of {k} elements")
-    return bytes((t & s) == t for t in _graded_subsets(universe))
+    # t ⊆ s exactly when t & ~s is 0
+    return bytes(map(operator.not_, map(operator.and_, _graded_subsets(universe), repeat(~s))))
 
 
 @cache
@@ -733,17 +734,27 @@ def _facet_verdict(coeffs, cloud: VertexCloud, vertex: bytes):
     names the first test to break: the first negative vertex; the first
     vertex off the row, or None when none is; "tight-set-rank".  It is None
     on success.
+
+    The row is summed by coefficient class: one coordinate mask per distinct
+    nonzero coefficient c, in the bit-8j layout of `cloud.masks`, so a
+    vertex's value is const + Σ c · |vertex ∩ class c|, exact for ints of
+    any size.  That costs a few C steps per vertex and class, not one per
+    coordinate; a row of many distinct coefficients pays one pass per class.
     """
     const, linear = coeffs[0], coeffs[1:]
-    off = []
-    for vec in cloud.vecs:
-        # a 0/1 vertex picks the int coefficients it sums: exact, with no
-        # product per coordinate
-        val = const + sum(compress(linear, vec))
-        if val < 0:
-            return False, vec
-        if val:
-            off.append(vec)
+    classes: Dict[int, int] = {}
+    for j, c in enumerate(linear):
+        if c:
+            classes[c] = classes.get(c, 0) | 1 << 8 * j
+    masks, vecs = cloud.masks, cloud.vecs
+    vals = [const] * len(masks)
+    for c, members in classes.items():
+        counts = map(int.bit_count, map(members.__and__, masks))
+        vals = list(map(operator.add, vals, map(operator.mul, repeat(c), counts)))
+    if min(vals) < 0:
+        # the first negative vertex, as a scan in cloud order meets it
+        return False, next(compress(vecs, map((0).__gt__, vals)))
+    off = list(compress(vecs, vals))
     if len(off) != 1 or off[0] != vertex:
         return False, off[0] if off else None
     if not cloud.simplex():

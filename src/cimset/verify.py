@@ -16,7 +16,7 @@ import numpy as np
 from . import limits
 from .errors import FormatError
 from .geometry import FacetSystem, affine_dimension_formula, are_neighbors
-from .graphs import enumerate_family, graph_to_json
+from .graphs import enumerate_family, family_graph_texts
 from .imsets import characteristic_imset, coordinate_index
 from .oracle import VertexCloud, affine_dimension, oracle_adjacent, oracle_facet_check
 from .subsets import bits_of, iter_graded_subsets
@@ -51,8 +51,9 @@ def verify_family(spec, checks, limit, seed, emit=None):
     block cloud of the members' imsets once, emits its verdicts for every
     child with that cloud and skips a block of more than `limit` rows.
     `emit`, when given, gets each certificate as one line of JSON text with
-    its newline; adjacency lines are joined from graph texts encoded once
-    per member, in the bytes `json.dumps` gives the record.
+    its newline; adjacency lines are joined from the members' graph texts,
+    which `family_graph_texts` joins from one fragment per (child, parent
+    set), in the bytes `json.dumps` gives the record.
     """
     bad = [c for c in checks if c not in CHECKS]
     if bad:
@@ -87,7 +88,7 @@ def verify_family(spec, checks, limit, seed, emit=None):
             pairs, note = _sampled_pairs(size, limit, seed), f"{limit} sampled pairs (seed {seed})"
         mismatch = None
         cloud = VertexCloud(vecs)
-        texts = None if emit is None else [json.dumps(graph_to_json(g)) for g in members]
+        texts = None if emit is None else list(family_graph_texts(spec))
         for i, j in pairs:
             cert = oracle_adjacent(vecs[i], vecs[j], cloud)
             closed = are_neighbors(members[i], members[j], spec)

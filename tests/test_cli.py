@@ -199,6 +199,20 @@ def test_verify_writes_the_pinned_bytes(case, tmp_path, capsys):
     assert digests == _PINNED_VERIFY[case]
 
 
+def test_verify_certificate_lines_are_json_text_on_names_that_need_escaping(tmp_path, capsys):
+    # a quote, a backslash, a non-ASCII letter and a tab in the node names:
+    # 28 pairs of 8 members, then the 8 rows of one 3-block
+    certs = tmp_path / "certs.jsonl"
+    assert main(["verify", "--family", f"{FIX}/escaped_names.json",
+                 "--certificates", str(certs)]) == 0
+    capsys.readouterr()
+    with open(certs, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    assert len(lines) == 36
+    assert all(json.dumps(json.loads(line)) + "\n" == line for line in lines)
+    assert all(json.loads(line)["verified"] is True for line in lines)
+
+
 # a family whose one free child c has the floor {a}: facets names its rows by
 # the free set {b} and its fixed parents by the floor
 _FLOOR_FAMILY = {"ordering": ["a", "b", "c"], "floor": [[], [], ["a"]],

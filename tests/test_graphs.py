@@ -7,20 +7,23 @@ import json
 import os
 import pickle
 import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cimset.cli import main
 from cimset.errors import DomainError, FormatError, ResourceError
 from cimset.geometry import neighbors
 from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family,
                            enumerate_family, family_contains, family_from_json,
-                           family_to_json, full_ordered_family, graph_from_json,
-                           graph_to_json)
+                           family_graph_texts, family_to_json, full_ordered_family,
+                           graph_from_json, graph_to_json)
 from cimset.learn import k2_backward
 from cimset.scoring import ScoreTable
 from cimset.subsets import bits_of, mask_of
+
+FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_ordering_basic():
@@ -380,3 +383,23 @@ def test_k2_backward_starts_at_first_largest_set(spec):
     for i, adm in enumerate(brute):
         top = max(p.bit_count() for p in adm)
         assert got[i] == next(p for p in adm if p.bit_count() == top)
+
+
+@settings(max_examples=80, deadline=None)
+@given(family_specs())
+def test_graph_texts_are_json_dumps_of_each_member(spec):
+    assume(spec.family_size() <= 512)
+    assert list(family_graph_texts(spec)) == [json.dumps(graph_to_json(g))
+                                              for g in enumerate_family(spec)]
+
+
+def test_graph_texts_escape_names_as_json_does():
+    # a non-ASCII letter, a tab, a quote and a backslash in names that are
+    # parents, so each sits in a per-child fragment, not only in the head
+    spec = family_from_json(json.loads((FIX / "escaped_names.json").read_text("utf-8")))
+    assert spec.ordering.names == ("caf\u00e9\ttab", 'q"uote', "back\\slash", 'sink "\u00e9"')
+    texts = list(family_graph_texts(spec))
+    assert texts == [json.dumps(graph_to_json(g)) for g in enumerate_family(spec)]
+    assert len(texts) == 8
+    assert texts[-1].endswith('"parents": [[], [], [], ["caf\\u00e9\\ttab", "q\\"uote", '
+                              '"back\\\\slash"]]}')

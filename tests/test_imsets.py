@@ -43,6 +43,19 @@ def test_coordinate_index_rejects_cap():
         CoordinateIndex(spec)
 
 
+def test_coordinate_index_is_built_once_per_spec_and_refuses_on_every_call():
+    spec = diagnosis_family(2, 1)
+    idx = coordinate_index(spec)
+    assert coordinate_index(spec) is idx
+    # an equal spec keeps an index of its own; a replaced one starts without
+    twin = diagnosis_family(2, 1)
+    assert coordinate_index(twin) is not idx and coordinate_index(twin) == idx
+    capped = dataclasses.replace(spec, max_parents=1)
+    for _ in range(2):
+        with pytest.raises(UnsupportedError, match="capped families"):
+            coordinate_index(capped)
+
+
 def test_position_and_coordinates_agree():
     spec = diagnosis_family(3, 1)
     idx = coordinate_index(spec)

@@ -6,7 +6,7 @@ from cimset import limits
 from cimset.errors import DomainError, ResourceError
 from cimset.geometry import FacetSystem, neighbors
 from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family,
-                           enumerate_family)
+                           enumerate_family, family_graph_texts)
 from cimset.imsets import (characteristic_imset, coordinate_index, export_full_vector,
                            full_vector_labels)
 from cimset.oracle import affine_dimension, learn_bruteforce, lp_feasible, oracle_adjacent
@@ -87,6 +87,13 @@ def test_bare_call_refuses(monkeypatch, name, call):
     monkeypatch.setattr(limits, name, 2)
     with pytest.raises(ResourceError, match=rf"\b{name} = 2\b"):
         call()
+
+
+def test_graph_texts_refuse_what_enumeration_refuses(monkeypatch):
+    monkeypatch.delenv("CIMSET_ENUM_LIMIT", raising=False)
+    monkeypatch.setattr(limits, "ENUM_LIMIT", 3)
+    with pytest.raises(ResourceError, match=r"family has 4 members, over the enumeration limit 3"):
+        family_graph_texts(DIAG)
 
 
 def test_bare_neighbors_call_refuses_a_non_member():

@@ -1170,6 +1170,53 @@ def test_facet_verdict_on_rows_beyond_int64(case, scale, noise):
     assert oracle_facet_check((s, [scale * c for c in facet]), _block_cloud(k)).verified
 
 
+@st.composite
+def _class_rule_cases(draw):
+    """A random 0/1 cloud of a block width, s, and a row of few or many distinct ints.
+
+    The cloud is the block's vertices, with some of them repeated or not, or
+    a mix of block vertices and random ones, so it may or may not be a
+    simplex; the row is a scaled facet, a nudged one, or random integers
+    with few or many distinct values, within int64 or far past it.
+    """
+    k = draw(st.integers(1, 5))
+    width = (1 << k) - 1
+    block = _block_cloud(k)
+    stray = st.lists(st.integers(0, 1), min_size=width, max_size=width).map(tuple)
+    cloud = draw(st.one_of(st.permutations(block),
+                           st.lists(st.sampled_from(block), min_size=1, max_size=3).map(
+                               lambda twice: block + twice),
+                           st.lists(st.one_of(st.sampled_from(block), stray),
+                                    min_size=2, max_size=(1 << k) + 3)))
+    s = draw(st.integers(0, width))
+    scale = draw(st.sampled_from([1, 3, 2 ** 64, 2 ** 200 + 1]))
+    facet = [scale * c for c in facet_matrix(k).dense_row(s)]
+    few = draw(st.lists(st.integers(-3, 3) | st.integers(-2 ** 100, 2 ** 100),
+                        min_size=1, max_size=3))
+    big = st.integers(-2 ** 200, 2 ** 200)
+    row = draw(st.one_of(
+        st.just(facet),
+        st.lists(st.integers(-1, 1), min_size=1 << k, max_size=1 << k).map(
+            lambda noise: [c + e for c, e in zip(facet, noise)]),
+        st.lists(st.sampled_from(few), min_size=1 << k, max_size=1 << k),
+        st.lists(st.integers(-40, 40), min_size=1 << k, max_size=1 << k, unique=True),
+        st.lists(big, min_size=1 << k, max_size=1 << k, unique=True)))
+    return k, cloud, s, row
+
+
+@settings(max_examples=300, deadline=None)
+@given(_class_rule_cases())
+def test_class_rule_matches_the_per_coordinate_rule(case):
+    # the check sums each coefficient class over a vertex's mask; the reference
+    # multiplies every coefficient by its entry, vertex by vertex
+    k, cloud, s, row = case
+    vertex = bytes(vertex_block_vector(k, s))
+    want = _per_row_verdict(row, list(map(bytes, cloud)), vertex)
+    cert = oracle_facet_check((s, row), cloud)
+    assert (cert.verified, cert.payload["failing"]) == want
+    assert cert.replay() is cert.verified
+
+
 def _zeta_row(k, s):
     """1 at each nonempty t ⊆ s, t over range(k)'s subsets by size, then lexicographically."""
     order = sorted(range(1, 1 << k),
