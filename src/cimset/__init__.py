@@ -22,7 +22,7 @@ from .imsets import (Block, CharImset, CoordinateIndex, block_slice, characteris
 from .learn import (ChildChoice, CompareReport, LearnResult, compare, k2_backward,
                     k2_forward, optimize_exact, structural_hamming)
 from .oracle import (Certificate, VertexCloud, affine_dimension, learn_bruteforce,
-                     lp_feasible, oracle_adjacent, oracle_facet_check)
+                     oracle_adjacent, oracle_facet_check)
 from .scoring import (DataVector, Dataset, ScoreTable, build_score_table,
                       data_vector_dot, load_csv, local_score, mobius_data_vector,
                       score_graph, score_table_from_json, score_table_to_json,

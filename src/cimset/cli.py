@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import CimsetError, DomainError, FormatError
 from .geometry import facet_system_for_child, neighbors, product_structure
 from .graphs import (enumerate_family, family_contains, family_from_json,
-                     graph_from_json, graph_to_json)
+                     family_graph_texts, graph_from_json, graph_to_json)
 from .imsets import (characteristic_imset, coordinate_index, export_full_vector,
                      full_vector_labels, imset_text_lines)
 from .learn import compare, k2_forward, k2_backward, optimize_exact
@@ -115,12 +115,12 @@ def _print_json(obj):
     sys.stdout.write(json.dumps(obj, indent=2, default=_fraction_text) + "\n")
 
 
-def _print_graphs(graphs, fmt, noun):
-    """One graph per stdout line, as JSON or text, then `N <noun>` on stderr."""
+def _print_lines(lines, noun):
+    """One line per item on stdout, then `N <noun>` on stderr."""
     count = 0
-    for g in graphs:
+    for line in lines:
         count += 1
-        print(json.dumps(graph_to_json(g)) if fmt == "json" else _graph_text(g))
+        print(line)
     print(f"{count} {noun}", file=sys.stderr)
 
 
@@ -212,7 +212,9 @@ def cmd_neighbors(args) -> int:
             raise DomainError("graph is not a member of the family")
         print(spec.degree())
         return 0
-    _print_graphs(neighbors(g, spec), args.format, "neighbors")
+    # not in enumeration order, so each neighbor is encoded on its own
+    encode = _graph_text if args.format == "text" else lambda h: json.dumps(graph_to_json(h))
+    _print_lines(map(encode, neighbors(g, spec)), "neighbors")
     return 0
 
 
@@ -313,7 +315,9 @@ def cmd_compare(args) -> int:
 
 def cmd_enumerate(args) -> int:
     spec = family_from_json(_load_json(args.family, "family"))
-    _print_graphs(enumerate_family(spec, limit=args.limit), args.format, "graphs")
+    lines = (family_graph_texts(spec, args.limit) if args.format == "json"
+             else map(_graph_text, enumerate_family(spec, limit=args.limit)))
+    _print_lines(lines, "graphs")
     return 0
 
 

@@ -321,15 +321,15 @@ def graph_to_json(g: ParentMap) -> dict:
     }
 
 
-def family_graph_texts(spec: FamilySpec) -> Iterator[str]:
+def family_graph_texts(spec: FamilySpec, limit: Optional[int] = None) -> Iterator[str]:
     """`json.dumps(graph_to_json(g))` of every member g, in `enumerate_family` order.
 
     Each text is joined from `json.dumps` fragments with json's default
     separators: one for the ordering head and one per (child, admissible
     parent set), so every byte, escapes included, is json's own.  Refuses
-    what `enumerate_family(spec)` refuses, at the call.
+    what `enumerate_family(spec, limit)` refuses, at the call.
     """
-    _check_enum_limit(spec, None)
+    _check_enum_limit(spec, limit)
     names = spec.ordering.names_of_mask
     # the record up to its parent lists: '{"ordering": [...], "parents": ['
     record = graph_to_json(_parent_map_unchecked(spec.ordering, (0,) * spec.n))

@@ -1,19 +1,20 @@
 """Independent exact-arithmetic certification oracle.
 
 Everything here works from first principles on explicit vertex clouds:
-LP feasibility with exact pivoting (Bland's rule, so no cycling) on one
-form, integer equality rows with b >= 0, to which `lp_feasible` reduces a
-general system by scaling each row to integers, adding a slack column per
-inequality row and negating a row whose right-hand side is negative,
 adjacency by a two-point midpoint witness, a simplex face ranked mod 2 or
-an LP over the segment between the two vertices, exact affine rank, facet
-verification, and exhaustive brute-force structure learning.  None of it
-relies on the closed-form block structure it is used to certify.
+an exact LP over the segment (phase-1 simplex, Bland's rule, on integer
+equality rows with b >= 0), exact affine rank, facet verification, and
+exhaustive brute-force structure learning.  None of it relies on the
+closed-form block structure it is used to certify.
 
-Rational vectors and matrices are plain sequences of ints or
-fractions.Fraction values; points are Fractions and Farkas vectors ints,
-both in lowest terms.  A 0/1 vertex, and every vector of a certificate
-payload, is bytes, one byte per coordinate, as a characteristic imset is.
+Points are Fractions and Farkas vectors ints, both in lowest terms.  A 0/1
+vertex, and every vector of a certificate payload, is bytes, one byte per
+coordinate, as a characteristic imset is, read by `_zero_one`; its bitmask
+has bit 8j set where coordinate j is 1.  A `VertexCloud` packs a cloud
+once, with one bitset per coordinate from which `oracle_adjacent` takes a
+pair's face; `_affine_rank` eliminates numpy blocks of difference rows, in
+int16 from bytes, so no entry can wrap; `_facet_verdict` sums a facet row
+by coefficient class, one coordinate mask per distinct nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -34,15 +35,6 @@ from .errors import DegeneratePairError, DomainError
 from .graphs import FamilySpec, ParentMap, enumerate_family
 from .imsets import CharImset
 from .subsets import iter_graded_subsets
-
-
-def _exact(v):
-    """A plain int unchanged, any other rational as a Fraction; floats refused."""
-    if type(v) is int:
-        return v
-    if isinstance(v, float):
-        raise DomainError("exact rational arithmetic required; got a float")
-    return Fraction(v)
 
 
 def _vec(v) -> Tuple[int, ...]:
@@ -151,58 +143,6 @@ def _solve_phase1(rows, rhs):
         raise AssertionError("Farkas combination does not refute the right-hand side")
     g = math.gcd(*farkas)
     return None, [y // g for y in farkas]
-
-
-def _eq_flags(m: int, equalities) -> List[bool]:
-    """Per-row equality flags from an iterable of row indices, or None."""
-    flags = [False] * m
-    for i in () if equalities is None else equalities:
-        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < m:
-            raise DomainError(f"equality row {i!r} is not one of the {m} rows")
-        flags[i] = True
-    return flags
-
-
-def _standard_form(rows, rhs, eq_flags) -> Tuple[List[List[int]], List[int]]:
-    """{x >= 0 : Ax (<=|=) b} as the integer equality rows, b >= 0, the simplex solves.
-
-    Each row and its right-hand side are scaled to ints by the lcm of their
-    denominators, an inequality row gets its own slack column, +1, after the
-    given columns and in row order, and a row with b < 0 is negated, slack
-    included.  A solution's first columns solve the given system.
-    """
-    n = len(rows[0]) if rows else 0
-    n_slack = eq_flags.count(False)
-    slack = n  # the next inequality row's slack column
-    int_rows, int_rhs = [], []
-    for row, b, eq in zip(rows, rhs, eq_flags):
-        row = list(row)
-        if {type(b), *map(type, row)} != {int}:
-            coeffs, b = [_exact(v) for v in row], _exact(b)
-            scale = math.lcm(b.denominator, *(v.denominator for v in coeffs))
-            row, b = [int(v * scale) for v in coeffs], int(b * scale)
-        row += [0] * n_slack
-        if not eq:
-            row[slack] = 1
-            slack += 1
-        if b < 0:
-            row, b = [-v for v in row], -b
-        int_rows.append(row)
-        int_rhs.append(b)
-    return int_rows, int_rhs
-
-
-def lp_feasible(rows, rhs, equalities=None) -> Optional[Tuple[Fraction, ...]]:
-    """A feasible point of {x >= 0 : Ax (<=|=) b}, or None when there is none."""
-    if len(rows) != len(rhs):
-        raise DomainError("rows and right-hand sides differ in length")
-    if len({len(r) for r in rows}) > 1:
-        raise DomainError("rows differ in length")
-    flags = _eq_flags(len(rows), equalities)
-    m, n = len(rows), len(rows[0]) if rows else 0
-    limits.check("LP_MAX", max(m, n), f"LP of size {m}x{n}")
-    x, _ = _solve_phase1(*_standard_form(rows, rhs, flags))
-    return None if x is None else x[:n]
 
 
 # --- certificates -------------------------------------------------------

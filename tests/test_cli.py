@@ -153,6 +153,36 @@ def test_enumerate(diag21, capsys):
     assert "enumeration limit" in capsys.readouterr().err
 
 
+# sha256 of stdout of `cimset enumerate --format json`, recorded while the
+# CLI encoded each member with json.dumps(graph_to_json(g)): the texts that
+# graphs.family_graph_texts joins must print the same bytes
+_PINNED_ENUMERATE = {
+    "diag_2_2": ("d5e7eb75b5d9f7389652314e80978013cd12a0742a34414c5aa7adddcb3999c5", 16),
+    "p21_family": ("68709c2ab31a0a010b01f2aab04dbbe70c9a4f14bf0ae88430740a0f4bbd493e", 4),
+    "escaped_names": ("c9e2f16e389552bbe48bf324c523fede1746d57386618656a2608c99fd381a11", 8),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(_PINNED_ENUMERATE))
+def test_enumerate_json_writes_the_pinned_bytes(fixture, capsys):
+    digest, count = _PINNED_ENUMERATE[fixture]
+    assert main(["enumerate", "--family", f"{FIX}/{fixture}.json", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert captured.err == f"{count} graphs\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_limit_is_refused_before_any_member(capsys, monkeypatch, fmt):
+    # as the parent's text listing refused it: exit 1, nothing on stdout
+    monkeypatch.delenv("CIMSET_ENUM_LIMIT", raising=False)
+    argv = ["enumerate", "--family", f"{FIX}/diag_2_2.json", "--limit", "3", "--format", fmt]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cimset: family has 16 members, over the enumeration limit 3\n"
+
+
 def test_verify_all_pass(diag21, tmp_path, capsys):
     _, fam, _ = diag21
     certs = tmp_path / "certs.jsonl"

@@ -393,6 +393,17 @@ def test_graph_texts_are_json_dumps_of_each_member(spec):
                                               for g in enumerate_family(spec)]
 
 
+def test_graph_texts_take_the_limit_that_enumeration_takes(monkeypatch):
+    # an explicit limit is the limit, whatever the variable says
+    monkeypatch.setenv("CIMSET_ENUM_LIMIT", "100")
+    spec = diagnosis_family(2, 2)
+    assert len(list(family_graph_texts(spec, limit=16))) == 16
+    for call in (enumerate_family, family_graph_texts):
+        with pytest.raises(ResourceError) as refused:
+            call(spec, limit=15)
+        assert str(refused.value) == "family has 16 members, over the enumeration limit 15"
+
+
 def test_graph_texts_escape_names_as_json_does():
     # a non-ASCII letter, a tab, a quote and a backslash in names that are
     # parents, so each sits in a per-child fragment, not only in the head

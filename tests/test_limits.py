@@ -9,7 +9,7 @@ from cimset.graphs import (FamilySpec, NodeOrdering, ParentMap, diagnosis_family
                            enumerate_family, family_graph_texts)
 from cimset.imsets import (characteristic_imset, coordinate_index, export_full_vector,
                            full_vector_labels)
-from cimset.oracle import affine_dimension, learn_bruteforce, lp_feasible, oracle_adjacent
+from cimset.oracle import affine_dimension, learn_bruteforce, oracle_adjacent
 from cimset.scoring import Dataset, ScoreTable, build_score_table
 from cimset.subsets import pdep, pext
 from cimset.verify import verify_family
@@ -37,7 +37,6 @@ REFUSALS = [
         characteristic_imset(EMPTY, coordinate_index(DIAG)))),
     ("DENSE_MATRIX_MAX", 1, "dense_matrix", lambda: FacetSystem(2).dense_matrix()),
     ("NEIGHBOR_LIMIT", 2, "neighbors", lambda: list(neighbors(EMPTY, DIAG))),
-    ("LP_MAX", 1, "lp_feasible", lambda: lp_feasible([[1], [1]], [1, 1])),
     ("RANK_MAX", 1, "affine_dimension", lambda: affine_dimension(SQUARE)),
     ("ADJACENCY_CLOUD_MAX", 3, "oracle_adjacent",
      lambda: oracle_adjacent((0, 0), (1, 0), SQUARE)),
@@ -154,10 +153,25 @@ def test_lattice_bits_bounds_the_full_vector_labels():
         full_vector_labels(spec)
 
 
-def test_lp_max_bounds_rows_and_columns():
-    assert lp_feasible([[1] * 4096], [1]) is not None
-    with pytest.raises(ResourceError, match="LP of size 4097x1.*LP_MAX = 4096"):
-        lp_feasible([[1]] * 4097, [1] * 4097)
-    with pytest.raises(ResourceError, match="LP of size 1x4097.*LP_MAX = 4096"):
-        lp_feasible([[1] * 4097], [1])
+# pairs whose adjacency LP, over the support rows that are distinct plus
+# the convexity row and over the candidates plus t, is taller than it is
+# wide (5x4: an edge, certified by a Farkas vector) and wider than it is
+# tall (5x6: a non-edge, on which no two candidates sum to the pair)
+_LP_SHAPES = {
+    "5x4": ([(0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 0, 1), (1, 0, 1, 1), (1, 1, 0, 0)], 1, 3),
+    "5x6": ([(0, 0, 0, 0, 0), (0, 0, 0, 1, 1), (0, 0, 1, 1, 1), (0, 1, 0, 0, 0),
+             (1, 0, 0, 1, 1), (1, 1, 0, 1, 1), (1, 1, 1, 0, 0)], 1, 6),
+}
 
+
+@pytest.mark.parametrize("shape", sorted(_LP_SHAPES))
+def test_lp_max_bounds_the_adjacency_lp_rows_and_columns(monkeypatch, shape):
+    cloud, i, j = _LP_SHAPES[shape]
+    m, n = map(int, shape.split("x"))
+    monkeypatch.setattr(limits, "LP_MAX", max(m, n))
+    cert = oracle_adjacent(cloud[i], cloud[j], cloud)
+    assert cert.kind == ("adjacency" if m > n else "non-adjacency") and cert.verified
+    assert ("farkas" in cert.payload) == (m > n)
+    monkeypatch.setattr(limits, "LP_MAX", max(m, n) - 1)
+    with pytest.raises(ResourceError, match=rf"LP of size {m}x{n}.*LP_MAX = {max(m, n) - 1}"):
+        oracle_adjacent(cloud[i], cloud[j], cloud)
