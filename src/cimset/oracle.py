@@ -12,9 +12,19 @@ vertex, and every vector of a certificate payload, is bytes, one byte per
 coordinate, as a characteristic imset is, read by `_zero_one`; its bitmask
 has bit 8j set where coordinate j is 1.  A `VertexCloud` packs a cloud
 once, with one bitset per coordinate from which `oracle_adjacent` takes a
-pair's face; `_affine_rank` eliminates numpy blocks of difference rows, in
-int16 from bytes, so no entry can wrap; `_facet_verdict` sums a facet row
-by coefficient class, one coordinate mask per distinct nonzero coefficient.
+pair's face; `_facet_verdict` sums a facet row by coefficient class, one
+coordinate mask per distinct nonzero coefficient.
+
+One GF(2) elimination, `_rank_mod2`, answers every rank question first:
+the simplex faces of `oracle_adjacent` and of the adjacency replay,
+`VertexCloud.simplex()` and `affine_dimension`.  An odd integer is
+nonzero, so a minor that is nonzero mod 2 is nonzero: the rank mod 2 is
+never above the rank over the rationals, which is at most min(N - 1, d)
+for N points in d coordinates.  Independence mod 2 is therefore
+independence, and a mod-2 rank that reaches min(N - 1, d) is the rank.
+Only a cloud whose mod-2 rank falls short, or whose entries do not all fit
+a byte, goes to `_affine_rank`, which eliminates numpy blocks of exact
+difference rows, in int16 from bytes, so no entry can wrap.
 """
 
 from __future__ import annotations
@@ -132,17 +142,21 @@ def _solve_phase1(rows, rhs):
                 x[j] = Fraction(V[i][-1], V[i][j])
         return tuple(x), None
 
-    # Farkas multipliers: the duals 1 - obj[n+i]/obj_den read off the
-    # artificial columns, times obj_den.  The checks run before the gcd
-    # division, so a zero vector fails them instead of dividing by zero.
+    # Farkas multipliers: the duals y_i = 1 - obj[n+i]/obj_den read off the
+    # artificial columns, times obj_den.  They are in lowest terms already.
+    # The objective row is obj_den times (-y.A_j on column j, 1 - y_i on
+    # artificial i, -y.b on the right), so its entries are integer
+    # combinations of obj_den and the multipliers; and a basic artificial,
+    # which an infeasible end has, prices to 0, so its multiplier is obj_den.
+    # A common divisor of the multipliers then divides the row and obj_den,
+    # whose gcd is 1
     farkas = [obj_den - obj[n + i] for i in range(m)]
     for col in zip(*rows):
         if sum(map(operator.mul, farkas, col)) > 0:
             raise AssertionError("Farkas combination is not nonpositive on a column")
     if sum(map(operator.mul, farkas, rhs)) <= 0:
         raise AssertionError("Farkas combination does not refute the right-hand side")
-    g = math.gcd(*farkas)
-    return None, [y // g for y in farkas]
+    return None, farkas
 
 
 # --- certificates -------------------------------------------------------
@@ -242,7 +256,8 @@ def _replay_adjacency(p) -> bool:
         if not (mask & outside or (mask & both) != both):
             return False
     if "farkas" not in p:
-        return _independent_mod2(m1, [m2, *masks[:k]])
+        face = [m2, *masks[:k]]
+        return _rank_mod2(m1, face, len(face)) == len(face)
     y = _integers(tuple(p["farkas"]), "farkas vector", "multiplier")
     v1, v2, *vecs = packed
     # the LP rows are the coordinates where exactly one endpoint is 1, each
@@ -257,30 +272,6 @@ def _replay_adjacency(p) -> bool:
     if sum(map(operator.mul, ys, (v2[j] - v1[j] for j in support))) > 0:
         return False
     return sum(map(operator.mul, ys, map(v2.__getitem__, support))) + y[-1] > 0
-
-
-def _independent_mod2(base: int, masks) -> bool:
-    """Whether the vectors of `masks` less `base` are linearly independent mod 2.
-
-    For 0/1 vectors u - b is u XOR b mod 2.  A rational dependence scaled to
-    coprime integers is a nonzero dependence mod 2, so independence mod 2
-    proves that `base` and `masks` are affinely independent over the
-    rationals.  The converse fails: a dependent result proves nothing.
-    Each difference is reduced against a basis keyed by its top bit.
-    """
-    basis: Dict[int, int] = {}
-    for mask in masks:
-        x = mask ^ base
-        while x:
-            top = x.bit_length() - 1
-            b = basis.get(top)
-            if b is None:
-                basis[top] = x
-                break
-            x ^= b
-        else:
-            return False
-    return True
 
 
 def _replay_facet(p) -> bool:
@@ -341,7 +332,7 @@ class VertexCloud:
     def simplex(self) -> bool:
         """Whether the vertices are affinely independent; ranked on the first call only."""
         if self._simplex is None:
-            self._simplex = _affine_rank(list(self.vecs)) == len(self.vecs) - 1
+            self._simplex = _rank(list(self.vecs), self.masks) == len(self.vecs) - 1
         return self._simplex
 
     def columns(self) -> Tuple[int, ...]:
@@ -441,7 +432,7 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
 
     # a face whose vertices are affinely independent is a simplex, and any
     # two vertices of a simplex span an edge of it, so of the polytope too
-    if _independent_mod2(m1, face_masks):
+    if _rank_mod2(m1, face_masks, len(face_masks)) == len(face_masks):
         return _certified("adjacency", {"v1": b1, "v2": b2, "candidates": tuple(candidates),
                                         "excluded": excluded})
 
@@ -480,59 +471,114 @@ def _certified(kind: str, payload: dict) -> Certificate:
 # --- affine rank --------------------------------------------------------
 
 def affine_dimension(cloud) -> int:
-    """Exact affine dimension of a point cloud over the rationals.
-
-    The vectors are taken sparsest first, by their number of nonzero
-    entries: the sparsest becomes the base point, so the difference rows
-    stay sparse and the cost does not depend on the order of the cloud.
-    """
+    """Exact affine dimension of a point cloud over the rationals."""
     vecs = list(cloud)
     # bytes, such as imset bits, already read as ints; a cloud of anything
-    # else becomes int tuples, so the sort compares like with like
+    # else becomes int tuples, so `_affine_rank`'s sort compares like with like
     if not all(type(v) is bytes for v in vecs):
         vecs = [_vec(v) for v in vecs]
-    return _affine_rank(vecs)
+    return _rank(vecs)
 
 
-# Difference rows are built this many cells at a time (at least one row),
-# so the transient arrays stay small up to RANK_MAX, and at most this many
-# rows at a time, so the unit rows found in one block clear the next.
-_RANK_BLOCK_CELLS = 1 << 16
-_RANK_BLOCK_ROWS = 32
+def _rank(vecs: list, masks=None) -> int:
+    """The affine rank of a list of int tuples or of bytes: the oracle's one rank front.
 
-
-def _affine_rank(vecs: list) -> int:
-    """`affine_dimension` of a list of int tuples, or of bytes, which it reorders.
-
-    The difference rows from the base point are built a block at a time in
-    numpy: from bytes in int16, from any other integers as Python ints in
-    an object array, so no entry can wrap.  An int-tuple cloud whose
-    entries all fit in a byte is read as bytes.  Each column whose basis
-    row is a unit row is zeroed in every later block, which is exactly
-    what eliminating by that row does, so a row left empty is skipped
-    without reaching `_eliminate`; the walk stops at full rank.
+    The refusals come first: an empty cloud, one over RANK_MAX and one of
+    mixed lengths.  A cloud of bytes, or of ints that all fit a byte, is
+    then ranked mod 2 over the low bits of its entries, or over `masks`,
+    its 0/1 vertices' bitmasks, when given; a mod-2 rank of min(N - 1, d)
+    is the rank (`_rank_mod2`).  Any other cloud goes to `_affine_rank`.
     """
     if not vecs:
         raise DomainError("affine dimension of an empty cloud is undefined")
     ambient = len(vecs[0])
     limits.check("RANK_MAX", max(len(vecs), ambient), f"cloud of {len(vecs)} x {ambient}")
-    # checked before sorting and subtracting: vectors of other lengths would
-    # shift the entries of the rows built beside them, wherever the sort put them
+    # checked before any row is built: vectors of other lengths would shift
+    # the entries of the rows built beside them
     if set(map(len, vecs)) != {ambient}:
         raise DomainError("cloud vectors have mixed lengths")
-    if ambient == 0:
+    full = min(len(vecs) - 1, ambient)
+    if full == 0:
         return 0
     if type(vecs[0]) is not bytes:
         try:
             vecs = [bytes(v) for v in vecs]
         except ValueError:
-            pass  # an entry outside 0..255: the rows stay Python ints
+            return _affine_rank(vecs)  # an entry outside 0..255
+    masks = iter(_low_bits(vecs, ambient) if masks is None else masks)
+    if _rank_mod2(next(masks), masks, full) == full:
+        return full
+    return _affine_rank(vecs)
+
+
+# Rows are packed or subtracted this many cells at a time (at least one
+# row), so the transient arrays stay small up to RANK_MAX, and at most this
+# many rows at a time, so the unit rows found in one block clear the next.
+_RANK_BLOCK_CELLS = 1 << 16
+_RANK_BLOCK_ROWS = 32
+
+
+def _block_rows(ambient: int) -> int:
+    return max(1, min(_RANK_BLOCK_ROWS, _RANK_BLOCK_CELLS // ambient))
+
+
+def _low_bits(vecs: List[bytes], ambient: int):
+    """Each vector's entries mod 2 as a bitmask with bit j for coordinate j, packed a block at a time."""
+    step = _block_rows(ambient)
+    for start in range(0, len(vecs), step):
+        block = vecs[start:start + step]
+        bits = np.frombuffer(b"".join(block), dtype=np.uint8).reshape(len(block), ambient) & 1
+        yield from map(_mask, np.packbits(bits, axis=1, bitorder="little"))
+
+
+def _rank_mod2(base: int, masks, stop: int) -> int:
+    """The rank over GF(2) of the vectors of `masks` less `base`, counted up to `stop`.
+
+    A bitmask holds a vector's entries mod 2, one bit per coordinate in any
+    one layout, so u - b mod 2 is u XOR b.  Each difference is reduced
+    against a basis keyed by its top bit, and the walk stops once the rank
+    reaches `stop`.  An odd integer is nonzero, so a minor of the integer
+    differences that is nonzero mod 2 is nonzero: their rank over the
+    rationals is at least this one.  So independence mod 2, a rank equal to
+    the number of masks, proves affine independence over the rationals.  A
+    lower rank proves nothing.
+    """
+    basis: Dict[int, int] = {}
+    for mask in masks:
+        x = mask ^ base
+        while x:
+            top = x.bit_length() - 1
+            b = basis.get(top)
+            if b is None:
+                basis[top] = x
+                if len(basis) == stop:
+                    return stop
+                break
+            x ^= b
+    return len(basis)
+
+
+def _affine_rank(vecs: list) -> int:
+    """The exact affine rank of a nonempty cloud that `_rank` has checked,
+    of vectors of one length d >= 1: bytes, or int tuples, which it reorders.
+
+    The vectors are taken sparsest first, by their number of nonzero
+    entries: the sparsest becomes the base point, so the difference rows
+    stay sparse and the cost does not depend on the order of the cloud.
+    The difference rows are built a block at a time in numpy: from bytes in
+    int16, from int tuples as Python ints in an object array, so no entry
+    can wrap.  Each column whose basis row is a unit row is zeroed in every
+    later block, which is exactly what eliminating by that row does, so a
+    row left empty is skipped without reaching `_eliminate`; the walk stops
+    at full rank.
+    """
+    ambient = len(vecs[0])
     vecs.sort(key=lambda v: (ambient - v.count(0), v))
     if type(vecs[0]) is bytes:
         base = np.frombuffer(vecs[0], dtype=np.uint8).astype(np.int16)
     else:
         base = np.array(vecs[0], dtype=object)
-    step = max(1, min(_RANK_BLOCK_ROWS, _RANK_BLOCK_CELLS // ambient))
+    step = _block_rows(ambient)
     basis: Dict[int, Dict[int, int]] = {}
     unit = np.zeros(ambient, dtype=bool)
     for start in range(1, len(vecs), step):

@@ -46,14 +46,20 @@ def _line_head(kind, verified):
 def verify_family(spec, checks, limit, seed, emit=None):
     """Run the named checks on `spec`: one (name, passed, detail) row each, in CHECKS order.
 
-    Adjacency certifies every vertex pair, or `limit` pairs sampled with
-    `seed`, and stops at its first mismatch; facets certifies each distinct
-    block cloud of the members' imsets once, emits its verdicts for every
-    child with that cloud and skips a block of more than `limit` rows.
-    `emit`, when given, gets each certificate as one line of JSON text with
-    its newline; adjacency lines are joined from the members' graph texts,
+    Every check reads the family's enumerated vertex cloud, the members'
+    imsets.  Adjacency certifies every vertex pair, or `limit` pairs
+    sampled with `seed` (`_sampled_pairs`), and stops at its first
+    mismatch.  Facets certifies a block on its enumerated cloud, the
+    distinct slices of the members' imsets over the block's `lift_rows`, so
+    a mis-encoded member fails its block's rows.  Each distinct cloud is
+    certified once, with one facet system and 2**k checks (with a correct
+    encoder, once per block size k), and its verdicts are emitted for every
+    child with that cloud, under that child's names; a block of more than
+    `limit` rows is skipped.  `emit`, when given, gets each certificate as
+    one line of JSON text with its newline, in the bytes `json.dumps` gives
+    the record: adjacency lines are joined from the members' graph texts,
     which `family_graph_texts` joins from one fragment per (child, parent
-    set), in the bytes `json.dumps` gives the record.
+    set), so no member is encoded whole.
     """
     bad = [c for c in checks if c not in CHECKS]
     if bad:

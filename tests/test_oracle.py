@@ -22,6 +22,7 @@ from cimset.oracle import (Certificate, VertexCloud, _solve_phase1, affine_dimen
                            learn_bruteforce, oracle_adjacent, oracle_facet_check)
 from cimset.scoring import ScoreTable
 from cimset.subsets import iter_submasks
+from test_acceptance import _example_47_family
 from test_graphs import family_specs
 
 
@@ -112,13 +113,15 @@ def _lp_calls():
 
 
 def _independent_mod2(b1, b2, candidates):
-    """Whether the face's differences from b1 are linearly independent mod 2.
-
-    The rank of the rows over GF(2), by elimination on lists of bits.
-    """
+    """Whether the face's differences from b1 are linearly independent mod 2."""
     rows = [[a ^ b for a, b in zip(u, b1)] for u in (b2, *candidates)]
+    return _gf2_rank(rows) == len(rows)
+
+
+def _gf2_rank(rows):
+    """The rank over GF(2) of rows of bits, by elimination on lists."""
     rank = 0
-    for col in range(len(b1)):
+    for col in range(len(rows[0]) if rows else 0):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
@@ -127,7 +130,7 @@ def _independent_mod2(b1, b2, candidates):
             if r != rank and rows[r][col]:
                 rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
         rank += 1
-    return rank == len(rows)
+    return rank
 
 
 def _assert_lp_route(cert):
@@ -799,7 +802,12 @@ _rank_entries = {
 
 
 def _eliminate_calls(cloud):
-    """The rank of cloud and one (entries in, entries out) pair per `_eliminate` call."""
+    """The exact route's rank of cloud and one (entries in, entries out) pair
+    per `_eliminate` call.
+
+    `_affine_rank` is called directly: `affine_dimension` gives most clouds
+    their rank mod 2 and never reaches the elimination.
+    """
     calls = []
     eliminate = cimset.oracle._eliminate
 
@@ -810,7 +818,7 @@ def _eliminate_calls(cloud):
         return out
 
     with mock.patch.object(cimset.oracle, "_eliminate", wraps=spy):
-        rank = affine_dimension(cloud)
+        rank = cimset.oracle._affine_rank(list(cloud))
     return rank, calls
 
 
@@ -907,6 +915,65 @@ def test_affine_rank_stops_at_full_rank_and_skips_cleared_rows():
     rank, calls = _eliminate_calls(_census_cloud(10, 1))
     assert rank == 1023
     assert sum(entries for entries, _ in calls) < 5000
+
+
+# 0/1 entries, where parity is exact; and small integers, where it can lose
+# rank: (0,) and (2,) span a line but are one point mod 2
+_parity_entries = {"01": st.integers(0, 1), "small": st.sampled_from([0, 1, 2, 3, 255])}
+
+
+def _exact_rank_spy():
+    return mock.patch.object(cimset.oracle, "_affine_rank", wraps=cimset.oracle._affine_rank)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_parity_entries)), st.booleans(), st.integers(1, 6), st.data())
+def test_the_rank_front_is_exact_and_eliminates_just_where_parity_falls_short(
+        kind, as_bytes, d, data):
+    cloud = data.draw(st.lists(st.tuples(*[_parity_entries[kind]] * d),
+                               min_size=1, max_size=9))
+    if as_bytes:
+        cloud = [bytes(v) for v in cloud]
+    full = min(len(cloud) - 1, d)
+    parity = _gf2_rank([[(a ^ b) & 1 for a, b in zip(v, cloud[0])] for v in cloud[1:]])
+    with _exact_rank_spy() as exact:
+        rank = affine_dimension(cloud)
+    assert exact.call_count == (parity < full)
+    assert rank == cimset.oracle._affine_rank(list(cloud)) == _reference_rank(cloud)
+
+
+@pytest.mark.parametrize("cloud, rank, mod2, exact", [
+    # one point mod 2: only the exact elimination finds the line
+    ([(0,), (2,)], 1, True, True),
+    # rank 1 mod 2, rank 2 exactly
+    ([b"\x00\x03", b"\x02\x01", b"\x01\x00"], 2, True, True),
+    # 255 is odd, so parity keeps the full rank
+    ([(0, 0), (1, 0), (0, 255)], 2, True, False),
+    # an entry outside a byte goes straight to the exact elimination
+    ([(0,), (256,)], 1, False, True),
+    ([(0,), (-1,)], 1, False, True),
+])
+def test_parity_route_pinned_clouds(cloud, rank, mod2, exact):
+    with _exact_rank_spy() as exact_spy, \
+            mock.patch.object(cimset.oracle, "_rank_mod2",
+                              wraps=cimset.oracle._rank_mod2) as mod2_spy:
+        assert affine_dimension(cloud) == rank == _reference_rank(cloud)
+    assert (mod2_spy.call_count, exact_spy.call_count) == (mod2, exact)
+
+
+def test_exact_rank_runs_on_example_4_7_and_not_on_the_diagnosis_census():
+    # a product of simplices has full rank mod 2; example 4.7's 256 vertices
+    # span 14 of its 26 coordinates, so only the exact elimination can say so
+    with _exact_rank_spy() as exact:
+        assert affine_dimension(_census_cloud(10, 1)) == 1023
+    assert exact.call_count == 0
+    spec = _example_47_family()
+    idx = coordinate_index(spec)
+    cloud = [characteristic_imset(g, idx).bits for g in enumerate_family(spec)]
+    assert (len(cloud), idx.total) == (256, 26)
+    with _exact_rank_spy() as exact:
+        assert affine_dimension(cloud) == 14
+    assert exact.call_count == 1
 
 
 @pytest.mark.parametrize("cloud", [
@@ -1011,8 +1078,7 @@ def test_facet_check_ranks_a_vertex_cloud_once():
     k = 3
     sysk = facet_matrix(k)
     cloud = VertexCloud(_block_cloud(k))
-    with mock.patch.object(cimset.oracle, "_affine_rank",
-                           wraps=cimset.oracle._affine_rank) as rank:
+    with mock.patch.object(cimset.oracle, "_rank", wraps=cimset.oracle._rank) as rank:
         # values that fail never reach the rank
         assert not oracle_facet_check((0, [0] * (1 << k)), cloud).verified
         assert rank.call_count == 0

@@ -113,8 +113,7 @@ def test_children_of_one_block_size_get_the_same_facet_lines():
     (full_ordered_family(("a1", "a2", "a3", "a4")), 3),
 ])
 def test_facets_rank_each_block_size_once(spec, ranks):
-    with mock.patch.object(cimset.oracle, "_affine_rank",
-                           wraps=cimset.oracle._affine_rank) as rank:
+    with mock.patch.object(cimset.oracle, "_rank", wraps=cimset.oracle._rank) as rank:
         rows = verify_family(spec, ["facets"], 2000, 0)
     assert rows[0][1] and rank.call_count == ranks
 
