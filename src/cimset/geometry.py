@@ -8,6 +8,7 @@ adjacency, edge-point decomposition and an edge's separating vectors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -172,7 +173,7 @@ def are_neighbors(g1: ParentMap, g2: ParentMap, spec: FamilySpec) -> bool:
     """Vertex adjacency on the family polytope: parent sets differ at exactly one child."""
     if not family_contains(spec, g1) or not family_contains(spec, g2):
         raise DomainError("both graphs must belong to the family")
-    diff = sum(1 for a, b in zip(g1.parents, g2.parents) if a != b)
+    diff = sum(map(operator.ne, g1.parents, g2.parents))
     if diff == 0:
         raise DegeneratePairError("adjacency is undefined for a vertex paired with itself")
     return diff == 1

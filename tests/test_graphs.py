@@ -284,6 +284,34 @@ def members(spec):
         lambda parents: ParentMap(spec.ordering, parents))
 
 
+def _contains_by_child(spec, g):
+    """Membership child by child: floor within the parents, parents within the
+    ceiling, and no more parents than the cap."""
+    cap = spec.max_parents
+    for f, p, c in zip(spec.floor, g.parents, spec.ceiling):
+        if f & ~p or p & ~c or (cap is not None and p.bit_count() > cap):
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_specs(), st.data())
+def test_family_contains_matches_a_per_child_reference(spec, data):
+    # a member, or any DAG on the ordering: each child any set of predecessors
+    anywhere = st.tuples(*(st.integers(0, (1 << i) - 1) for i in range(spec.n))).map(
+        lambda parents: ParentMap(spec.ordering, parents))
+    g = data.draw(members(spec) | anywhere)
+    want = _contains_by_child(spec, g)
+    assert family_contains(spec, g) is want
+    # an equal ordering built apart is the family's ordering
+    twin = NodeOrdering(spec.ordering.names)
+    assert family_contains(spec, ParentMap(twin, g.parents)) is want
+    # another ordering is refused, member or not
+    other = NodeOrdering(tuple(f"w{i}" for i in range(spec.n)))
+    with pytest.raises(DomainError, match="different node orderings"):
+        family_contains(spec, ParentMap(other, g.parents))
+
+
 def _brute_admissible(spec, i, cap):
     """Submasks of the ceiling that hold the floor and fit the cap, graded-lex."""
     f, c = spec.floor[i], spec.ceiling[i]

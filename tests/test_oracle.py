@@ -136,7 +136,7 @@ def _gf2_rank(rows):
 def _assert_lp_route(cert):
     """An LP adjacency payload: a lowest-terms int Farkas vector, one per LP row."""
     v1, v2 = cert.payload["v1"], cert.payload["v2"]
-    assert set(cert.payload) == {"v1", "v2", "candidates", "excluded", "farkas"}
+    assert set(cert.payload) == {"v1", "v2", "cloud", "candidates", "excluded", "farkas"}
     assert not _independent_mod2(v1, v2, cert.payload["candidates"])
     # rows only where exactly one endpoint is 1, plus the convexity row
     support = [k for k, (a, b) in enumerate(zip(v1, v2)) if a != b]
@@ -163,14 +163,14 @@ def test_square_side_adjacent():
     assert cert.kind == "adjacency"
     assert cert.verified
     assert cert.replay()
-    assert cert.payload == {"v1": b"\x00\x00", "v2": b"\x01\x00", "candidates": (),
-                            "excluded": (b"\x00\x01", b"\x01\x01")}
+    assert cert.payload == {"v1": b"\x00\x00", "v2": b"\x01\x00", "cloud": VertexCloud(SQUARE),
+                            "candidates": (), "excluded": (b"\x00\x01", b"\x01\x01")}
     # the pyramid's lateral edge lies on a face that is no simplex
     with _lp_calls() as lp:
         cert = oracle_adjacent(PYRAMID[0], PYRAMID[1], PYRAMID)
     assert lp.call_count == 1
     assert cert.kind == "adjacency" and cert.verified and cert.replay()
-    assert set(cert.payload) == {"v1", "v2", "candidates", "excluded", "farkas"}
+    assert set(cert.payload) == {"v1", "v2", "cloud", "candidates", "excluded", "farkas"}
     assert cert.payload["candidates"] == tuple(map(bytes, PYRAMID[2:5]))
     assert cert.payload["excluded"] == (bytes(PYRAMID[5]),)
 
@@ -278,7 +278,7 @@ def test_packed_oracle_on_random_families(spec, data):
             # in a product of simplices an edge's face lies in one factor, a
             # simplex: no Farkas vector; _assert_lp_route pins the LP route
             assert _independent_mod2(vecs[i], vecs[j], candidates)
-            assert set(cert.payload) == {"v1", "v2", "candidates", "excluded"}
+            assert set(cert.payload) == {"v1", "v2", "cloud", "candidates", "excluded"}
         else:
             assert all(tuple(u) in candidates for u, _ in cert.payload["combination"])
 
@@ -352,12 +352,14 @@ def test_lp_finds_a_non_edge_whose_segment_misses_the_midpoint():
     skew = [(BIPYRAMID[2], Fraction(1, 2)), (BIPYRAMID[3], Fraction(1, 4)),
             (BIPYRAMID[4], Fraction(1, 4))]
     assert not _with_combination(cert, skew).replay()
-    beside = {"v1": (0, 0, 0), "v2": (1, 1, 0), "combination": [((0, 0, 1), Fraction(1))]}
+    beside = {"v1": (0, 0, 0), "v2": (1, 1, 0), "cloud": [(0, 0, 0), (1, 1, 0), (0, 0, 1)],
+              "combination": [((0, 0, 1), Fraction(1))]}
     assert not Certificate("non-adjacency", beside, False).replay()
     # (1, 1, 1, -2) passes every check of a Farkas vector but the one on the
     # column of t: it shows only that t >= 1/3, and the centroid is at t = 1/3
-    forged = {"v1": BIPYRAMID[0], "v2": BIPYRAMID[1], "candidates": tuple(BIPYRAMID[2:5]),
-              "excluded": (BIPYRAMID[5],), "farkas": (1, 1, 1, -2)}
+    forged = {"v1": BIPYRAMID[0], "v2": BIPYRAMID[1], "cloud": BIPYRAMID,
+              "candidates": tuple(BIPYRAMID[2:5]), "excluded": (bytes(BIPYRAMID[5]),),
+              "farkas": (1, 1, 1, -2)}
     assert not Certificate("adjacency", forged, False).replay()
 
 
@@ -439,6 +441,9 @@ def test_the_face_walk_matches_a_walk_over_every_vertex(cloud, data):
     with _lp_calls() as lp:
         cert = oracle_adjacent(b1, b2, cloud)
     assert cert.verified and cert.replay()
+    assert (cert.kind == "adjacency") == _lp_adjacent(b1, b2, cloud)
+    # the replay reads the payload's cloud, and packs one of int tuples
+    assert Certificate(cert.kind, dict(cert.payload, cloud=cloud), False).replay()
     candidates, excluded = _filter_by_definition(b1, b2, cloud)
     witness = _first_two_point_witness(b1, b2, candidates)
     simplex = _independent_mod2(b1, b2, candidates)
@@ -454,12 +459,91 @@ def test_the_face_walk_matches_a_walk_over_every_vertex(cloud, data):
     assert lp.call_count == (witness is None and not simplex)
 
 
+# the Baseline examples: the square's diagonal and a cloud that holds
+# neither vector of the square's two-point witness
+_SQUARE_3 = [(0, 0, 0), (1, 1, 0), (1, 0, 0), (0, 1, 0)]
+
+
+def test_an_adjacency_payload_replays_only_against_its_cloud():
+    bare = {"v1": b"\0\0\0", "v2": b"\1\1\0", "candidates": (), "excluded": ()}
+    assert not Certificate("adjacency", bare, False).replay()
+    # 100 and 010 lie on the diagonal's face, so () leaves them out
+    assert not Certificate("adjacency", dict(bare, cloud=_SQUARE_3), False).replay()
+    assert not Certificate("adjacency", dict(bare, cloud=VertexCloud(_SQUARE_3)), False).replay()
+    # a pair that is no pair of cloud vertices
+    side = oracle_adjacent((0, 0), (1, 0), SQUARE)
+    assert side.kind == "adjacency" and side.replay()
+    assert not Certificate("adjacency", dict(side.payload, v2=(1, 1)), False).replay()
+    assert not Certificate("adjacency", dict(side.payload, cloud=SQUARE[:1] + SQUARE[2:]),
+                           False).replay()
+
+
+def test_a_non_adjacency_payload_replays_only_against_its_cloud():
+    combo = [((1, 0, 0), Fraction(1, 2)), ((0, 1, 0), Fraction(1, 2))]
+    payload = {"v1": (0, 0, 0), "v2": (1, 1, 0), "combination": combo}
+    assert Certificate("non-adjacency", dict(payload, cloud=_SQUARE_3), False).replay()
+    assert not Certificate("non-adjacency", payload, False).replay()
+    other = [(0, 0, 0), (1, 1, 0), (0, 0, 1)]
+    assert not Certificate("non-adjacency", dict(payload, cloud=other), False).replay()
+    # one vector of the combination outside the cloud is enough
+    assert not Certificate("non-adjacency", dict(payload, cloud=_SQUARE_3[:3]), False).replay()
+    # and so is an endpoint outside it
+    assert not Certificate("non-adjacency", dict(payload, cloud=_SQUARE_3[1:]), False).replay()
+
+
+@pytest.mark.parametrize("cloud, lp_route", [(SIMPLEX_FACE, False), (PYRAMID, True)])
+def test_the_adjacency_replay_checks_the_face_against_the_cloud(cloud, lp_route):
+    cert = oracle_adjacent(cloud[0], cloud[1], cloud)
+    p = cert.payload
+    assert cert.kind == "adjacency" and cert.replay() and ("farkas" in p) == lp_route
+    assert p["candidates"] and p["excluded"]
+    # a face vertex left out of the candidates, kept or not among the excluded
+    for u in p["candidates"]:
+        rest = tuple(c for c in p["candidates"] if c != u)
+        assert not Certificate("adjacency", dict(p, candidates=rest), False).replay()
+        assert not Certificate("adjacency", dict(p, candidates=rest, excluded=(*p["excluded"], u)),
+                               False).replay()
+    # an off-face vertex added to the candidates, dropped from the excluded or not
+    off = p["excluded"][0]
+    added = (*p["candidates"], off)
+    assert not Certificate("adjacency", dict(p, candidates=added), False).replay()
+    assert not Certificate("adjacency", dict(p, candidates=added, excluded=p["excluded"][1:]),
+                           False).replay()
+    # excluded vertices that are not the cloud's off-face vertices in cloud order
+    for excluded in ((*p["excluded"], p["v2"]), (), p["excluded"][::-1] + (p["v1"],),
+                     tuple(map(tuple, p["excluded"]))):
+        assert not Certificate("adjacency", dict(p, excluded=excluded), False).replay()
+    # candidates out of cloud order
+    assert not Certificate("adjacency", dict(p, candidates=p["candidates"][::-1]),
+                           False).replay()
+
+
+def test_the_adjacency_replay_reads_no_more_vectors_than_the_face():
+    # pairs of diagnosis(8, 1) whose faces run from the two endpoints, with
+    # the other 254 members excluded, to the whole cloud: the replay reads
+    # v1, v2 and the candidates, and no excluded vertex one by one
+    spec = diagnosis_family(8, 1)
+    idx = coordinate_index(spec)
+    members = list(enumerate_family(spec))
+    cloud = VertexCloud([characteristic_imset(g, idx).bits for g in members])
+    for i, j in ((0, 1), (0, 255), (3, 200)):
+        cert = oracle_adjacent(cloud.vecs[i], cloud.vecs[j], cloud)
+        assert cert.kind == "adjacency" and are_neighbors(members[i], members[j], spec)
+        with mock.patch.object(cimset.oracle, "_zero_one", wraps=cimset.oracle._zero_one) as spy:
+            assert cert.replay()
+        seen = sum(len(call.args[0]) for call in spy.call_args_list)
+        assert seen <= len(cert.payload["candidates"]) + 2
+        assert len(cert.payload["excluded"]) + len(cert.payload["candidates"]) == 254
+
+
 def _as_tuples(payload):
-    """An adjacency or non-adjacency payload with every vector an int tuple."""
-    out = dict(payload, v1=tuple(payload["v1"]), v2=tuple(payload["v2"]))
-    for key in ("candidates", "excluded"):
-        if key in payload:
-            out[key] = tuple(map(tuple, payload[key]))
+    """An adjacency or non-adjacency payload with its cloud a list of int tuples,
+    and every vector an int tuple but those of `excluded`: the replay compares
+    `excluded` with the cloud's own bytes and reads nothing else from it."""
+    out = dict(payload, v1=tuple(payload["v1"]), v2=tuple(payload["v2"]),
+               cloud=list(map(tuple, payload["cloud"].vecs)))
+    if "candidates" in payload:
+        out["candidates"] = tuple(map(tuple, payload["candidates"]))
     if "combination" in payload:
         out["combination"] = [(tuple(u), lam) for u, lam in payload["combination"]]
     return out
@@ -593,21 +677,21 @@ def test_forged_forced_zero_columns_do_not_certify_the_square_diagonal():
     # the replay derives the forced columns from v1 + v2: naming both
     # coordinates as forced zeros once excused both other vertices
     forged = Certificate("adjacency", {
-        "v1": (0, 0), "v2": (1, 1), "zero_cols": (0, 1), "two_cols": (),
-        "candidates": (), "excluded": ((1, 0), (0, 1)), "farkas": (1,)}, False)
+        "v1": (0, 0), "v2": (1, 1), "cloud": SQUARE, "zero_cols": (0, 1), "two_cols": (),
+        "candidates": (), "excluded": (b"\x01\x00", b"\x00\x01"), "farkas": (1,)}, False)
     assert not forged.replay()
 
 
 @pytest.mark.parametrize("payload", [
     # the midpoint (1/2, 1/2, 0) is 1/2 (1, 0, -1) + 1/2 (0, 1, 1), yet the
     # farkas vector refutes every combination of 0/1 candidates
-    {"v1": (0, 0, 0), "v2": (1, 1, 0), "candidates": ((1, 0, -1),),
-     "excluded": ((0, 1, 1),), "farkas": (0, 1, 0)},
-    {"v1": (0, 0), "v2": (1, 1), "combination": [((1, -1), Fraction(1, 2)),
-                                                 ((0, 2), Fraction(1, 2))]},
+    {"v1": (0, 0, 0), "v2": (1, 1, 0), "cloud": [(0, 0, 0), (1, 1, 0), (0, 1, 1)],
+     "candidates": ((1, 0, -1),), "excluded": (b"\x00\x01\x01",), "farkas": (0, 1, 0)},
+    {"v1": (0, 0), "v2": (1, 1), "cloud": SQUARE,
+     "combination": [((1, -1), Fraction(1, 2)), ((0, 2), Fraction(1, 2))]},
     # a short vector would count its missing coordinate as 0
-    {"v1": (0, 0), "v2": (1, 1), "combination": [((1,), Fraction(1, 2)),
-                                                 ((0, 1), Fraction(1, 2))]},
+    {"v1": (0, 0), "v2": (1, 1), "cloud": SQUARE,
+     "combination": [((1,), Fraction(1, 2)), ((0, 1), Fraction(1, 2))]},
 ])
 def test_replays_refuse_vectors_that_are_not_01(payload):
     kind = "adjacency" if "farkas" in payload else "non-adjacency"
@@ -644,18 +728,19 @@ def test_zero_one_check(vecs, want):
 
 @pytest.mark.parametrize("one", [1.0, True, Fraction(1), np.int64(1)])
 def test_replays_read_integral_entries_of_any_type(one):
-    # one pair on each adjacency route, both with candidates and excluded vertices
+    # one pair on each adjacency route, both with candidates and excluded
+    # vertices; `excluded` stays the cloud's own bytes, which the replay
+    # compares with the cloud rather than reads
     for cloud, lp_route in ((SIMPLEX_FACE, False), (PYRAMID, True)):
         cert = oracle_adjacent(cloud[0], cloud[1], cloud)
         p = cert.payload
         assert cert.kind == "adjacency" and p["candidates"] and p["excluded"]
         assert ("farkas" in p) == lp_route
-        converted = {key: tuple(tuple(one if e else 0 for e in u) for u in p[key])
-                     for key in ("candidates", "excluded")}
-        assert Certificate("adjacency", dict(p, **converted), False).replay()
+        converted = tuple(tuple(one if e else 0 for e in u) for u in p["candidates"])
+        assert Certificate("adjacency", dict(p, candidates=converted), False).replay()
         # the conversion keeps the tampering visible
-        u, *rest = converted["candidates"]
-        moved = dict(p, candidates=tuple(rest), excluded=(*converted["excluded"], u))
+        u, *rest = converted
+        moved = dict(p, candidates=tuple(rest), excluded=(*p["excluded"], p["candidates"][0]))
         assert not Certificate("adjacency", moved, False).replay()
     diagonal = oracle_adjacent((0, 0), (1, 1), SQUARE)
     combo = [(tuple(one if e else 0 for e in u), lam) for u, lam in diagonal.payload["combination"]]
@@ -671,8 +756,8 @@ def test_replays_read_integral_entries_of_any_type(one):
 def test_adjacency_replay_refuses_a_farkas_of_the_wrong_length(farkas):
     # one multiplier per coordinate where v1 and v2 differ, (0, 1) here, and
     # one for the convexity row
-    payload = {"v1": (0, 1), "v2": (1, 0), "candidates": ((1, 1),), "excluded": (),
-               "farkas": (-1, -1, 2)}
+    payload = {"v1": (0, 1), "v2": (1, 0), "cloud": [(0, 1), (1, 0), (1, 1)],
+               "candidates": ((1, 1),), "excluded": (), "farkas": (-1, -1, 2)}
     assert Certificate("adjacency", payload, False).replay() is True
     assert Certificate("adjacency", dict(payload, farkas=farkas), False).replay() is False
 
@@ -681,7 +766,7 @@ def test_unknown_certificate_kind():
     assert Certificate("nonsense", {}, False).replay() is False
 
 
-_PAIR = {"v1": (0, 1), "v2": (1, 0)}
+_PAIR = {"v1": (0, 1), "v2": (1, 0), "cloud": [(0, 1), (1, 0), (1, 1)]}
 
 
 @pytest.mark.parametrize("kind, payload", [
@@ -690,26 +775,30 @@ _PAIR = {"v1": (0, 1), "v2": (1, 0)}
     ("facet", {"s": 1, "coefficients": [0, 1], "cloud": [0, 1]}),
     # a candidate that is no vector, a multiplier that is no number, no multipliers
     ("adjacency", dict(_PAIR, candidates=[0], excluded=(), farkas=(1, 1, -1))),
-    ("adjacency", dict(_PAIR, candidates=(), excluded=(), farkas=(1, "x", 2))),
+    ("adjacency", dict(_PAIR, candidates=((1, 1),), excluded=(), farkas=(1, "x", 2))),
     # no multipliers on a face that is no simplex, although the pair is an edge
-    ("adjacency", {"v1": PYRAMID[0], "v2": PYRAMID[1], "candidates": tuple(PYRAMID[2:5]),
-                   "excluded": (PYRAMID[5],)}),
+    ("adjacency", {"v1": PYRAMID[0], "v2": PYRAMID[1], "cloud": PYRAMID,
+                   "candidates": tuple(PYRAMID[2:5]), "excluded": (bytes(PYRAMID[5]),)}),
     # a combination term without its weight (ValueError), or no list of terms
     ("non-adjacency", dict(_PAIR, combination=[((0, 0),)])),
     ("non-adjacency", dict(_PAIR, combination=5)),
     # a vector that is the int 5, where bytes(5) would be five zeros
-    ("adjacency", {"v1": (0,) * 5, "v2": (1,) + (0,) * 4, "candidates": (5,),
-                   "excluded": (), "farkas": (1, -1)}),
-    ("non-adjacency", {"v1": (0,) * 5, "v2": (1,) * 5,
+    ("adjacency", {"v1": (0,) * 5, "v2": (1,) + (0,) * 4, "cloud": [(0,) * 5, (1,) + (0,) * 4],
+                   "candidates": (5,), "excluded": (), "farkas": (1, -1)}),
+    ("non-adjacency", {"v1": (0,) * 5, "v2": (1,) * 5, "cloud": [(0,) * 5, (1,) * 5],
                        "combination": [((1,) * 5, Fraction(1, 2)), (5, Fraction(1, 2))]}),
     # no multipliers on the bipyramid's face either, where the pair is no edge
-    ("adjacency", {"v1": BIPYRAMID[0], "v2": BIPYRAMID[1],
-                   "candidates": tuple(BIPYRAMID[2:5]), "excluded": (BIPYRAMID[5],)}),
+    ("adjacency", {"v1": BIPYRAMID[0], "v2": BIPYRAMID[1], "cloud": BIPYRAMID,
+                   "candidates": tuple(BIPYRAMID[2:5]), "excluded": (bytes(BIPYRAMID[5]),)}),
     # float multipliers or coefficients, where the equal ints replay True
     # (test_adjacency_replay_refuses_a_farkas_of_the_wrong_length and
     # test_integral_facet_coefficients_of_any_type_convert)
     ("adjacency", dict(_PAIR, candidates=((1, 1),), excluded=(), farkas=(-1.0, -1.0, 2.0))),
     ("facet", {"s": 0, "coefficients": [1.0, -1.0], "cloud": [(0,), (1,)]}),
+    # a vertex paired with itself, which oracle_adjacent refuses: its face is
+    # the vertex alone, and once (1,) passed as a Farkas vector over no rows
+    ("adjacency", dict(_PAIR, v2=(0, 1), candidates=(), excluded=(b"\x01\x00", b"\x01\x01"),
+                       farkas=(1,))),
 ])
 def test_malformed_certificates_replay_false(kind, payload):
     assert Certificate(kind, payload, False).replay() is False
