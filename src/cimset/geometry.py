@@ -4,6 +4,14 @@ Per child, the possible block slices are the vertices of a simplex, so the
 convex hull of a family's imsets is a product of simplices.  This module
 gives the closed forms: the product factors, a block's facet system, vertex
 adjacency, edge-point decomposition and an edge's separating vectors.
+
+`FacetSystem(k)` is arithmetic only and holds no names: a caller names its
+rows from the family's free set and floor, as `cimset facets` and `verify`
+do.  It reads its column positions from `subsets.graded_positions` on the
+first dense row or evaluation, so constructing one and listing its sparse
+rows allocate nothing.  `edge_point_decompose` reads each block's
+barycentric weights in the block's graded-lex order, so an edge's endpoints
+come graded-lex first.
 """
 
 from __future__ import annotations

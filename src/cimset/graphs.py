@@ -4,6 +4,12 @@ All graphs here are DAGs compatible with one fixed node ordering: the
 parents of a node must come strictly earlier in the ordering.  A family is
 described per child by a floor (parents that must be present), a ceiling
 (parents that may be present) and an optional cap on the parent-set size.
+
+A `ParentMap` is a `tuple` subclass, the pair (ordering, parents), so it
+hashes, compares, copies and pickles as that pair.  `family_graph_texts`
+joins each member's JSON text from one `json.dumps` fragment per (child,
+admissible parent set), in enumeration order, and takes
+`enumerate_family`'s `limit`.
 """
 
 from __future__ import annotations

@@ -6,6 +6,22 @@ a coordinate for every nonempty subset S of the ceiling, in graded-lex
 order.  Coordinate (i, S) stands for the node set S together with child i.
 The imset of a graph has bit(i, S) = 1 exactly when S is contained in the
 parent set of i.
+
+`coordinate_index` builds the family's `CoordinateIndex` on the first call
+and keeps it on the spec, as `iter_admissible` keeps its lists; every call
+still refuses what a new index would, a capped family or a block over the
+limits as they stand at the call.  The index holds every coordinate's
+subset mask in one array, of which each block's `block_subsets` is a
+read-only view, and the child of every coordinate.  `lift_rows(child)`,
+built on first use and read-only, is the one owner of a block's
+minimal-lift rows: the positions of the subsets that hold the child's floor
+and differ from it, in the free set's graded-lex order.  `position(child,
+mask)` is the row of `block_subsets` equal to the mask, plus the block's
+offset.  `require_uncapped` is the one refusal of a capped family, with one
+message; the index constructor, `product_structure` and
+`facet_system_for_child` all call it, so no capped index exists.
+`characteristic_imset` is one numpy pass over all blocks: a coordinate is 1
+where its subset lies in its child's parent set.
 """
 
 from __future__ import annotations

@@ -17,9 +17,9 @@ per distinct nonzero coefficient.
 
 A pair's face is the AND of the columns where both endpoints are 1 less
 the OR of the columns where both are 0 (`_face`), one rule for
-`oracle_adjacent`'s walk and for the replays.  Adjacency and
-non-adjacency payloads carry the `VertexCloud` they were decided on, so a
-replay reuses its packed vertices and cached columns: it packs only v1, v2
+`oracle_adjacent`'s walk and for the replays.  Every payload carries the
+`VertexCloud` it was decided on, so a replay reuses its packed vertices,
+cached columns and cached `simplex()`.  A pair's replay packs only v1, v2
 and the candidates or combination vectors, requires the candidates to be
 the face's vertices in cloud order, less copies of v1 and v2, and compares
 `excluded` with the cloud's off-face vertices, selected by `compress`, as
@@ -35,8 +35,8 @@ never above the rank over the rationals, which is at most min(N - 1, d)
 for N points in d coordinates.  Independence mod 2 is therefore
 independence, and a mod-2 rank that reaches min(N - 1, d) is the rank.
 Only a cloud whose mod-2 rank falls short, or whose entries do not all fit
-a byte, goes to `_affine_rank`, which eliminates numpy blocks of exact
-difference rows, in int16 from bytes, so no entry can wrap.
+a byte, goes to `_affine_rank`, one row-echelon loop over sparse rows of
+Python ints: families with floors, integer clouds, mis-encoded facet clouds.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -218,16 +218,18 @@ def _zero_one(vecs, d: int) -> Optional[List[bytes]]:
 _mask = partial(int.from_bytes, byteorder="little")
 
 
+def _as_cloud(cloud) -> VertexCloud:
+    """`cloud` itself when it is a `VertexCloud`, so its masks, cached columns
+    and cached `simplex()` are reused; else the vertices packed once."""
+    return cloud if isinstance(cloud, VertexCloud) else VertexCloud(cloud)
+
+
 def _in_cloud(p, vecs):
     """(cloud, packed): the payload's cloud, and v1, v2 and `vecs` packed by
     `_zero_one` at the cloud's width; None unless v1 and v2 are two distinct
     cloud vertices, as `oracle_adjacent` requires of its pair.
-
-    A `cloud` that is no `VertexCloud` is packed with `VertexCloud(...)`.
     """
-    cloud = p["cloud"]
-    if not isinstance(cloud, VertexCloud):
-        cloud = VertexCloud(cloud)
+    cloud = _as_cloud(p["cloud"])
     packed = _zero_one([p["v1"], p["v2"], *vecs], len(cloud.vecs[0]) if cloud.vecs else 0)
     if (packed is None or packed[0] == packed[1]
             or packed[0] not in cloud.index or packed[1] not in cloud.index):
@@ -306,7 +308,7 @@ def _replay_adjacency(p) -> bool:
 
 
 def _replay_facet(p) -> bool:
-    cloud = VertexCloud(p["cloud"])
+    cloud = _as_cloud(p["cloud"])
     coeffs = _integers(tuple(p["coefficients"]), "facet row", "coefficient")
     vertex = _facet_vertex(p["s"], cloud.vecs, len(coeffs))
     return _facet_verdict(coeffs, cloud, vertex)[0]
@@ -439,8 +441,7 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
     iterable of 0/1 vectors; pass a `VertexCloud` to pack it once for many
     calls.
     """
-    if not isinstance(cloud, VertexCloud):
-        cloud = VertexCloud(cloud)
+    cloud = _as_cloud(cloud)
     limits.check("ADJACENCY_CLOUD_MAX", len(cloud), f"cloud of {len(cloud)} vertices")
     pair = _zero_one((v1, v2), len(cloud.vecs[0]) if cloud.vecs else 0)
     # a query that is no 0/1 vector of the cloud's width is read as an int
@@ -544,7 +545,8 @@ def _rank(vecs: list, masks=None) -> int:
     mixed lengths.  A cloud of bytes, or of ints that all fit a byte, is
     then ranked mod 2 over the low bits of its entries, or over `masks`,
     its 0/1 vertices' bitmasks, when given; a mod-2 rank of min(N - 1, d)
-    is the rank (`_rank_mod2`).  Any other cloud goes to `_affine_rank`.
+    is the rank (`_rank_mod2`).  A cloud whose mod-2 rank falls short, or
+    with an entry outside a byte, is ranked exactly by `_affine_rank`.
     """
     if not vecs:
         raise DomainError("affine dimension of an empty cloud is undefined")
@@ -568,20 +570,14 @@ def _rank(vecs: list, masks=None) -> int:
     return _affine_rank(vecs)
 
 
-# Rows are packed or subtracted this many cells at a time (at least one
-# row), so the transient arrays stay small up to RANK_MAX, and at most this
-# many rows at a time, so the unit rows found in one block clear the next.
+# The mod-2 masks are packed this many cells at a time (at least one row),
+# so the transient arrays stay small up to RANK_MAX.
 _RANK_BLOCK_CELLS = 1 << 16
-_RANK_BLOCK_ROWS = 32
-
-
-def _block_rows(ambient: int) -> int:
-    return max(1, min(_RANK_BLOCK_ROWS, _RANK_BLOCK_CELLS // ambient))
 
 
 def _low_bits(vecs: List[bytes], ambient: int):
     """Each vector's entries mod 2 as a bitmask with bit j for coordinate j, packed a block at a time."""
-    step = _block_rows(ambient)
+    step = max(1, _RANK_BLOCK_CELLS // ambient)
     for start in range(0, len(vecs), step):
         block = vecs[start:start + step]
         bits = np.frombuffer(b"".join(block), dtype=np.uint8).reshape(len(block), ambient) & 1
@@ -622,96 +618,47 @@ def _affine_rank(vecs: list) -> int:
     The vectors are taken sparsest first, by their number of nonzero
     entries: the sparsest becomes the base point, so the difference rows
     stay sparse and the cost does not depend on the order of the cloud.
-    The difference rows are built a block at a time in numpy: from bytes in
-    int16, from int tuples as Python ints in an object array, so no entry
-    can wrap.  Each column whose basis row is a unit row is zeroed in every
-    later block, which is exactly what eliminating by that row does, so a
-    row left empty is skipped without reaching `_eliminate`; the walk stops
-    at full rank.
+    Each difference row is a dict of its nonzero entries, Python ints that
+    cannot wrap.  While the basis holds a row pivoted at the row's lowest
+    column, the row is reduced by it: a unit basis row just deletes that
+    column, and any other is subtracted, cross-multiplied when its pivot
+    does not divide the row's entry, and the result divided by the gcd of
+    its entries.  A row that keeps a nonzero entry joins the basis under
+    its lowest column, and the walk stops at full rank.
     """
     ambient = len(vecs[0])
     vecs.sort(key=lambda v: (ambient - v.count(0), v))
-    if type(vecs[0]) is bytes:
-        base = np.frombuffer(vecs[0], dtype=np.uint8).astype(np.int16)
-    else:
-        base = np.array(vecs[0], dtype=object)
-    step = _block_rows(ambient)
-    basis: Dict[int, Dict[int, int]] = {}
-    unit = np.zeros(ambient, dtype=bool)
-    for start in range(1, len(vecs), step):
-        block = vecs[start:start + step]
-        if base.dtype == np.int16:
-            d = np.frombuffer(b"".join(block), dtype=np.uint8).reshape(len(block), ambient)
-            d = d.astype(np.int16)
-        else:
-            d = np.array(block, dtype=object)
-        d -= base
-        d[:, unit] = 0
-        rows, cols = d.nonzero()
-        values = d[rows, cols].tolist()
-        cols = cols.tolist()
-        # rows come out ascending, so each row's entries are one run
-        a = 0
-        for b in np.cumsum(np.bincount(rows, minlength=len(block))).tolist():
-            if a == b:
-                continue
-            r = _eliminate(dict(zip(cols[a:b], values[a:b])), basis)
-            a = b
-            if r:
-                _normalize_sparse(r)
-                c = min(r)
-                basis[c] = r
-                if len(r) == 1:
-                    unit[c] = True
+    base = vecs[0]
+    # pivot column -> (pivot entry, the row's other entries)
+    basis: Dict[int, Tuple[int, Dict[int, int]]] = {}
+    for v in islice(vecs, 1, None):
+        r = dict(compress(enumerate(map(operator.sub, v, base)), map(operator.ne, v, base)))
+        while r:
+            c = min(r)
+            pivot = basis.get(c)
+            if pivot is None:
+                basis[c] = (r.pop(c), r)
                 if len(basis) == ambient:
                     return ambient
-    return len(basis)
-
-
-def _eliminate(r: Dict[int, int], basis: Dict[int, Dict[int, int]]) -> Dict[int, int]:
-    while True:
-        pivots = sorted(c for c in r if c in basis)
-        if not pivots:
-            return r
-        for c in pivots:
-            b = basis[c]
-            if len(b) == 1:
-                # unit row: eliminating just deletes the column
-                del r[c]
+                break
+            bc, rest = pivot
+            rc = r.pop(c)
+            if not rest:
                 continue
-            rc = r[c]
-            bc = b[c]
-            new: Dict[int, int] = {}
-            for j, val in r.items():
-                if j != c:
-                    new[j] = val * bc
-            for j, val in b.items():
-                if j == c:
-                    continue
-                acc = new.get(j, 0) - val * rc
-                if acc:
-                    new[j] = acc
-                elif j in new:
-                    del new[j]
-            _normalize_sparse(new)
-            r = new
-            break
-
-
-def _normalize_sparse(r: Dict[int, int]) -> None:
-    if not r:
-        return
-    g = 0
-    for v in r.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            break
-    piv = min(r)
-    if r[piv] < 0:
-        g = -g
-    if g != 1:
-        for j in list(r):
-            r[j] //= g
+            q, m = divmod(rc, bc)
+            if m:
+                r = {j: x * bc for j, x in r.items()}
+                q = rc
+            for j, x in rest.items():
+                y = r.get(j, 0) - q * x
+                if y:
+                    r[j] = y
+                else:
+                    del r[j]
+            g = math.gcd(*r.values())
+            if g > 1:
+                r = {j: x // g for j, x in r.items()}
+    return len(basis)
 
 
 # --- facet verification -------------------------------------------------
@@ -724,17 +671,16 @@ def oracle_facet_check(sys_row, cloud) -> Certificate:
     facet when it is nonnegative on every vertex, positive only at the
     vertex whose parent set is s, and the vertices are affinely independent.
     The cloud is a `VertexCloud`, ranked once for all its rows, or any
-    iterable of 0/1 vectors.  A cloud of fewer than two vertices, or an s
-    that is not an int in the ground set range(k) of the cloud's block, is
-    refused with a `DomainError`.
+    iterable of 0/1 vectors; the payload's `cloud` is that `VertexCloud`.
+    A cloud of fewer than two vertices, or an s that is not an int in the
+    ground set range(k) of the cloud's block, is refused with a `DomainError`.
     """
     s, coeffs = sys_row
-    if not isinstance(cloud, VertexCloud):
-        cloud = VertexCloud(cloud)
+    cloud = _as_cloud(cloud)
     vertex = _facet_vertex(s, cloud.vecs, len(coeffs))
     coeffs = _integers(tuple(coeffs), f"facet row {s}", "coefficient")
     verified, failing = _facet_verdict(coeffs, cloud, vertex)
-    return Certificate("facet", {"s": s, "coefficients": coeffs, "cloud": cloud.vecs,
+    return Certificate("facet", {"s": s, "coefficients": coeffs, "cloud": cloud,
                                  "failing": failing}, verified)
 
 

@@ -8,6 +8,28 @@ transform algebra is type-agnostic: integer or Fraction tables stay exact,
 float tables stay float.  A child scored only by Fractions is held as int
 numerators over one denominator, so it is compared and folded as ints;
 a Fraction is built only where a score or a folded value is read out.
+
+`load_csv` reads the CSV in blocks of lines, parses each distinct line of a
+block once with `csv.reader` and labels each column's distinct tokens once
+per block, so it never builds row tuples; from the first block where a
+quoted field runs across lines it reads records in file order.  Every node
+set a score table needs is counted once, by one `np.bincount` of its row
+codes, which extend the codes of S minus its top node by one column.
+`score_table_from_json` reads the entries in one loop; on a refused entry,
+`_entry_error` re-runs the shape, child, parents and score checks in that
+order to name the first that fails, else the repeated parent set.
+
+The fold reads and writes each block through numpy maps built from
+`subsets.pdep`/`pext`: the lift of each dense free subset into the table,
+and the block's minimal-lift rows from `CoordinateIndex.lift_rows` with
+their dense source.  An all-float block folds in float64, an all-int block,
+which a scaled child's numerators are, in int64 (Python ints past 2**63),
+and any other as Python objects; every value equals the scalar fold's in
+type and value.  Fractions are built where a value leaves the library:
+`local()`, the learn results, `DataVector.values` (lazily, on the
+minimal-lift rows) and `score_graph`, which subtracts one Fraction per
+scaled block.  Scores are summed by `_ordered_sum`, a left fold, never by
+`sum()`, which compensates float additions from Python 3.12.
 """
 
 from __future__ import annotations

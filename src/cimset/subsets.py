@@ -4,6 +4,15 @@ A subset of ordering positions is encoded as an int: bit k set means the
 node at ordering position k is a member.  The canonical order used
 everywhere is graded lexicographic: subsets sorted by cardinality first,
 then lexicographically on their sorted index lists.
+
+`graded_subsets` builds that order as one numpy array, a size at a time:
+int64 masks, or Python ints once a member sits at position 63 or above.
+`graded_positions(k)`, its inverse over range(k) indexed by mask, is the
+one table that `FacetSystem` and `export_full_vector` read.  `pext` and
+`pdep` work in int64 and refuse, through `limits.MASK_BITS`, a universe with
+a member at position 63 or above.  The zeta and Möbius transforms run each
+bit pass as one numpy operation on a 1-D array, in its dtype, or over a
+list as Python objects, so ints, floats and Fractions keep their types.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cimset.oracle
 from cimset.errors import DegeneratePairError, DomainError
-from cimset.geometry import (are_neighbors, facet_matrix, lemma32_witness, vertex_block_vector,
-                             witness_block_value)
-from cimset.graphs import diagnosis_family, enumerate_family
+from cimset.geometry import (affine_dimension_formula, are_neighbors, facet_matrix,
+                             lemma32_witness, vertex_block_vector, witness_block_value)
+from cimset.graphs import FamilySpec, NodeOrdering, diagnosis_family, enumerate_family
 from cimset.imsets import characteristic_imset, coordinate_index
 from cimset.oracle import (Certificate, VertexCloud, _solve_phase1, affine_dimension,
                            learn_bruteforce, oracle_adjacent, oracle_facet_check)
@@ -890,49 +890,19 @@ _rank_entries = {
 }
 
 
-def _eliminate_calls(cloud):
-    """The exact route's rank of cloud and one (entries in, entries out) pair
-    per `_eliminate` call.
-
-    `_affine_rank` is called directly: `affine_dimension` gives most clouds
-    their rank mod 2 and never reaches the elimination.
-    """
-    calls = []
-    eliminate = cimset.oracle._eliminate
-
-    def spy(r, basis):
-        entries = len(r)
-        out = eliminate(r, basis)
-        calls.append((entries, len(out)))
-        return out
-
-    with mock.patch.object(cimset.oracle, "_eliminate", wraps=spy):
-        rank = cimset.oracle._affine_rank(list(cloud))
-    return rank, calls
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(_rank_entries)), st.integers(1, 6), st.integers(1, 16),
-       st.integers(1, 4), st.data())
-def test_blocked_affine_rank_matches_a_fraction_reference(kind, d, cells, rows, data):
-    # with blocks of `cells` cells and at most `rows` rows the difference rows
-    # come `step` at a time, and the unit rows of one block clear columns of
-    # the next; sizes step + 1 +- 1 put the last row either side of a boundary
-    step = max(1, min(rows, cells // d))
-    size = data.draw(st.sampled_from([1, 2, step, step + 1, step + 2, 2 * step + 1]))
+@given(st.sampled_from(sorted(_rank_entries)), st.integers(1, 6), st.integers(1, 9), st.data())
+def test_exact_affine_rank_matches_a_fraction_reference(kind, d, size, data):
+    # `_affine_rank` is called directly: `affine_dimension` gives most clouds
+    # their rank mod 2 and never reaches the exact elimination
     cloud = data.draw(st.lists(st.tuples(*[_rank_entries[kind]] * d),
                                min_size=size, max_size=size))
     if kind == "bytes":
         cloud = [bytes(v) for v in cloud]
     shuffled = data.draw(st.permutations(cloud))
-    with mock.patch.object(cimset.oracle, "_RANK_BLOCK_CELLS", cells), \
-            mock.patch.object(cimset.oracle, "_RANK_BLOCK_ROWS", rows):
-        rank, calls = _eliminate_calls(cloud)
-        assert rank == affine_dimension(shuffled) == _reference_rank(cloud)
-    # every call that returns a row adds it to the basis, and none follows full rank
-    assert sum(out > 0 for _, out in calls) == rank
-    if rank == d:
-        assert calls[-1][1] > 0
+    rank = cimset.oracle._affine_rank(list(cloud))
+    assert rank == cimset.oracle._affine_rank(list(shuffled)) == affine_dimension(shuffled) \
+        == _reference_rank(cloud)
 
 
 @pytest.mark.parametrize("cloud, rank", [
@@ -970,20 +940,24 @@ def test_affine_rank_either_side_of_a_full_block(kind, extra):
     assert affine_dimension(cloud) == affine_dimension(shuffled) == want
 
 
-def test_a_unit_row_clears_its_column_in_later_blocks():
-    # one row a block: the unit row (1, 0) clears column 0 of (1, 1), which
-    # reaches the elimination as the unit row (0, 1)
-    with mock.patch.object(cimset.oracle, "_RANK_BLOCK_ROWS", 1):
-        assert _eliminate_calls([(0, 0), (1, 1), (1, 0)]) == (2, [(1, 1), (1, 1)])
+@pytest.mark.parametrize("cloud, rank", [
+    # the unit row (0, 1) joins first; reducing (2, 1) at column 0 by the
+    # row (1, 1) leaves -1 in column 1, which the unit row deletes
+    pytest.param([(0, 0), (1, 1), (0, 1), (2, 1)], 2, id="unit-row"),
+    # the pivot 2 of (2, 1, 0) does not divide the 3 of (3, 0, 1), so the
+    # row is cross-multiplied; (1, -1, 1) is their difference
+    pytest.param([(0, 0, 0), (2, 1, 0), (3, 0, 1), (1, -1, 1)], 2, id="cross-multiplied"),
+])
+def test_affine_rank_pinned_clouds(cloud, rank):
+    assert cimset.oracle._affine_rank(list(cloud)) == _reference_rank(cloud) == rank
 
 
 def test_a_column_brought_back_by_a_non_unit_row_is_eliminated():
-    # (1, 1, 0) is a non-unit basis row holding column 1, which (1, 2, 0)
-    # then makes a unit pivot; (1, 1, 1) has column 1 cleared, and
-    # eliminating column 0 by (1, 1, 0) brings it back as -1
-    with mock.patch.object(cimset.oracle, "_RANK_BLOCK_ROWS", 1):
-        rank, calls = _eliminate_calls([(0, 0, 0), (1, 1, 0), (1, 2, 0), (1, 1, 1)])
-    assert rank == 3 and calls == [(2, 2), (2, 1), (2, 1)]
+    # the unit row (0, 1, 0) joins first, then (1, 1, 0) under column 0 with
+    # column 1 kept; reducing (2, 0, 1) at column 0 by it brings column 1
+    # back as -2, which the unit row deletes, and (0, 0, 1) joins
+    cloud = [(0, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 1)]
+    assert cimset.oracle._affine_rank(list(cloud)) == _reference_rank(cloud) == 3
 
 
 def _census_cloud(m, n):
@@ -992,18 +966,29 @@ def _census_cloud(m, n):
     return [characteristic_imset(g, idx).bits for g in enumerate_family(spec)]
 
 
-def test_affine_rank_stops_at_full_rank_and_skips_cleared_rows():
-    # a product of simplices: taken sparsest first, every basis row is a
-    # unit row once earlier unit columns are cleared
-    rank, calls = _eliminate_calls(_census_cloud(2, 5))
-    assert rank == 15
-    # the last call is the row that fills the basis; all 1023 rows once
-    # reached the elimination
-    assert calls[-1][1] > 0 and len(calls) < 100
-    # 58 025 entries, for 1023 rows, once reached the elimination
-    rank, calls = _eliminate_calls(_census_cloud(10, 1))
-    assert rank == 1023
-    assert sum(entries for entries, _ in calls) < 5000
+class _CountingList(list):
+    """A list that counts the vectors its iteration hands out."""
+
+    handed = 0
+
+    def __iter__(self):
+        for v in super().__iter__():
+            self.handed += 1
+            yield v
+
+
+def test_affine_rank_stops_at_full_rank():
+    # a product of simplices reaches its rank 15 within its sparsest
+    # vertices, and no later vertex is taken: the shortest sparsest-first
+    # prefix of rank 15, found by bisection on the reference
+    cloud = _CountingList(_census_cloud(2, 5))
+    assert cimset.oracle._affine_rank(cloud) == 15
+    lo, hi = 1, len(cloud)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _reference_rank(cloud[:mid]) == 15 else (mid + 1, hi)
+    assert cloud.handed == lo < len(cloud) // 4
+    assert cimset.oracle._affine_rank(_census_cloud(10, 1)) == 1023
 
 
 # 0/1 entries, where parity is exact; and small integers, where it can lose
@@ -1065,15 +1050,32 @@ def test_exact_rank_runs_on_example_4_7_and_not_on_the_diagnosis_census():
     assert exact.call_count == 1
 
 
+def test_floor_family_rank_takes_the_exact_route_once():
+    # c1 keeps n0 and c2 keeps n0 and n1: 32 * 16 members spanning 46 of
+    # their 126 coordinates, short of full rank, so only the exact
+    # elimination can say so, on the cloud in any order
+    names = tuple(f"n{i}" for i in range(6)) + ("c1", "c2")
+    spec = FamilySpec(NodeOrdering(names), (0,) * 6 + (0b1, 0b11), (0,) * 6 + (0b111111,) * 2)
+    idx = coordinate_index(spec)
+    cloud = [characteristic_imset(g, idx).bits for g in enumerate_family(spec)]
+    assert len(cloud) == 512
+    random.Random(0).shuffle(cloud)
+    start = time.perf_counter()
+    with _exact_rank_spy() as exact:
+        assert affine_dimension(cloud) == 46 == affine_dimension_formula(spec)
+    assert time.perf_counter() - start < 0.5
+    assert exact.call_count == 1
+
+
 @pytest.mark.parametrize("cloud", [
     [b"\x00\x01", b"\x01"],
     [(0, 1), (1 << 70,)],
     [(0, 1, 0), (1, 0), (0, 0, 1)],
 ])
 def test_mixed_lengths_refused_before_any_row_is_built(cloud):
-    # with numpy and the elimination gone, any row built before the check fails otherwise
+    # with numpy and the exact rank gone, any row built before the check fails otherwise
     with mock.patch.object(cimset.oracle, "np", None), \
-            mock.patch.object(cimset.oracle, "_eliminate", side_effect=AssertionError):
+            mock.patch.object(cimset.oracle, "_affine_rank", side_effect=AssertionError):
         with pytest.raises(DomainError, match="mixed lengths"):
             affine_dimension(cloud)
 
@@ -1324,12 +1326,34 @@ def test_facet_replay_derives_the_vertex_from_s():
     for s in (0b00, 0b10, 0b11, 4, -1, "1", 1.0, None, True, False):
         assert Certificate("facet", dict(cert.payload, s=s), False).replay() is False
     # a cloud or a row whose width is not 2**k - 1 (resp. 2**k)
-    for cloud in ((), [v[:2] for v in cert.payload["cloud"]],
-                  [*cert.payload["cloud"][:3], (1, 1)]):
+    vecs = cert.payload["cloud"].vecs
+    for cloud in ((), [v[:2] for v in vecs], [*vecs[:3], (1, 1)]):
         assert Certificate("facet", dict(cert.payload, cloud=cloud), False).replay() is False
     coefficients = cert.payload["coefficients"]
     for row in (coefficients[:3], (*coefficients, 0)):
         assert Certificate("facet", dict(cert.payload, coefficients=row), False).replay() \
+            is False
+
+
+def test_facet_payload_holds_its_vertex_cloud():
+    # the payload's cloud is the VertexCloud the row was checked on, as an
+    # adjacency payload's is; its replay reads that cloud, with the cached
+    # simplex() verdict, and does not pack it again
+    cloud = VertexCloud(_block_cloud(3))
+    row = facet_matrix(3).dense_row(0b101)
+    cert = oracle_facet_check((0b101, row), cloud)
+    assert cert.payload["cloud"] is cloud and cert.verified
+    with mock.patch.object(VertexCloud, "__init__", side_effect=AssertionError), \
+            mock.patch.object(cimset.oracle, "_rank", side_effect=AssertionError):
+        assert cert.replay() is True
+    # an adjacency payload's cloud serves a facet payload as well
+    pair = oracle_adjacent(cloud.vecs[0], cloud.vecs[1], cloud)
+    assert Certificate("facet", dict(cert.payload, cloud=pair.payload["cloud"]), False).replay()
+    # a tampered row still replays False on the held cloud
+    for j in range(len(row)):
+        tampered = list(row)
+        tampered[j] += 1
+        assert Certificate("facet", dict(cert.payload, coefficients=tampered), False).replay() \
             is False
 
 
