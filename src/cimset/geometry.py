@@ -177,14 +177,21 @@ def facet_system_for_child(spec: FamilySpec, child: int) -> FacetSystem:
     return FacetSystem(free.bit_count())
 
 
+def _one_child_apart(p1: tuple, p2: tuple) -> bool:
+    """The edge rule on two members' parent tuples: they differ at exactly one child.
+
+    The caller vouches that both are members' tuples and that they differ.
+    """
+    return sum(map(operator.ne, p1, p2)) == 1
+
+
 def are_neighbors(g1: ParentMap, g2: ParentMap, spec: FamilySpec) -> bool:
     """Vertex adjacency on the family polytope: parent sets differ at exactly one child."""
     if not family_contains(spec, g1) or not family_contains(spec, g2):
         raise DomainError("both graphs must belong to the family")
-    diff = sum(map(operator.ne, g1.parents, g2.parents))
-    if diff == 0:
+    if g1.parents == g2.parents:
         raise DegeneratePairError("adjacency is undefined for a vertex paired with itself")
-    return diff == 1
+    return _one_child_apart(g1.parents, g2.parents)
 
 
 def neighbors(g: ParentMap, spec: FamilySpec) -> Iterator[ParentMap]:

@@ -20,12 +20,16 @@ the OR of the columns where both are 0 (`_face`), one rule for
 `oracle_adjacent`'s walk and for the replays.  Every payload carries the
 `VertexCloud` it was decided on, so a replay reuses its packed vertices,
 cached columns and cached `simplex()`.  A pair's replay packs only v1, v2
-and the candidates or combination vectors, requires the candidates to be
-the face's vertices in cloud order, less copies of v1 and v2, and compares
-`excluded` with the cloud's off-face vertices, selected by `compress`, as
-one tuple comparison.  No excluded vertex is packed or masked, so a pair's
-replay costs a few passes over big-int columns and the face, not one
-Python step per cloud vertex.
+and the candidates or combination vectors.  The adjacency replay requires
+the candidates to be the face's vertices in cloud order, less copies of v1
+and v2, and compares `excluded` with the cloud's off-face vertices,
+selected by `compress`, as one tuple comparison: no excluded vertex is
+packed or masked.  The non-adjacency replay writes its weights as num_u
+over their common denominator den, packs each vector with one lane of w
+bytes per coordinate, den < 256**w, so no lane carries, and accepts
+exactly when Σ num_u · lane_u == t · lane_v1 + (den - t) · lane_v2, t
+read off the lowest lane where v1 and v2 differ: one big-int identity,
+whose one-byte lanes are the cloud's cached masks.
 
 One GF(2) elimination, `_rank_mod2`, answers every rank question first:
 the simplex faces of `oracle_adjacent` and of the adjacency replay,
@@ -244,34 +248,30 @@ def _replay_non_adjacency(p) -> bool:
     found = _in_cloud(p, [vec for vec, _ in combo])
     if found is None:
         return False
-    cloud, (v1, v2, *vecs) = found
-    if not all(map(cloud.index.__contains__, vecs)):
+    cloud, packed = found
+    at = list(map(cloud.index.get, packed))
+    if None in at or packed[0] in packed[2:] or packed[1] in packed[2:]:
         return False
     # the weights as int numerators over their common denominator
     den = math.lcm(*(lam.denominator for _, lam in combo))
-    total = 0
-    mix = [0] * len(v1)
-    for vec, (_, lam) in zip(vecs, combo):
-        num = lam.numerator * (den // lam.denominator)
-        if num < 0 or vec == v1 or vec == v2:
-            return False
-        total += num
-        for j, e in enumerate(vec):
-            if e:
-                mix[j] += num
-    if total != den:
+    nums = [lam.numerator * (den // lam.denominator) for _, lam in combo]
+    if min(nums) < 0 or sum(nums) != den:
         return False
-    # the combination is a point of the segment [v1, v2]: den times it is
-    # t v1 + (den - t) v2, one t on every coordinate where v1 and v2 differ.
-    # No combination of 0/1 vectors other than v1 and v2 reaches either end
-    ts = set()
-    for m, a, b in zip(mix, v1, v2):
-        if a == b:
-            if m != den * a:
-                return False
-        else:
-            ts.add(m if a else den - m)
-    return len(ts) == 1
+    # no lane of either side exceeds den, so none carries over `width` bytes;
+    # buf[::width] writes a vector's entries as the low bytes of its lanes
+    width = (den.bit_length() + 7) // 8
+    if width == 1:
+        l1, l2, *lanes = map(cloud.masks.__getitem__, at)
+    else:
+        buf = bytearray(width * len(packed[0]))
+        l1, l2, *lanes = [_mask(buf) for buf[::width] in packed]
+    mix = sum(map(operator.mul, nums, lanes))
+    # den times a point of [v1, v2] is t v1 + (den - t) v2.  No combination
+    # of 0/1 vectors other than v1 and v2 reaches either end
+    low = ((l1 ^ l2) & -(l1 ^ l2)).bit_length() - 1
+    lane = mix >> low & (1 << 8 * width) - 1
+    t = lane if l1 >> low & 1 else den - lane
+    return mix == t * l1 + (den - t) * l2
 
 
 def _replay_adjacency(p) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import limits
 from .errors import FormatError
-from .geometry import FacetSystem, affine_dimension_formula, are_neighbors
+from .geometry import FacetSystem, _one_child_apart, affine_dimension_formula
 from .graphs import enumerate_family, family_graph_texts
 from .imsets import characteristic_imset, coordinate_index
 from .oracle import VertexCloud, affine_dimension, oracle_adjacent, oracle_facet_check
@@ -49,17 +49,19 @@ def verify_family(spec, checks, limit, seed, emit=None):
     Every check reads the family's enumerated vertex cloud, the members'
     imsets.  Adjacency certifies every vertex pair, or `limit` pairs
     sampled with `seed` (`_sampled_pairs`), and stops at its first
-    mismatch.  Facets certifies a block on its enumerated cloud, the
-    distinct slices of the members' imsets over the block's `lift_rows`, so
-    a mis-encoded member fails its block's rows.  Each distinct cloud is
-    certified once, with one facet system and 2**k checks (with a correct
-    encoder, once per block size k), and its verdicts are emitted for every
-    child with that cloud, under that child's names; a block of more than
-    `limit` rows is skipped.  `emit`, when given, gets each certificate as
-    one line of JSON text with its newline, in the bytes `json.dumps` gives
-    the record: adjacency lines are joined from the members' graph texts,
-    which `family_graph_texts` joins from one fragment per (child, parent
-    set), so no member is encoded whole.
+    mismatch; the closed form it is compared with is the edge rule on the
+    two members' parent tuples, with no membership check, as the members
+    are the family's own enumeration.  Facets certifies a block on its
+    enumerated cloud, the distinct slices of the members' imsets over the
+    block's `lift_rows`, so a mis-encoded member fails its block's rows.
+    Each distinct cloud is certified once, with one facet system and 2**k
+    checks (with a correct encoder, once per block size k), and its verdicts
+    are emitted for every child with that cloud, under that child's names; a
+    block of more than `limit` rows is skipped.  `emit`, when given, gets
+    each certificate as one line of JSON text with its newline, in the bytes
+    `json.dumps` gives the record: adjacency lines are joined from the
+    members' graph texts, which `family_graph_texts` joins from one fragment
+    per (child, parent set), so no member is encoded whole.
     """
     bad = [c for c in checks if c not in CHECKS]
     if bad:
@@ -97,7 +99,7 @@ def verify_family(spec, checks, limit, seed, emit=None):
         texts = None if emit is None else list(family_graph_texts(spec))
         for i, j in pairs:
             cert = oracle_adjacent(vecs[i], vecs[j], cloud)
-            closed = are_neighbors(members[i], members[j], spec)
+            closed = _one_child_apart(members[i].parents, members[j].parents)
             if emit is not None:
                 head = _line_head(cert.kind, cert.verified)
                 emit(f'{head}, "pair": [{texts[i]}, {texts[j]}]}}\n')

@@ -290,7 +290,7 @@ def test_verify_json_format(diag21, capsys):
 def test_verify_exit_2_on_falsified_claim(diag21, capsys, monkeypatch):
     _, fam, _ = diag21
     # force the closed-form adjacency rule to disagree with the oracle
-    monkeypatch.setattr(cimset.verify, "are_neighbors", lambda *a, **k: False)
+    monkeypatch.setattr(cimset.verify, "_one_child_apart", lambda *a, **k: False)
     assert main(["verify", "--family", fam, "--checks", "adjacency"]) == 2
     assert "FAIL" in capsys.readouterr().out
 

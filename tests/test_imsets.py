@@ -25,6 +25,16 @@ def test_block_layout_diagnosis():
     assert list(idx.block_subsets(2)) == [0b01, 0b10, 0b11]
 
 
+def test_coordinate_indices_are_equal_by_family_only():
+    small = coordinate_index(diagnosis_family(2, 1))
+    large = coordinate_index(diagnosis_family(3, 1))
+    assert small == coordinate_index(diagnosis_family(2, 1))
+    assert small != large and not small == large
+    # an index never equals a non-index, not even its own family
+    for other in (None, 0, "index", diagnosis_family(2, 1), small.blocks):
+        assert small != other and not small == other
+
+
 def test_block_layout_ordered():
     spec = full_ordered_family(("a", "b", "c", "d"))
     idx = coordinate_index(spec)

@@ -5,7 +5,7 @@ import operator
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from unittest import mock
 
 import numpy as np
@@ -633,6 +633,121 @@ def test_tampered_certificates_fail_replay():
     bad_farkas = tuple(-y for y in cert2.payload["farkas"])
     cert2.payload["farkas"] = bad_farkas
     assert not cert2.replay()
+
+
+_CUBE_3 = [tuple(map(int, f"{i:03b}")) for i in range(8)]
+
+
+def test_a_combination_over_256_replays_in_two_byte_lanes():
+    # 1/256 on 100 and 011 and 127/256 on 010 and 101 reach (1/2, 1/2, 1/2):
+    # a denominator of 256 does not fit a byte, so each lane takes two
+    combo = [((1, 0, 0), Fraction(1, 256)), ((0, 1, 1), Fraction(1, 256)),
+             ((0, 1, 0), Fraction(127, 256)), ((1, 0, 1), Fraction(127, 256))]
+    payload = {"v1": (0, 0, 0), "v2": (1, 1, 1), "cloud": _CUBE_3, "combination": combo}
+    assert Certificate("non-adjacency", payload, False).replay() is True
+    assert _reference_non_adjacency((0, 0, 0), (1, 1, 1), _CUBE_3, combo)
+    # 1/256 moved from one vector to another keeps the sum 1 and leaves the segment
+    for src, dst in permutations(range(4), 2):
+        moved = [(u, lam - Fraction(1, 256) * (k == src) + Fraction(1, 256) * (k == dst))
+                 for k, (u, lam) in enumerate(combo)]
+        assert sum(lam for _, lam in moved) == 1
+        tampered = dict(payload, combination=moved)
+        assert Certificate("non-adjacency", tampered, False).replay() is False
+    # 255/256 on 10 and 1/256 on 11 put all of den = 256 on coordinate 0,
+    # where v1 = 01 and v2 = 00 are 0: in one-byte lanes that 256 would
+    # carry into coordinate 1 and read as the point 2/256 v1 + 254/256 v2
+    off = [((1, 0), Fraction(255, 256)), ((1, 1), Fraction(1, 256))]
+    assert not _reference_non_adjacency((0, 1), (0, 0), SQUARE, off)
+    carried = {"v1": (0, 1), "v2": (0, 0), "cloud": SQUARE, "combination": off}
+    assert Certificate("non-adjacency", carried, False).replay() is False
+
+
+def _reference_non_adjacency(v1, v2, cloud, combo):
+    """The combination checked coordinate by coordinate in Fractions: weights
+    >= 0 summing to 1 on cloud vertices other than v1 and v2, whose sum is
+    t v1 + (1 - t) v2 with one t on every coordinate where v1 and v2 differ."""
+    vertices = set(map(tuple, cloud))
+    if any(tuple(u) not in vertices or tuple(u) in (tuple(v1), tuple(v2)) or lam < 0
+           for u, lam in combo) or sum(lam for _, lam in combo) != 1:
+        return False
+    mix = [sum((Fraction(lam) * u[j] for u, lam in combo), Fraction(0)) for j in range(len(v1))]
+    if any(m != a for m, a, b in zip(mix, v1, v2) if a == b):
+        return False
+    return len({m if a else 1 - m for m, a, b in zip(mix, v1, v2) if a != b}) == 1
+
+
+@st.composite
+def _segment_combinations(draw):
+    """(v1, v2, cloud, combination) on a shuffled cube: a combination that
+    reaches the segment [v1, v2], or one tampered after it is built.
+
+    In coordinates relative to v1 and v2, each design is the cyclic shifts of
+    one pattern over the coordinates where they differ, which is neither v1
+    nor v2 there; its equal weights give one value on each of those
+    coordinates, and so does any mix of designs.
+    """
+    d = draw(st.integers(2, 6))
+    cloud = draw(st.permutations([tuple(map(int, f"{i:0{d}b}")) for i in range(1 << d)]))
+    v1, v2 = draw(st.lists(st.sampled_from(cloud), min_size=2, max_size=2, unique=True))
+    support = [j for j in range(d) if v1[j] != v2[j]]
+    if len(support) < 2:
+        # a single differing coordinate leaves no vector strictly between
+        support = []
+    den = draw(st.integers(1, 2 ** 20))
+    combo = []
+    if support:
+        m = len(support)
+        designs = draw(st.lists(st.integers(1, 2 ** m - 2), min_size=1, max_size=3))
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=len(designs) - 1,
+                                    max_size=len(designs) - 1)))
+        shares = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+        for pattern, share in zip(designs, shares):
+            for shift in range(m):
+                u = list(v2)
+                for r, j in enumerate(support):
+                    if pattern >> ((r + shift) % m) & 1:
+                        u[j] = v1[j]
+                combo.append((tuple(u), Fraction(share, den * m)))
+    else:
+        combo.append((draw(st.sampled_from(cloud)), Fraction(1)))
+    tamper = draw(st.sampled_from(["none", "move", "swap", "negate"]))
+    k = draw(st.integers(0, len(combo) - 1))
+    u, lam = combo[k]
+    if tamper == "move":
+        delta = Fraction(1, draw(st.integers(1, 2 ** 20)))
+        dst = draw(st.integers(0, len(combo) - 1))
+        combo[k] = (u, lam - delta)
+        combo[dst] = (combo[dst][0], combo[dst][1] + delta)
+    elif tamper == "swap":
+        combo[k] = (draw(st.sampled_from(cloud)), lam)
+    elif tamper == "negate":
+        combo[k] = (u, -lam)
+    return v1, v2, cloud, combo
+
+
+@settings(max_examples=300, deadline=None)
+@given(_segment_combinations())
+def test_the_lane_identity_agrees_with_the_per_coordinate_rule(case):
+    v1, v2, cloud, combo = case
+    payload = {"v1": v1, "v2": v2, "cloud": cloud, "combination": combo}
+    want = _reference_non_adjacency(v1, v2, cloud, combo)
+    assert Certificate("non-adjacency", payload, False).replay() is want
+    assert Certificate("non-adjacency", dict(payload, cloud=VertexCloud(cloud)),
+                       False).replay() is want
+
+
+@pytest.mark.parametrize("payload", [
+    # the square's diagonal 000-110 is no edge, yet once a candidate's value
+    # of exactly 1 passed the Farkas bound on the candidate columns
+    {"v1": (0, 0, 0), "v2": (1, 1, 0), "cloud": _SQUARE_3,
+     "candidates": ((1, 0, 0), (0, 1, 0)), "excluded": (), "farkas": (0, 0, 1)},
+    # the edge 01-10 of the triangle with 11, with multipliers valid on the
+    # candidate and the right-hand side but exactly +1 on the t column
+    {"v1": (0, 1), "v2": (1, 0), "cloud": [(0, 1), (1, 0), (1, 1)],
+     "candidates": ((1, 1),), "excluded": (), "farkas": (0, -1, 1)},
+])
+def test_a_farkas_bound_met_with_equality_at_one_replays_false(payload):
+    assert Certificate("adjacency", payload, False).replay() is False
 
 
 @pytest.mark.parametrize("cloud", [SQUARE, SIMPLEX_FACE, PYRAMID[:3] + PYRAMID[5:]])

@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import itertools
 import json
 import random
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -62,7 +64,7 @@ def test_size_guard():
 
 def test_falsified_adjacency_row(monkeypatch):
     # the closed-form rule denies the oracle's first edge, the pair of members 0 and 1
-    monkeypatch.setattr(cimset.verify, "are_neighbors", lambda *a, **k: False)
+    monkeypatch.setattr(cimset.verify, "_one_child_apart", lambda *a, **k: False)
     lines = []
     rows = verify_family(diagnosis_family(2, 1), ["adjacency"], 2000, 0, lines.append)
     assert rows == [("adjacency", False, "mismatch on vertex pair 0,1")]
@@ -116,6 +118,22 @@ def test_facets_rank_each_block_size_once(spec, ranks):
     with mock.patch.object(cimset.oracle, "_rank", wraps=cimset.oracle._rank) as rank:
         rows = verify_family(spec, ["facets"], 2000, 0)
     assert rows[0][1] and rank.call_count == ranks
+
+
+def test_the_adjacency_loop_checks_no_pair_for_membership():
+    # every module that bound graphs.family_contains counts into one spy: the
+    # encoder checks each of the 16 members once, and the 120 pairs, drawn
+    # from the family's own enumeration, check none
+    spec = _diag_2_2()
+    original = cimset.graphs.family_contains
+    spy = mock.Mock(wraps=original)
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cimset") and getattr(module, "family_contains", None) is original:
+                stack.enter_context(mock.patch.object(module, "family_contains", spy))
+        rows = verify_family(spec, ["adjacency"], 2000, 0)
+    assert rows == [("adjacency", True, "all 120 pairs")]
+    assert spec.family_size() == 16 and spy.call_count <= 16
 
 
 @settings(max_examples=150, deadline=None)
