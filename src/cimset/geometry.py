@@ -143,7 +143,7 @@ class FacetSystem:
                 total += sign
                 continue
             x = block_vector[column[t] - 1]
-            if isinstance(x, float):
+            if not isinstance(x, Rational):
                 raise DomainError("facet evaluation requires exact integer or rational entries")
             total = total + (x if sign > 0 else -x)
         return total

@@ -168,6 +168,13 @@ class CharImset:
         if self.bits.translate(None, b"\x00\x01"):
             raise DomainError("imset entries must be 0 or 1")
 
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def __iter__(self):
+        """The entries, ints 0 and 1: an imset reads as its coordinate vector."""
+        return iter(self.bits)
+
     def bit(self, child: int, subset_mask: int) -> int:
         return self.bits[self.index.position(child, subset_mask)]
 

@@ -32,12 +32,12 @@ read off the lowest lane where v1 and v2 differ: one big-int identity,
 whose one-byte lanes are the cloud's cached masks.
 
 One GF(2) elimination, `_rank_mod2`, answers every rank question first:
-the simplex faces of `oracle_adjacent` and of the adjacency replay,
-`VertexCloud.simplex()` and `affine_dimension`.  An odd integer is
-nonzero, so a minor that is nonzero mod 2 is nonzero: the rank mod 2 is
-never above the rank over the rationals, which is at most min(N - 1, d)
-for N points in d coordinates.  Independence mod 2 is therefore
-independence, and a mod-2 rank that reaches min(N - 1, d) is the rank.
+the simplex face of the adjacency replay, whose verdict `oracle_adjacent`
+takes as its own, `VertexCloud.simplex()` and `affine_dimension`.  An odd
+integer is nonzero, so a minor that is nonzero mod 2 is nonzero: the rank
+mod 2 is never above the rank over the rationals, which is at most
+min(N - 1, d) for N points in d coordinates.  Independence mod 2 is
+therefore independence, and a mod-2 rank of min(N - 1, d) is the rank.
 Only a cloud whose mod-2 rank falls short, or whose entries do not all fit
 a byte, goes to `_affine_rank`, one row-echelon loop over sparse rows of
 Python ints: families with floors, integer clouds, mis-encoded facet clouds.
@@ -59,17 +59,12 @@ import numpy as np
 from . import limits
 from .errors import DegeneratePairError, DomainError
 from .graphs import FamilySpec, ParentMap, enumerate_family
-from .imsets import CharImset
 from .subsets import iter_graded_subsets
 
 
 def _vec(v) -> Tuple[int, ...]:
     """The entries of a vertex as an int tuple; a float or non-integral rational is refused."""
-    if isinstance(v, CharImset):
-        return tuple(v.bits)
     t = tuple(v)
-    if type(v) is bytes:
-        return t
     return _integers(t, f"vertex {t!r}", "entry")
 
 
@@ -201,15 +196,15 @@ def _zero_one(vecs, d: int) -> Optional[List[bytes]]:
     endpoints are 0 and at most 1 where both are 1.  Vectors of ints in
     0..255 are packed by `bytes(tuple(v))`, which refuses the int 5 and reads
     an int64 array by its entries, not its buffer, and one `translate` checks
-    them all; any other entry, such as 1.0 or Fraction(1), or a `CharImset`,
-    takes the set check.
+    them all; any other entry, such as 1.0 or Fraction(1), takes the set
+    check.
     """
     try:
         packed = [v if type(v) is bytes else bytes(tuple(v)) for v in vecs]
     except (TypeError, ValueError):
         packed = []
         for v in vecs:
-            t = v.bits if isinstance(v, CharImset) else tuple(v)
+            t = tuple(v)
             if not {0, 1}.issuperset(t):
                 return None
             packed.append(bytes(map(bool, t)))
@@ -283,11 +278,10 @@ def _replay_adjacency(p) -> bool:
     # the candidates are the face's vertices in cloud order less copies of v1
     # and v2, and `excluded` the cloud's other vertices, as the cloud's own
     # bytes: a vertex left out of the face or added to it fails here
-    face = _face(cloud, m1, m2)
-    on_face = compress(cloud.vecs, _selector(face, len(cloud)))
-    if vecs != [u for u in on_face if u != v1 and u != v2]:
+    on_face = _selector(_face(cloud, m1, m2), len(cloud))
+    if vecs != [u for u in compress(cloud.vecs, on_face) if u != v1 and u != v2]:
         return False
-    if tuple(p["excluded"]) != _off_face(cloud, face):
+    if tuple(p["excluded"]) != _off_face(cloud, on_face):
         return False
     if "farkas" not in p:
         face_masks = [m2, *map(_mask, vecs)]
@@ -338,13 +332,12 @@ class VertexCloud:
 
     def __init__(self, cloud):
         cloud = list(cloud)
-        head = cloud[0] if cloud else b""
-        width = len(head.bits if isinstance(head, CharImset) else head)
+        width = len(cloud[0]) if cloud else 0
         vecs = _zero_one(cloud, width)
         if vecs is None:
             # name the first vertex that is no 0/1 vector or has another width
             for t, u in enumerate(cloud):
-                raw = u.bits if isinstance(u, CharImset) else tuple(u)
+                raw = tuple(u)
                 if not {0, 1}.issuperset(raw):
                     raise DomainError(f"cloud vertex {t} {raw!r} is not a 0/1 vector")
                 if len(raw) != width:
@@ -371,7 +364,7 @@ class VertexCloud:
     def simplex(self) -> bool:
         """Whether the vertices are affinely independent; ranked on the first call only."""
         if self._simplex is None:
-            self._simplex = _rank(list(self.vecs), self.masks) == len(self.vecs) - 1
+            self._simplex = _rank(list(self.vecs)) == len(self.vecs) - 1
         return self._simplex
 
     def columns(self) -> Tuple[int, ...]:
@@ -414,10 +407,9 @@ def _face(cloud: VertexCloud, m1: int, m2: int) -> int:
     return face & ~reduce(operator.or_, compress(columns, neither), 0)
 
 
-def _off_face(cloud: VertexCloud, face: int) -> Tuple[bytes, ...]:
-    """The cloud's vertices off the face bitset `face`, in cloud order."""
-    n = len(cloud)
-    return tuple(compress(cloud.vecs, _selector(((1 << n) - 1) ^ face, n)))
+def _off_face(cloud: VertexCloud, on_face: bytes) -> Tuple[bytes, ...]:
+    """The cloud's vertices off the face whose `_selector` is `on_face`, in cloud order."""
+    return tuple(compress(cloud.vecs, on_face.translate(_FLIP)))
 
 
 def oracle_adjacent(v1, v2, cloud) -> Certificate:
@@ -431,11 +423,12 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
     the cloud's per-coordinate column bitsets pick out.  A walk over the
     face's vertices, in cloud order, looks for two candidates u and w with
     u + w = v1 + v2; the first such pair settles non-adjacency with the
-    combination ½u + ½w, the midpoint.  Otherwise, when the face's vertices
-    are affinely independent mod 2, the face is a simplex and v1v2 is an
-    edge: the certificate names the face and carries no `farkas`.  Any
-    other face goes to an exact LP over the candidates, which decides either
-    way; its adjacency verdict is certified by the LP's Farkas refutation.
+    combination ½u + ½w, the midpoint.  Otherwise the certificate that names
+    the face and carries no `farkas` is replayed, and the verdict is its
+    replay: it holds when the face's vertices are affinely independent mod
+    2, so the face is a simplex and v1v2 is an edge.  Any other face goes to
+    an exact LP over the candidates, which decides either way; its
+    adjacency verdict is certified by the LP's Farkas refutation.
     Every payload carries `cloud`, the `VertexCloud` the pair was decided
     on, which its replay reads.  The cloud is a `VertexCloud` or any
     iterable of 0/1 vectors; pass a `VertexCloud` to pack it once for many
@@ -466,7 +459,6 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
     # 1 just where u is 0
     masks, vecs = cloud.masks, cloud.vecs
     candidates = []
-    face_masks = [m2]
     seen: Dict[int, bytes] = {}
     rest = face
     while rest:
@@ -483,14 +475,15 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
                                                 "combination": [(w, _HALF), (u, _HALF)]})
         seen[mask] = u
         candidates.append(u)
-        face_masks.append(mask)
-    excluded = _off_face(cloud, face)
+    payload = {"v1": b1, "v2": b2, "cloud": cloud, "candidates": tuple(candidates),
+               "excluded": _off_face(cloud, _selector(face, len(cloud)))}
 
     # a face whose vertices are affinely independent is a simplex, and any
-    # two vertices of a simplex span an edge of it, so of the polytope too
-    if _rank_mod2(m1, face_masks, len(face_masks)) == len(face_masks):
-        return _certified("adjacency", {"v1": b1, "v2": b2, "cloud": cloud,
-                                        "candidates": tuple(candidates), "excluded": excluded})
+    # two vertices of a simplex span an edge of it, so of the polytope too:
+    # the replay of the payload without `farkas` is that test
+    cert = _certified("adjacency", payload)
+    if cert.verified:
+        return cert
 
     # the LP asks for weights x >= 0 on the candidates, summing to 1, and a
     # t >= 0 with sum_u x_u u = t v1 + (1 - t) v2: on a support coordinate j,
@@ -516,9 +509,7 @@ def oracle_adjacent(v1, v2, cloud) -> Certificate:
     farkas = [0] * len(support) + [y[-1]]
     for r, yr in zip(first.values(), y):
         farkas[r] = yr
-    return _certified("adjacency", {"v1": b1, "v2": b2, "cloud": cloud,
-                                    "candidates": tuple(candidates), "excluded": excluded,
-                                    "farkas": tuple(farkas)})
+    return _certified("adjacency", dict(payload, farkas=tuple(farkas)))
 
 
 def _certified(kind: str, payload: dict) -> Certificate:
@@ -538,15 +529,14 @@ def affine_dimension(cloud) -> int:
     return _rank(vecs)
 
 
-def _rank(vecs: list, masks=None) -> int:
+def _rank(vecs: list) -> int:
     """The affine rank of a list of int tuples or of bytes: the oracle's one rank front.
 
     The refusals come first: an empty cloud, one over RANK_MAX and one of
     mixed lengths.  A cloud of bytes, or of ints that all fit a byte, is
-    then ranked mod 2 over the low bits of its entries, or over `masks`,
-    its 0/1 vertices' bitmasks, when given; a mod-2 rank of min(N - 1, d)
-    is the rank (`_rank_mod2`).  A cloud whose mod-2 rank falls short, or
-    with an entry outside a byte, is ranked exactly by `_affine_rank`.
+    then ranked mod 2 over the low bits of its entries; a mod-2 rank of
+    min(N - 1, d) is the rank (`_rank_mod2`).  A cloud whose mod-2 rank
+    falls short, or with an entry outside a byte, takes `_affine_rank`.
     """
     if not vecs:
         raise DomainError("affine dimension of an empty cloud is undefined")
@@ -564,7 +554,7 @@ def _rank(vecs: list, masks=None) -> int:
             vecs = [bytes(v) for v in vecs]
         except ValueError:
             return _affine_rank(vecs)  # an entry outside 0..255
-    masks = iter(_low_bits(vecs, ambient) if masks is None else masks)
+    masks = _low_bits(vecs, ambient)
     if _rank_mod2(next(masks), masks, full) == full:
         return full
     return _affine_rank(vecs)

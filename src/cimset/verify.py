@@ -116,7 +116,7 @@ def verify_family(spec, checks, limit, seed, emit=None):
         failures = checked = 0
         skipped = []
         verdicts = {}
-        bits = np.frombuffer(b"".join(vecs), dtype=np.uint8).reshape(size, idx.total)
+        bits = None  # the member matrix, built for the first block certified
         for i in range(spec.n):
             free = spec.free_mask(i)
             k = free.bit_count()
@@ -125,6 +125,8 @@ def verify_family(spec, checks, limit, seed, emit=None):
             if (1 << k) > limit:
                 skipped.append(spec.ordering.names[i])
                 continue
+            if bits is None:
+                bits = np.frombuffer(b"".join(vecs), dtype=np.uint8).reshape(size, idx.total)
             # the cloud: the members' distinct block slices over the minimal lifts
             cols = idx.block_for_child(i).offset + idx.lift_rows(i)
             cloud = tuple(sorted(set(map(bytes, bits[:, cols]))))

@@ -1,6 +1,8 @@
 import dataclasses
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -79,11 +81,17 @@ def test_facet_rows_pick_out_vertices():
 
 def test_facet_evaluate_guards():
     sys2 = facet_matrix(2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^block vector has 2 entries, expected 3$"):
         sys2.evaluate(0b01, (1, 0))  # wrong length
-    with pytest.raises(DomainError):
-        sys2.evaluate(0b01, (0.5, 0.5, 0.0))  # floats refused
-    with pytest.raises(DomainError):
+    # every inexact entry is refused: floats, numpy floats and decimals
+    inexact = r"^facet evaluation requires exact integer or rational entries$"
+    with pytest.raises(DomainError, match=inexact):
+        sys2.evaluate(0b01, (0.5, 0.5, 0.0))
+    with pytest.raises(DomainError, match=inexact):
+        sys2.evaluate(0b11, np.float32([0.5, 0.5, 0.5]))
+    with pytest.raises(DomainError, match=inexact):
+        sys2.evaluate(0b11, [Decimal("0.5")] * 3)
+    with pytest.raises(DomainError, match=r"^row subset outside the ground set$"):
         sys2.evaluate(0b100, (1, 0, 0))  # row outside ground set
     # exact rationals are fine
     assert sys2.evaluate(0b11, (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))) == Fraction(1, 2)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import math
@@ -6,6 +7,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -173,6 +175,18 @@ def test_square_side_adjacent():
     assert set(cert.payload) == {"v1", "v2", "cloud", "candidates", "excluded", "farkas"}
     assert cert.payload["candidates"] == tuple(map(bytes, PYRAMID[2:5]))
     assert cert.payload["excluded"] == (bytes(PYRAMID[5]),)
+
+
+def test_the_simplex_verdict_is_the_replay_of_its_certificate():
+    # the face is ranked mod 2 once, by the replay of the payload without
+    # `farkas`; on the pyramid that replay fails, and the LP decides
+    for cloud, lp_route in ((SIMPLEX_FACE, False), (PYRAMID, True)):
+        with _lp_calls() as lp, mock.patch.object(cimset.oracle, "_rank_mod2",
+                                                  wraps=cimset.oracle._rank_mod2) as mod2:
+            cert = oracle_adjacent(cloud[0], cloud[1], cloud)
+        assert cert.kind == "adjacency" and cert.verified
+        assert ("farkas" in cert.payload) == lp_route
+        assert (mod2.call_count, lp.call_count) == (1, lp_route)
 
 
 def test_oracle_guards():
@@ -750,6 +764,15 @@ def test_a_farkas_bound_met_with_equality_at_one_replays_false(payload):
     assert Certificate("adjacency", payload, False).replay() is False
 
 
+def test_a_farkas_vector_at_zero_on_the_right_hand_side_replays_false():
+    # the zero vector meets both nonpositive bounds; it refutes nothing, as
+    # its value on the right-hand side must be positive, not just nonnegative
+    payload = {"v1": (0, 1), "v2": (1, 0), "cloud": [(0, 1), (1, 0), (1, 1)],
+               "candidates": ((1, 1),), "excluded": ()}
+    assert Certificate("adjacency", dict(payload, farkas=(-1, -1, 2)), False).replay() is True
+    assert Certificate("adjacency", dict(payload, farkas=(0, 0, 0)), False).replay() is False
+
+
 @pytest.mark.parametrize("cloud", [SQUARE, SIMPLEX_FACE, PYRAMID[:3] + PYRAMID[5:]])
 def test_tampered_rank_certificates_fail_replay(cloud):
     cert = oracle_adjacent(cloud[0], cloud[1], cloud)
@@ -933,6 +956,41 @@ def test_affine_dimension_basic():
     assert affine_dimension([characteristic_imset(g, idx) for g in enumerate_family(spec)]) == 3
     with pytest.raises(DomainError):
         affine_dimension([])
+
+
+def test_imsets_read_as_their_bits():
+    spec = diagnosis_family(2, 2)
+    idx = coordinate_index(spec)
+    imsets = [characteristic_imset(g, idx) for g in enumerate_family(spec)]
+    bits = [c.bits for c in imsets]
+    for c in imsets:
+        assert len(c) == idx.total and list(c) == list(c.bits)
+    assert VertexCloud(imsets) == VertexCloud(bits)
+    assert affine_dimension(imsets) == affine_dimension(bits) == 6
+    for i, j in combinations(range(len(imsets)), 2):
+        assert oracle_adjacent(imsets[i], imsets[j], imsets) == \
+            oracle_adjacent(bits[i], bits[j], bits)
+    # an imset of another family is refused by its width
+    small = diagnosis_family(2, 1)
+    other = characteristic_imset(next(enumerate_family(small)), coordinate_index(small))
+    with pytest.raises(DomainError, match=r"^cloud vertex 1 has 3 coordinates, vertex 0 has 6$"):
+        VertexCloud([imsets[0], other])
+
+
+def test_the_oracle_imports_none_of_the_closed_forms():
+    # the oracle certifies the imsets and the geometry, so at module level it
+    # reads only the limits, the errors, the families and the subset walks
+    tree = ast.parse(Path(cimset.oracle.__file__).read_text(encoding="utf-8"))
+    local = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("cimset") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            local |= {a.name for a in node.names} if node.module is None else {node.module}
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith("cimset")
+    assert local == {"limits", "errors", "graphs", "subsets"}
+    assert "CharImset" not in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
 
 
 def test_affine_dimension_duplicates_and_mixed_lengths():

@@ -99,6 +99,14 @@ def test_facet_blocks_over_the_limit_are_skipped_by_name():
     assert records == []
 
 
+def test_facets_build_no_member_matrix_when_every_block_is_skipped(monkeypatch):
+    # the member matrix is built for the first block certified, so a run
+    # that skips every block never reaches numpy
+    monkeypatch.setattr(cimset.verify, "np", None)
+    rows = verify_family(_diag_2_2(), ["facets"], 2, 0)
+    assert rows == [("facets", True, "0 rows certified; skipped blocks over --limit: b1, b2")]
+
+
 def test_children_of_one_block_size_get_the_same_facet_lines():
     lines = []
     verify_family(_diag_2_2(), ["facets"], 2000, 0, lines.append)
