@@ -19,17 +19,19 @@ A pair's face is the AND of the columns where both endpoints are 1 less
 the OR of the columns where both are 0 (`_face`), one rule for
 `oracle_adjacent`'s walk and for the replays.  Every payload carries the
 `VertexCloud` it was decided on, so a replay reuses its packed vertices,
-cached columns and cached `simplex()`.  A pair's replay packs only v1, v2
-and the candidates or combination vectors.  The adjacency replay requires
-the candidates to be the face's vertices in cloud order, less copies of v1
-and v2, and compares `excluded` with the cloud's off-face vertices,
-selected by `compress`, as one tuple comparison: no excluded vertex is
-packed or masked.  The non-adjacency replay writes its weights as num_u
-over their common denominator den, packs each vector with one lane of w
-bytes per coordinate, den < 256**w, so no lane carries, and accepts
-exactly when Σ num_u · lane_u == t · lane_v1 + (den - t) · lane_v2, t
-read off the lowest lane where v1 and v2 differ: one big-int identity,
-whose one-byte lanes are the cloud's cached masks.
+cached columns and cached `simplex()`.  A pair's replay finds v1, v2 and
+the candidates or combination vectors by their position in the cloud's
+index, packing only those that are not bytes, and reads their bytes and
+masks from the cloud.  The adjacency replay requires the candidates to be
+the face's vertices in cloud order, less copies of v1 and v2, and compares
+`excluded` with the cloud's off-face vertices, selected by `compress`, as
+one tuple comparison: no excluded vertex is packed or masked.  The
+non-adjacency replay writes its weights as num_u over their common
+denominator den, packs each vector with one lane of w bytes per
+coordinate, den < 256**w, so no lane carries, and accepts exactly when
+Σ num_u · lane_u == t · lane_v1 + (den - t) · lane_v2, t read off the
+lowest lane where v1 and v2 differ: one big-int identity, whose one-byte
+lanes are the cloud's cached masks.
 
 One GF(2) elimination, `_rank_mod2`, answers every rank question first:
 the simplex face of the adjacency replay, whose verdict `oracle_adjacent`
@@ -38,9 +40,14 @@ integer is nonzero, so a minor that is nonzero mod 2 is nonzero: the rank
 mod 2 is never above the rank over the rationals, which is at most
 min(N - 1, d) for N points in d coordinates.  Independence mod 2 is
 therefore independence, and a mod-2 rank of min(N - 1, d) is the rank.
-Only a cloud whose mod-2 rank falls short, or whose entries do not all fit
-a byte, goes to `_affine_rank`, one row-echelon loop over sparse rows of
-Python ints: families with floors, integer clouds, mis-encoded facet clouds.
+Where it falls short on a 0/1 cloud, the cloud's quotient bounds the rank
+instead: dropping a constant column, a copy of a column or a column's
+complement changes neither rank, so a mod-2 rank of min(N - 1, d') is the
+rank for the d' columns left.  That settles the clouds of families with
+floors, whose factors repeat a coordinate once per floor subset.  Only a
+quotient that still falls short, or a cloud with an entry outside 0/1,
+goes to `_affine_rank`, one row-echelon loop over sparse rows of Python
+ints: integer clouds, mis-encoded facet clouds.
 """
 
 from __future__ import annotations
@@ -224,16 +231,22 @@ def _as_cloud(cloud) -> VertexCloud:
 
 
 def _in_cloud(p, vecs):
-    """(cloud, packed): the payload's cloud, and v1, v2 and `vecs` packed by
-    `_zero_one` at the cloud's width; None unless v1 and v2 are two distinct
-    cloud vertices, as `oracle_adjacent` requires of its pair.
+    """(cloud, at): the payload's cloud, and the cloud positions of v1, v2
+    and `vecs`; None unless each is a cloud vertex and v1 and v2 are two
+    distinct ones, as `oracle_adjacent` requires of its pair.  The index's
+    keys are 0/1 vertices of the cloud's width, so only vectors that are not
+    bytes are packed, by `_zero_one`, before the lookup.
     """
     cloud = _as_cloud(p["cloud"])
-    packed = _zero_one([p["v1"], p["v2"], *vecs], len(cloud.vecs[0]) if cloud.vecs else 0)
-    if (packed is None or packed[0] == packed[1]
-            or packed[0] not in cloud.index or packed[1] not in cloud.index):
+    vecs = [p["v1"], p["v2"], *vecs]
+    if not all(type(v) is bytes for v in vecs):
+        vecs = _zero_one(vecs, len(cloud.vecs[0]) if cloud.vecs else 0)
+        if vecs is None:
+            return None
+    at = list(map(cloud.index.get, vecs))
+    if None in at or at[0] == at[1]:
         return None
-    return cloud, packed
+    return cloud, at
 
 
 def _replay_non_adjacency(p) -> bool:
@@ -243,9 +256,8 @@ def _replay_non_adjacency(p) -> bool:
     found = _in_cloud(p, [vec for vec, _ in combo])
     if found is None:
         return False
-    cloud, packed = found
-    at = list(map(cloud.index.get, packed))
-    if None in at or packed[0] in packed[2:] or packed[1] in packed[2:]:
+    cloud, at = found
+    if at[0] in at[2:] or at[1] in at[2:]:
         return False
     # the weights as int numerators over their common denominator
     den = math.lcm(*(lam.denominator for _, lam in combo))
@@ -258,8 +270,8 @@ def _replay_non_adjacency(p) -> bool:
     if width == 1:
         l1, l2, *lanes = map(cloud.masks.__getitem__, at)
     else:
-        buf = bytearray(width * len(packed[0]))
-        l1, l2, *lanes = [_mask(buf) for buf[::width] in packed]
+        buf = bytearray(width * len(cloud.vecs[0]))
+        l1, l2, *lanes = [_mask(buf) for buf[::width] in map(cloud.vecs.__getitem__, at)]
     mix = sum(map(operator.mul, nums, lanes))
     # den times a point of [v1, v2] is t v1 + (den - t) v2.  No combination
     # of 0/1 vectors other than v1 and v2 reaches either end
@@ -273,8 +285,9 @@ def _replay_adjacency(p) -> bool:
     found = _in_cloud(p, p["candidates"])
     if found is None:
         return False
-    cloud, (v1, v2, *vecs) = found
-    m1, m2 = _mask(v1), _mask(v2)
+    cloud, (i1, i2, *at) = found
+    v1, v2, *vecs = map(cloud.vecs.__getitem__, (i1, i2, *at))
+    m1, m2 = cloud.masks[i1], cloud.masks[i2]
     # the candidates are the face's vertices in cloud order less copies of v1
     # and v2, and `excluded` the cloud's other vertices, as the cloud's own
     # bytes: a vertex left out of the face or added to it fails here
@@ -284,7 +297,7 @@ def _replay_adjacency(p) -> bool:
     if tuple(p["excluded"]) != _off_face(cloud, on_face):
         return False
     if "farkas" not in p:
-        face_masks = [m2, *map(_mask, vecs)]
+        face_masks = [m2, *map(cloud.masks.__getitem__, at)]
         return _rank_mod2(m1, face_masks, len(face_masks)) == len(face_masks)
     y = _integers(tuple(p["farkas"]), "farkas vector", "multiplier")
     # the LP rows are the coordinates where exactly one endpoint is 1, each
@@ -370,11 +383,15 @@ class VertexCloud:
     def columns(self) -> Tuple[int, ...]:
         """One bitset per coordinate, bit t set where vertex t is 1; packed on the first call."""
         if self._columns is None:
-            n, width = len(self.vecs), len(self.vecs[0]) if self.vecs else 0
-            matrix = np.frombuffer(b"".join(self.vecs), dtype=np.uint8).reshape(n, width)
-            packed = np.packbits(matrix.T, axis=1, bitorder="little")
-            self._columns = tuple(int.from_bytes(row, "little") for row in packed)
+            self._columns = _columns(self.vecs, len(self.vecs[0]) if self.vecs else 0)
         return self._columns
+
+
+def _columns(vecs: Sequence[bytes], width: int) -> Tuple[int, ...]:
+    """One bitset per coordinate of 0/1 vectors of `width` bytes, bit t set where vector t is 1."""
+    matrix = np.frombuffer(b"".join(vecs), dtype=np.uint8).reshape(len(vecs), width)
+    packed = np.packbits(matrix.T, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row, "little") for row in packed)
 
 
 # The weight of each vertex of a two-point witness
@@ -535,8 +552,13 @@ def _rank(vecs: list) -> int:
     The refusals come first: an empty cloud, one over RANK_MAX and one of
     mixed lengths.  A cloud of bytes, or of ints that all fit a byte, is
     then ranked mod 2 over the low bits of its entries; a mod-2 rank of
-    min(N - 1, d) is the rank (`_rank_mod2`).  A cloud whose mod-2 rank
-    falls short, or with an entry outside a byte, takes `_affine_rank`.
+    min(N - 1, d) is the rank (`_rank_mod2`).  Where it falls short, a 0/1
+    cloud's quotient drops each constant column and each column equal to an
+    earlier one or to its complement: their difference columns are zero,
+    copies or negated copies, so neither rank moves, and a mod-2 rank of
+    min(N - 1, d') for the d' columns kept is the rank; being short of
+    N - 1 already, it can only be d'.  A quotient that still falls short,
+    or a cloud with an entry outside 0/1, takes `_affine_rank`.
     """
     if not vecs:
         raise DomainError("affine dimension of an empty cloud is undefined")
@@ -555,9 +577,21 @@ def _rank(vecs: list) -> int:
         except ValueError:
             return _affine_rank(vecs)  # an entry outside 0..255
     masks = _low_bits(vecs, ambient)
-    if _rank_mod2(next(masks), masks, full) == full:
+    rank = _rank_mod2(next(masks), masks, full)
+    if rank == full:
         return full
-    return _affine_rank(vecs)
+    if _zero_one(vecs, ambient) is None:
+        return _affine_rank(vecs)  # an entry above 1, whose complement is no column
+    # a 0/1 column keyed by its difference to vertex 0's entry: a constant
+    # column keys 0, and a copy or a complement of a column keys as it does
+    ones = (1 << len(vecs)) - 1
+    kept: Dict[int, int] = {}
+    for j, column in enumerate(_columns(vecs, ambient)):
+        kept.setdefault(column ^ ones if column & 1 else column, j)
+    kept.pop(0, None)
+    if rank == len(kept):
+        return rank
+    return _affine_rank([bytes(map(v.__getitem__, kept.values())) for v in vecs])
 
 
 # The mod-2 masks are packed this many cells at a time (at least one row),

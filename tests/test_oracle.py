@@ -1173,6 +1173,13 @@ def _exact_rank_spy():
     return mock.patch.object(cimset.oracle, "_affine_rank", wraps=cimset.oracle._affine_rank)
 
 
+def _quotient_width(cloud):
+    """The columns of a 0/1 cloud that are not constant, nor a copy or the
+    complement of an earlier column: each read as its XOR with its first entry."""
+    keys = {tuple(x ^ col[0] for x in col) for col in zip(*cloud)}
+    return len(keys - {(0,) * len(cloud)})
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(_parity_entries)), st.booleans(), st.integers(1, 6), st.data())
 def test_the_rank_front_is_exact_and_eliminates_just_where_parity_falls_short(
@@ -1181,7 +1188,11 @@ def test_the_rank_front_is_exact_and_eliminates_just_where_parity_falls_short(
                                min_size=1, max_size=9))
     if as_bytes:
         cloud = [bytes(v) for v in cloud]
+    # parity settles a rank of min(N - 1, d), or on a 0/1 cloud of
+    # min(N - 1, d') over its quotient's d' columns
     full = min(len(cloud) - 1, d)
+    if all({0, 1}.issuperset(v) for v in cloud):
+        full = min(len(cloud) - 1, _quotient_width(cloud))
     parity = _gf2_rank([[(a ^ b) & 1 for a, b in zip(v, cloud[0])] for v in cloud[1:]])
     with _exact_rank_spy() as exact:
         rank = affine_dimension(cloud)
@@ -1199,6 +1210,16 @@ def test_the_rank_front_is_exact_and_eliminates_just_where_parity_falls_short(
     # an entry outside a byte goes straight to the exact elimination
     ([(0,), (256,)], 1, False, True),
     ([(0,), (-1,)], 1, False, True),
+    # no column repeats, so the quotient is the cloud, whose mod-2 rank 2
+    # falls short of its rank 3
+    ([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)], 3, True, True),
+    ([b"\0\0\0", b"\1\1\0", b"\1\0\1", b"\0\1\1"], 3, True, True),
+    # the columns (0, 2, 1) and (1, 1, 0) are complements mod 2, but not
+    # over the integers: only a 0/1 cloud has the complement rule
+    ([b"\0\1", b"\2\1", b"\1\0"], 2, True, True),
+    # the columns (0, 1, 2) and (0, 2, 2) are alike where they are nonzero,
+    # and mod 2 the second is constant
+    ([b"\0\0", b"\1\2", b"\2\2"], 2, True, True),
 ])
 def test_parity_route_pinned_clouds(cloud, rank, mod2, exact):
     with _exact_rank_spy() as exact_spy, \
@@ -1208,36 +1229,65 @@ def test_parity_route_pinned_clouds(cloud, rank, mod2, exact):
     assert (mod2_spy.call_count, exact_spy.call_count) == (mod2, exact)
 
 
-def test_exact_rank_runs_on_example_4_7_and_not_on_the_diagnosis_census():
+def test_no_exact_rank_runs_on_example_4_7_or_the_diagnosis_census():
     # a product of simplices has full rank mod 2; example 4.7's 256 vertices
-    # span 14 of its 26 coordinates, so only the exact elimination can say so
+    # span 14 of its 26 coordinates, and its quotient keeps 14 columns, so
+    # parity settles it there
     with _exact_rank_spy() as exact:
         assert affine_dimension(_census_cloud(10, 1)) == 1023
     assert exact.call_count == 0
     spec = _example_47_family()
     idx = coordinate_index(spec)
     cloud = [characteristic_imset(g, idx).bits for g in enumerate_family(spec)]
-    assert (len(cloud), idx.total) == (256, 26)
+    assert (len(cloud), idx.total, _quotient_width(cloud)) == (256, 26, 14)
     with _exact_rank_spy() as exact:
         assert affine_dimension(cloud) == 14
-    assert exact.call_count == 1
+    assert exact.call_count == 0
 
 
-def test_floor_family_rank_takes_the_exact_route_once():
+@pytest.mark.parametrize("parents, floors, size, rank", [
     # c1 keeps n0 and c2 keeps n0 and n1: 32 * 16 members spanning 46 of
-    # their 126 coordinates, short of full rank, so only the exact
-    # elimination can say so, on the cloud in any order
-    names = tuple(f"n{i}" for i in range(6)) + ("c1", "c2")
-    spec = FamilySpec(NodeOrdering(names), (0,) * 6 + (0b1, 0b11), (0,) * 6 + (0b111111,) * 2)
+    # their 126 coordinates
+    (6, (0b1, 0b11), 512, 46),
+    # c1 keeps n0 and c2 keeps n1: 64 * 64 members spanning 126 of 254
+    (7, (0b1, 0b10), 4096, 126),
+], ids=["512", "4096"])
+def test_floor_family_rank_is_settled_on_its_quotient(parents, floors, size, rank):
+    # short of full rank mod 2, but the floors only repeat coordinates, so
+    # the quotient's columns are independent; on the cloud in any order
+    names = tuple(f"n{i}" for i in range(parents)) + ("c1", "c2")
+    ceiling = (1 << parents) - 1
+    spec = FamilySpec(NodeOrdering(names), (0,) * parents + floors,
+                      (0,) * parents + (ceiling,) * 2)
     idx = coordinate_index(spec)
     cloud = [characteristic_imset(g, idx).bits for g in enumerate_family(spec)]
-    assert len(cloud) == 512
+    assert len(cloud) == size
     random.Random(0).shuffle(cloud)
     start = time.perf_counter()
     with _exact_rank_spy() as exact:
-        assert affine_dimension(cloud) == 46 == affine_dimension_formula(spec)
+        assert affine_dimension(cloud) == rank == affine_dimension_formula(spec)
     assert time.perf_counter() - start < 0.5
-    assert exact.call_count == 1
+    assert exact.call_count == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 9), st.booleans(), st.data())
+def test_the_quotient_keeps_the_rank_of_a_cloud_with_repeated_columns(d, size, as_bytes, data):
+    # a random 0/1 cloud with constant columns, copies and complements of
+    # its columns put in anywhere
+    base = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * d), min_size=size, max_size=size))
+    columns = [list(col) for col in zip(*base)]
+    for kind in data.draw(st.lists(st.sampled_from(["constant", "copy", "complement"]),
+                                   min_size=1, max_size=6)):
+        if kind == "constant":
+            col = [data.draw(st.integers(0, 1))] * size
+        else:
+            col = columns[data.draw(st.integers(0, len(columns) - 1))]
+            col = col if kind == "copy" else [1 - x for x in col]
+        columns.insert(data.draw(st.integers(0, len(columns))), col)
+    cloud = [(bytes if as_bytes else tuple)(row) for row in zip(*columns)]
+    assert affine_dimension(cloud) == cimset.oracle._affine_rank(list(cloud)) \
+        == _reference_rank(cloud)
 
 
 @pytest.mark.parametrize("cloud", [
