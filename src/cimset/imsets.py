@@ -20,14 +20,23 @@ mask)` is the row of `block_subsets` equal to the mask, plus the block's
 offset.  `require_uncapped` is the one refusal of a capped family, with one
 message; the index constructor, `product_structure` and
 `facet_system_for_child` all call it, so no capped index exists.
-`characteristic_imset` is one numpy pass over all blocks: a coordinate is 1
-where its subset lies in its child's parent set.
+
+A member's imset is one slice per block, and a block's slice depends only
+on its child's parent set: a coordinate is 1 where its subset lies in that
+parent set.  `characteristic_imset` checks membership first, so no parent
+set of a non-member is ever stored, and then joins one cached slice per
+block, made on first use by one numpy pass over that block's subsets.  The
+tables hold the block clouds, the sum over blocks of admissible parent sets
+times block size in bytes, not one imset per member; a one-block member's
+bits are its cached slice.  The index holds an equal copy of its spec that
+carries no index, so the spec keeps its index and the two form no cycle:
+an index, with its slices, is freed with its spec, without a collection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -70,7 +79,9 @@ class CoordinateIndex:
 
     def __init__(self, spec: FamilySpec):
         _require_layout(spec)
-        self.spec = spec
+        # an equal copy that carries no index: the spec keeps its index, and
+        # the index does not keep the spec, so the two form no cycle
+        self.spec = replace(spec)
         blocks = []
         subset_arrays = []
         offset = 0
@@ -94,6 +105,8 @@ class CoordinateIndex:
                                    [b.size for b in blocks])
         self._block_of_child = {b.child: j for j, b in enumerate(blocks)}
         self._lifts = {}  # child -> lift_rows(child)
+        # per block: a member's parent set for that child -> the block's bytes
+        self._slices: Tuple[Dict[int, bytes], ...] = tuple({} for _ in blocks)
 
     def __eq__(self, other):
         return isinstance(other, CoordinateIndex) and self.spec == other.spec
@@ -186,9 +199,15 @@ class CharImset:
 def characteristic_imset(g: ParentMap, index: CoordinateIndex) -> CharImset:
     if not family_contains(index.spec, g):
         raise DomainError("graph is not a member of the indexed family")
-    subs = index._all_subsets
-    p = np.array(g.parents, dtype=np.int64)[index._child_of]
-    return CharImset(index, ((subs & p) == subs).view(np.uint8).tobytes())
+    parents = g.parents
+    pieces = []
+    for block, subs, slices in zip(index.blocks, index._subsets, index._slices):
+        p = parents[block.child]
+        piece = slices.get(p)
+        if piece is None:
+            piece = slices[p] = ((subs & p) == subs).view(np.uint8).tobytes()
+        pieces.append(piece)
+    return CharImset(index, b"".join(pieces))
 
 
 def imset_from_bits(index: CoordinateIndex, bits: Sequence[int]) -> CharImset:

@@ -11,9 +11,14 @@ Points are Fractions and Farkas vectors ints, both in lowest terms.  A 0/1
 vertex, and every vector of a certificate payload, is bytes, one byte per
 coordinate, as a characteristic imset is, read by `_zero_one`; its bitmask
 has bit 8j set where coordinate j is 1.  A `VertexCloud` packs a cloud
-once, with one bitset per coordinate (`columns()`, bit t for vertex t);
-`_facet_verdict` sums a facet row by coefficient class, one coordinate mask
-per distinct nonzero coefficient.
+once, with one bitset per coordinate (`columns()`, bit t for vertex t) and,
+per lane width w, one lane column per coordinate (`lanes(w)`, lane t of w
+bytes holding vertex t's entry), both read from the cloud's transpose, a
+contiguous block of rows at a time (`_column_blocks`).  `_facet_verdict`
+divides a facet row by the gcd of its entries and decides it with one
+big-int lane identity: with bound = |c0| + Σ|cj| and 2·bound < 256**w,
+(c0 + bound)·ONES + Σ cj·Lj holds each vertex's value plus bound in its
+lane, no lane carrying, so a row costs one product per nonzero coefficient.
 
 A pair's face is the AND of the columns where both endpoints are 1 less
 the OR of the columns where both are 0 (`_face`), one rule for
@@ -58,7 +63,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
-from itertools import compress, islice, repeat
+from itertools import compress, islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -336,12 +341,14 @@ class VertexCloud:
     Holds the vertices as bytes, one byte per coordinate (`vecs`), one
     bitmask per vertex with bit 8j set where coordinate j is 1 (`masks`),
     and the position of each distinct vertex (`index`).  The first
-    adjacency query packs one bitset per coordinate (`columns()`).  Every
-    vertex must be a 0/1 vector and all must have the same length: the
-    pruning in `oracle_adjacent` is only sound for 0/1 vertices.
+    adjacency query packs one bitset per coordinate (`columns()`), and the
+    first facet row of each lane width w one lane column per coordinate
+    (`lanes(w)`).  Every vertex must be a 0/1 vector and all must have the
+    same length: the pruning in `oracle_adjacent` is only sound for 0/1
+    vertices.
     """
 
-    __slots__ = ("vecs", "masks", "index", "_simplex", "_columns")
+    __slots__ = ("vecs", "masks", "index", "_simplex", "_columns", "_lanes")
 
     def __init__(self, cloud):
         cloud = list(cloud)
@@ -364,6 +371,7 @@ class VertexCloud:
         self.index = index
         self._simplex: Optional[bool] = None
         self._columns: Optional[Tuple[int, ...]] = None
+        self._lanes: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
 
     def __len__(self) -> int:
         return len(self.vecs)
@@ -386,12 +394,39 @@ class VertexCloud:
             self._columns = _columns(self.vecs, len(self.vecs[0]) if self.vecs else 0)
         return self._columns
 
+    def lanes(self, w: int) -> Tuple[int, Tuple[int, ...]]:
+        """(ONES, lane columns) at w bytes a lane, packed on the first call for each w.
+
+        ONES has 1 in every lane, and lane column j has lane t equal to
+        vertex t's entry j; lane t starts at bit 8wt.
+        """
+        if w not in self._lanes:
+            buf = bytearray(w * len(self.vecs))
+            buf[::w] = b"\x01" * len(self.vecs)
+            ones = _mask(buf)
+            lanes = []
+            for block in _column_blocks(self.vecs, len(self.vecs[0])):
+                for buf[::w] in map(memoryview, block):
+                    lanes.append(_mask(buf))
+            self._lanes[w] = ones, tuple(lanes)
+        return self._lanes[w]
+
+
+def _column_blocks(vecs: Sequence[bytes], width: int):
+    """The transpose of 0/1 vectors of `width` bytes, a contiguous block of
+    rows at a time, one row of len(vecs) bytes per coordinate: the oracle's
+    one column reader.  A block holds about `_RANK_BLOCK_CELLS` cells, so
+    no transposed copy of the whole cloud is made."""
+    matrix = np.frombuffer(b"".join(vecs), dtype=np.uint8).reshape(len(vecs), width)
+    step = max(1, _RANK_BLOCK_CELLS // max(1, len(vecs)))
+    for start in range(0, width, step):
+        yield np.ascontiguousarray(matrix[:, start:start + step].T)
+
 
 def _columns(vecs: Sequence[bytes], width: int) -> Tuple[int, ...]:
     """One bitset per coordinate of 0/1 vectors of `width` bytes, bit t set where vector t is 1."""
-    matrix = np.frombuffer(b"".join(vecs), dtype=np.uint8).reshape(len(vecs), width)
-    packed = np.packbits(matrix.T, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row, "little") for row in packed)
+    return tuple(_mask(row) for block in _column_blocks(vecs, width)
+                 for row in np.packbits(block, axis=1, bitorder="little"))
 
 
 # The weight of each vertex of a two-point witness
@@ -594,8 +629,9 @@ def _rank(vecs: list) -> int:
     return _affine_rank([bytes(map(v.__getitem__, kept.values())) for v in vecs])
 
 
-# The mod-2 masks are packed this many cells at a time (at least one row),
-# so the transient arrays stay small up to RANK_MAX.
+# The mod-2 masks, and the transposed column blocks, are packed this many
+# cells at a time (at least one row), so the transient arrays stay small up
+# to RANK_MAX.
 _RANK_BLOCK_CELLS = 1 << 16
 
 
@@ -727,13 +763,16 @@ def _facet_vertex(s, vecs: Sequence[bytes], ncoeffs: int) -> bytes:
     if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s & ~universe:
         raise DomainError(f"facet row {s} is outside the ground set of {k} elements")
     # t ⊆ s exactly when t & ~s is 0
-    return bytes(map(operator.not_, map(operator.and_, _graded_subsets(universe), repeat(~s))))
+    return ((_graded_subsets(universe) & ~s) == 0).view(np.uint8).tobytes()
 
 
 @cache
-def _graded_subsets(universe: int) -> Tuple[int, ...]:
-    """The nonempty subsets of `universe` in graded-lex order: a block's coordinates."""
-    return tuple(iter_graded_subsets(universe))
+def _graded_subsets(universe: int) -> np.ndarray:
+    """The nonempty subsets of `universe` in graded-lex order, a block's
+    coordinates, as a read-only int64 array."""
+    subsets = np.fromiter(iter_graded_subsets(universe), dtype=np.int64)
+    subsets.flags.writeable = False
+    return subsets
 
 
 def _facet_verdict(coeffs, cloud: VertexCloud, vertex: bytes):
@@ -748,31 +787,47 @@ def _facet_verdict(coeffs, cloud: VertexCloud, vertex: bytes):
     vertex off the row, or None when none is; "tight-set-rank".  It is None
     on success.
 
-    The row is summed by coefficient class: one coordinate mask per distinct
-    nonzero coefficient c, in the bit-8j layout of `cloud.masks`, so a
-    vertex's value is const + Σ c · |vertex ∩ class c|, exact for ints of
-    any size.  That costs a few C steps per vertex and class, not one per
-    coordinate; a row of many distinct coefficients pays one pass per class.
+    The row is first divided by the gcd of its entries, which keeps every
+    value's sign.  With bound = |c0| + Σ|cj| every vertex value lies in
+    [-bound, bound], so in lanes of w bytes, 2·bound < 256**w, the one
+    big int total = (c0 + bound)·ONES + Σ cj·Lj over the nonzero cj, with
+    the cloud's `lanes(w)`, holds value_t + bound in lane t exactly, with no
+    carry whatever the partial sums.  The values pass exactly when lane p of
+    p = cloud.index[vertex] exceeds bound and total, that one lane put back
+    to bound, is bound·ONES.  Otherwise the lanes are read back and scanned
+    in cloud order for the failing vertex: a negative vertex, several
+    vertices off the row, or `vertex` absent or repeated.  The cost follows
+    the row's nonzero coefficients, exact for ints of any size.
     """
+    g = math.gcd(*coeffs)
+    if g > 1:
+        coeffs = [c // g for c in coeffs]
     const, linear = coeffs[0], coeffs[1:]
-    classes: Dict[int, int] = {}
-    for j, c in enumerate(linear):
-        if c:
-            classes[c] = classes.get(c, 0) | 1 << 8 * j
-    masks, vecs = cloud.masks, cloud.vecs
-    vals = [const] * len(masks)
-    for c, members in classes.items():
-        counts = map(int.bit_count, map(members.__and__, masks))
-        vals = list(map(operator.add, vals, map(operator.mul, repeat(c), counts)))
-    if min(vals) < 0:
-        # the first negative vertex, as a scan in cloud order meets it
-        return False, next(compress(vecs, map((0).__gt__, vals)))
-    off = list(compress(vecs, vals))
-    if len(off) != 1 or off[0] != vertex:
-        return False, off[0] if off else None
+    bound = abs(const) + sum(map(abs, linear))
+    w = max(1, ((2 * bound).bit_length() + 7) // 8)
+    ones, columns = cloud.lanes(w)
+    total = (const + bound) * ones + sum(map(operator.mul, compress(linear, linear),
+                                             compress(columns, linear)))
+    at = cloud.index.get(vertex)
+    lane = -1 if at is None else total >> 8 * w * at & (1 << 8 * w) - 1
+    if lane <= bound or total - (lane - bound << 8 * w * at) != bound * ones:
+        vals = _lane_values(total, w, bound, len(cloud))
+        vecs = cloud.vecs
+        if min(vals) < 0:
+            # the first negative vertex, as a scan in cloud order meets it
+            return False, next(compress(vecs, map((0).__gt__, vals)))
+        off = list(compress(vecs, vals))
+        if len(off) != 1 or off[0] != vertex:
+            return False, off[0] if off else None
     if not cloud.simplex():
         return False, "tight-set-rank"
     return True, None
+
+
+def _lane_values(total: int, w: int, bound: int, n: int) -> List[int]:
+    """The n values whose lanes of w bytes in `total` hold value + bound."""
+    raw = total.to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i:i + w], "little") - bound for i in range(0, len(raw), w)]
 
 
 # --- brute-force learning ----------------------------------------------

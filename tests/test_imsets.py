@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -239,3 +241,52 @@ def test_lift_rows_are_the_floor_holding_subsets_in_free_graded_lex_order(spec):
         assert rows.tolist() == [idx.position(i, floor | t) - b.offset
                                  for t in graded_subsets(spec.free_mask(i))[1:].tolist()]
         assert not rows.flags.writeable and idx.lift_rows(i) is rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_specs())
+def test_joined_block_slices_match_a_per_coordinate_reference(spec):
+    # every member, so the slice tables fill up as a census fills them
+    spec = dataclasses.replace(spec, max_parents=None)
+    assume(spec.family_size() <= 512)
+    idx = coordinate_index(spec)
+    for g in enumerate_family(spec):
+        want = bytes(int(s & g.parents[child] == s) for child, s in idx.coordinates())
+        assert characteristic_imset(g, idx).bits == want
+
+
+def test_a_refused_non_member_leaves_the_slice_tables_unchanged():
+    o = NodeOrdering(("a", "b", "c", "d"))
+    spec = FamilySpec(o, (0, 0, 0b01, 0), (0, 0, 0b11, 0b111))
+    idx = coordinate_index(spec)
+    characteristic_imset(ParentMap(o, (0, 0, 0b01, 0b011)), idx)
+    before = [dict(table) for table in idx._slices]
+    # c misses its floor {a}; b takes a parent over its empty ceiling
+    for parents in ((0, 0, 0b10, 0b100), (0, 0b1, 0b01, 0b111)):
+        with pytest.raises(DomainError, match="not a member"):
+            characteristic_imset(ParentMap(o, parents), idx)
+        assert [dict(table) for table in idx._slices] == before
+
+
+def test_a_one_block_member_is_its_slice():
+    spec = diagnosis_family(3, 1)
+    idx = coordinate_index(spec)
+    for g in enumerate_family(spec):
+        bits = characteristic_imset(g, idx).bits
+        assert bits is characteristic_imset(g, idx).bits is idx._slices[0][g.parents[3]]
+
+
+def test_an_index_is_freed_with_its_spec_without_a_collection():
+    gc.disable()
+    try:
+        spec = diagnosis_family(3, 2)
+        idx = coordinate_index(spec)
+        held = [characteristic_imset(g, idx) for g in enumerate_family(spec)]
+        # the spec keeps its index; the index keeps an equal spec with none
+        assert coordinate_index(spec) is idx
+        assert idx.spec == spec and idx.spec._index is None
+        ref = weakref.ref(idx)
+        del spec, idx, held
+        assert ref() is None
+    finally:
+        gc.enable()

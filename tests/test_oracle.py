@@ -1465,7 +1465,7 @@ def test_facet_verdict_on_rows_beyond_int64(case, scale, noise):
 
 
 @st.composite
-def _class_rule_cases(draw):
+def _lane_rule_cases(draw):
     """A random 0/1 cloud of a block width, s, and a row of few or many distinct ints.
 
     The cloud is the block's vertices, with some of them repeated or not, or
@@ -1499,16 +1499,86 @@ def _class_rule_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_class_rule_cases())
-def test_class_rule_matches_the_per_coordinate_rule(case):
-    # the check sums each coefficient class over a vertex's mask; the reference
-    # multiplies every coefficient by its entry, vertex by vertex
+@given(_lane_rule_cases())
+def test_lane_rule_matches_the_per_coordinate_rule(case):
+    # the check sums each nonzero coefficient's lane column into one big int;
+    # the reference multiplies every coefficient by its entry, vertex by vertex
     k, cloud, s, row = case
     vertex = bytes(vertex_block_vector(k, s))
     want = _per_row_verdict(row, list(map(bytes, cloud)), vertex)
     cert = oracle_facet_check((s, row), cloud)
     assert (cert.verified, cert.payload["failing"]) == want
     assert cert.replay() is cert.verified
+
+
+# 2·bound is even: 254 and 256 straddle the one-byte lane, 65 534 and 65 536
+# the two-byte one
+@pytest.mark.parametrize("bound, width", [(127, 1), (128, 2), (32767, 2), (32768, 3)])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_lane_width_edges_match_the_per_coordinate_rule(bound, width, sign):
+    # every 0/1 vector of a 2-block's width; the first two rows reach
+    # sign * bound, at the vertices with x0 = 1 and at (1, 1, 1), and the
+    # third spans [-1, bound - 1].  Each row's gcd is 1, so its bound stays
+    cloud = [bytes(map(int, f"{t:03b}")) for t in range(8)]
+    rows = [[sign, sign * (bound - 1), 0, 0], [0, sign * (bound - 2), sign, sign],
+            [0, bound - 1, -1, 0]]
+    for row in rows:
+        for s in range(4):
+            vertices = VertexCloud(cloud)
+            cert = oracle_facet_check((s, row), vertices)
+            want = _per_row_verdict(row, cloud, bytes(vertex_block_vector(2, s)))
+            assert (cert.verified, cert.payload["failing"]) == want
+            assert list(vertices._lanes) == [width]
+
+
+def test_a_scaled_row_is_summed_in_the_lanes_of_its_reduced_row():
+    k = 3
+    facet = facet_matrix(k).dense_row(0)
+    cloud = VertexCloud(_block_cloud(k))
+    assert oracle_facet_check((0, [(2 ** 200 + 7) * c for c in facet]), cloud).verified
+    # the reduced row's bound is 8, so one-byte lanes hold every value
+    assert list(cloud._lanes) == [1]
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_two_byte_lane_rows_of_wide_blocks_match_the_per_coordinate_rule(k):
+    # the row of s = {} has 2**k coefficients of 1 or -1, so 2·bound >= 256
+    sysk = facet_matrix(k)
+    block = list(map(bytes, _block_cloud(k)))
+    cloud = VertexCloud(block)
+    rng = random.Random(k)
+    for s in [0, 1, 3, (1 << k) - 1, *rng.sample(range(1 << k), 4)]:
+        row = sysk.dense_row(s)
+        tampered = list(row)
+        tampered[rng.randrange(1 << k)] += rng.choice((-1, 1))
+        for r in (row, tampered):
+            cert = oracle_facet_check((s, r), cloud)
+            want = _per_row_verdict(r, block, bytes(vertex_block_vector(k, s)))
+            assert (cert.verified, cert.payload["failing"]) == want
+        assert cert.replay() is cert.verified
+    assert 2 in cloud._lanes
+
+
+def test_a_repeated_or_missing_facet_vertex_leaves_the_fast_path():
+    k = 3
+    sysk = facet_matrix(k)
+    block = list(map(bytes, _block_cloud(k)))
+    cloud = VertexCloud(block)
+    read = mock.patch.object(cimset.oracle, "_lane_values", wraps=cimset.oracle._lane_values)
+    with read as lane_values:
+        for s in range(1 << k):
+            assert oracle_facet_check((s, sysk.dense_row(s)), cloud).verified
+        # every facet row passes on the lane identity alone
+        assert lane_values.call_count == 0
+        for s in range(1 << k):
+            vertex = bytes(vertex_block_vector(k, s))
+            repeated = block + [vertex]
+            missing = [v for v in block if v != vertex]
+            for vecs, failing in ((repeated, vertex), (missing, None)):
+                cert = oracle_facet_check((s, sysk.dense_row(s)), vecs)
+                want = _per_row_verdict(sysk.dense_row(s), vecs, vertex)
+                assert (cert.verified, cert.payload["failing"]) == want == (False, failing)
+        assert lane_values.call_count == 2 << k
 
 
 def _zeta_row(k, s):

@@ -1,9 +1,11 @@
 import contextlib
 import dataclasses
+import gc
 import itertools
 import json
 import random
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -252,3 +254,24 @@ def test_certificate_lines_escape_node_names_as_json_does():
     text = "".join(lines)
     assert '"a\\"b"' in text and '"c\\\\d"' in text and '"\\u00e9"' in text
     assert '"x y"' in text and "é" not in text
+
+
+def test_a_verified_family_frees_its_index_without_a_collection():
+    gc.disable()
+    try:
+        spec = diagnosis_family(3, 2)
+        assert all(ok for _, ok, _ in verify_family(spec, CHECKS, 2000, 0, [].append))
+        ref = weakref.ref(cimset.imsets.coordinate_index(spec))
+        del spec
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_facets_of_a_block_with_two_byte_lanes():
+    # the row of s = {} at k = 7 has 128 coefficients of 1 or -1: 2·bound = 256
+    with mock.patch.object(cimset.oracle.VertexCloud, "lanes",
+                           autospec=True, side_effect=cimset.oracle.VertexCloud.lanes) as lanes:
+        rows = verify_family(diagnosis_family(7, 1), ["facets"], 2000, 0)
+    assert rows == [("facets", True, "128 rows certified")]
+    assert {call.args[1] for call in lanes.call_args_list} == {1, 2}
