@@ -11,14 +11,14 @@ Points are Fractions and Farkas vectors ints, both in lowest terms.  A 0/1
 vertex, and every vector of a certificate payload, is bytes, one byte per
 coordinate, as a characteristic imset is, read by `_zero_one`; its bitmask
 has bit 8j set where coordinate j is 1.  A `VertexCloud` packs a cloud
-once, with one bitset per coordinate (`columns()`, bit t for vertex t) and,
-per lane width w, one lane column per coordinate (`lanes(w)`, lane t of w
-bytes holding vertex t's entry), both read from the cloud's transpose, a
-contiguous block of rows at a time (`_column_blocks`).  `_facet_verdict`
-divides a facet row by the gcd of its entries and decides it with one
-big-int lane identity: with bound = |c0| + Σ|cj| and 2·bound < 256**w,
-(c0 + bound)·ONES + Σ cj·Lj holds each vertex's value plus bound in its
-lane, no lane carrying, so a row costs one product per nonzero coefficient.
+once, with one bitset per coordinate (`columns()`, bit t for vertex t) and
+one lane column per coordinate at one width W, the widest asked for yet
+(`lanes(w)`, lane t of W >= w bytes holding vertex t's entry), both read
+from the cloud's transpose, a block of rows at a time (`_column_blocks`).
+`_facet_verdict` divides a facet row by the gcd of its entries and decides
+it with one big-int lane identity: with bound = |c0| + Σ|cj| and 2·bound <
+256**w <= 256**W, (c0 + bound)·ONES + Σ cj·Lj holds each vertex's value
+plus bound in its lane, no lane carrying: one product per nonzero cj.
 
 A pair's face is the AND of the columns where both endpoints are 1 less
 the OR of the columns where both are 0 (`_face`), one rule for
@@ -342,10 +342,10 @@ class VertexCloud:
     bitmask per vertex with bit 8j set where coordinate j is 1 (`masks`),
     and the position of each distinct vertex (`index`).  The first
     adjacency query packs one bitset per coordinate (`columns()`), and the
-    first facet row of each lane width w one lane column per coordinate
-    (`lanes(w)`).  Every vertex must be a 0/1 vector and all must have the
-    same length: the pruning in `oracle_adjacent` is only sound for 0/1
-    vertices.
+    first facet row one lane column per coordinate (`lanes(w)`) at the one
+    width held, packed again for a wider row.  Every vertex must be a 0/1
+    vector and all must have the same length: the pruning in
+    `oracle_adjacent` is only sound for 0/1 vertices.
     """
 
     __slots__ = ("vecs", "masks", "index", "_simplex", "_columns", "_lanes")
@@ -371,7 +371,7 @@ class VertexCloud:
         self.index = index
         self._simplex: Optional[bool] = None
         self._columns: Optional[Tuple[int, ...]] = None
-        self._lanes: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
+        self._lanes: Tuple[int, int, Tuple[int, ...]] = (0, 0, ())
 
     def __len__(self) -> int:
         return len(self.vecs)
@@ -394,22 +394,19 @@ class VertexCloud:
             self._columns = _columns(self.vecs, len(self.vecs[0]) if self.vecs else 0)
         return self._columns
 
-    def lanes(self, w: int) -> Tuple[int, Tuple[int, ...]]:
-        """(ONES, lane columns) at w bytes a lane, packed on the first call for each w.
+    def lanes(self, w: int) -> Tuple[int, int, Tuple[int, ...]]:
+        """(W, ONES, lane columns) at W >= w bytes a lane, W the widest w asked
+        for yet: the cloud holds one width, packed again only for a wider w.
 
         ONES has 1 in every lane, and lane column j has lane t equal to
-        vertex t's entry j; lane t starts at bit 8wt.
+        vertex t's entry j; lane t starts at bit 8Wt.
         """
-        if w not in self._lanes:
+        if w > self._lanes[0]:
             buf = bytearray(w * len(self.vecs))
-            buf[::w] = b"\x01" * len(self.vecs)
-            ones = _mask(buf)
-            lanes = []
-            for block in _column_blocks(self.vecs, len(self.vecs[0])):
-                for buf[::w] in map(memoryview, block):
-                    lanes.append(_mask(buf))
-            self._lanes[w] = ones, tuple(lanes)
-        return self._lanes[w]
+            blocks = _column_blocks(self.vecs, len(self.vecs[0]) if self.vecs else 0)
+            lanes = [_mask(buf) for block in blocks for buf[::w] in map(memoryview, block)]
+            self._lanes = w, _mask(b"\x01".ljust(w, b"\x00") * len(self.vecs)), tuple(lanes)
+        return self._lanes
 
 
 def _column_blocks(vecs: Sequence[bytes], width: int):
@@ -572,8 +569,8 @@ def _certified(kind: str, payload: dict) -> Certificate:
 # --- affine rank --------------------------------------------------------
 
 def affine_dimension(cloud) -> int:
-    """Exact affine dimension of a point cloud over the rationals."""
-    vecs = list(cloud)
+    """Exact affine dimension of a point cloud or a `VertexCloud` over the rationals."""
+    vecs = list(cloud.vecs if isinstance(cloud, VertexCloud) else cloud)
     # bytes, such as imset bits, already read as ints; a cloud of anything
     # else becomes int tuples, so `_affine_rank`'s sort compares like with like
     if not all(type(v) is bytes for v in vecs):
@@ -789,23 +786,22 @@ def _facet_verdict(coeffs, cloud: VertexCloud, vertex: bytes):
 
     The row is first divided by the gcd of its entries, which keeps every
     value's sign.  With bound = |c0| + Σ|cj| every vertex value lies in
-    [-bound, bound], so in lanes of w bytes, 2·bound < 256**w, the one
+    [-bound, bound], so in lanes of W >= w bytes, 2·bound < 256**w, the one
     big int total = (c0 + bound)·ONES + Σ cj·Lj over the nonzero cj, with
-    the cloud's `lanes(w)`, holds value_t + bound in lane t exactly, with no
-    carry whatever the partial sums.  The values pass exactly when lane p of
-    p = cloud.index[vertex] exceeds bound and total, that one lane put back
-    to bound, is bound·ONES.  Otherwise the lanes are read back and scanned
-    in cloud order for the failing vertex: a negative vertex, several
-    vertices off the row, or `vertex` absent or repeated.  The cost follows
-    the row's nonzero coefficients, exact for ints of any size.
+    the cloud's `lanes(w)` at its W, holds value_t + bound in lane t
+    exactly, with no carry whatever the partial sums.  The values pass
+    exactly when lane p of p = cloud.index[vertex] exceeds bound and total,
+    that one lane put back to bound, is bound·ONES.  Otherwise the lanes are
+    read back and scanned in cloud order for the failing vertex: a negative
+    vertex, several vertices off the row, or `vertex` absent or repeated.
+    The cost follows the row's nonzero coefficients, exact for any ints.
     """
     g = math.gcd(*coeffs)
     if g > 1:
         coeffs = [c // g for c in coeffs]
     const, linear = coeffs[0], coeffs[1:]
     bound = abs(const) + sum(map(abs, linear))
-    w = max(1, ((2 * bound).bit_length() + 7) // 8)
-    ones, columns = cloud.lanes(w)
+    w, ones, columns = cloud.lanes(max(1, ((2 * bound).bit_length() + 7) // 8))
     total = (const + bound) * ones + sum(map(operator.mul, compress(linear, linear),
                                              compress(columns, linear)))
     at = cloud.index.get(vertex)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from itertools import combinations
 
@@ -51,9 +52,9 @@ def verify_family(spec, checks, limit, seed, emit=None):
     sampled with `seed` (`_sampled_pairs`), and stops at its first
     mismatch; the closed form it is compared with is the edge rule on the
     two members' parent tuples, with no membership check, as the members
-    are the family's own enumeration.  Facets certifies a block on its
-    enumerated cloud, the distinct slices of the members' imsets over the
-    block's `lift_rows`, so a mis-encoded member fails its block's rows.
+    are the family's own enumeration.  Product counts each block's distinct
+    slices of the members' imsets, and facets certifies a block on that set
+    cut to its `lift_rows`, so a mis-encoded member fails its block's rows.
     Each distinct cloud is certified once, with one facet system and 2**k
     checks (with a correct encoder, once per block size k), and its verdicts
     are emitted for every child with that cloud, under that child's names; a
@@ -74,12 +75,12 @@ def verify_family(spec, checks, limit, seed, emit=None):
     members = list(enumerate_family(spec))
     vecs = [characteristic_imset(g, idx).bits for g in members]
     rows = []
+    # by child, its block's distinct member slices: the vertices of its factor
+    if "product" in checks or "facets" in checks:
+        slices = {b.child: {v[b.offset:b.offset + b.size] for v in vecs} for b in idx.blocks}
 
     if "product" in checks:
-        prod = 1
-        for b in idx.blocks:
-            prod *= len({v[b.offset:b.offset + b.size] for v in vecs})
-        ok = len(set(vecs)) == size and prod == size
+        ok = len(set(vecs)) == size and math.prod(map(len, slices.values())) == size
         rows.append(("product", ok,
                      f"{size} vertices = product of per-block slice counts" if ok
                      else "block slices do not factor the vertex set"))
@@ -116,7 +117,6 @@ def verify_family(spec, checks, limit, seed, emit=None):
         failures = checked = 0
         skipped = []
         verdicts = {}
-        bits = None  # the member matrix, built for the first block certified
         for i in range(spec.n):
             free = spec.free_mask(i)
             k = free.bit_count()
@@ -125,11 +125,12 @@ def verify_family(spec, checks, limit, seed, emit=None):
             if (1 << k) > limit:
                 skipped.append(spec.ordering.names[i])
                 continue
-            if bits is None:
-                bits = np.frombuffer(b"".join(vecs), dtype=np.uint8).reshape(size, idx.total)
-            # the cloud: the members' distinct block slices over the minimal lifts
-            cols = idx.block_for_child(i).offset + idx.lift_rows(i)
-            cloud = tuple(sorted(set(map(bytes, bits[:, cols]))))
+            # the cloud: the slices over the minimal lifts, all rows without a floor
+            cloud, lifts = slices[i], idx.lift_rows(i)
+            if len(lifts) < idx.block_for_child(i).size:
+                cut = np.frombuffer(b"".join(cloud), dtype=np.uint8).reshape(len(cloud), -1)
+                cloud = set(map(bytes, cut[:, lifts]))
+            cloud = tuple(sorted(cloud))
             if cloud not in verdicts:
                 sysk = FacetSystem(k)
                 vertices = VertexCloud(cloud)

@@ -1133,10 +1133,13 @@ def test_a_column_brought_back_by_a_non_unit_row_is_eliminated():
     assert cimset.oracle._affine_rank(list(cloud)) == _reference_rank(cloud) == 3
 
 
-def _census_cloud(m, n):
-    spec = diagnosis_family(m, n)
+def _family_cloud(spec):
     idx = coordinate_index(spec)
     return [characteristic_imset(g, idx).bits for g in enumerate_family(spec)]
+
+
+def _census_cloud(m, n):
+    return _family_cloud(diagnosis_family(m, n))
 
 
 class _CountingList(list):
@@ -1318,6 +1321,34 @@ def test_integral_entries_of_any_type_convert():
     assert affine_dimension([b"\x00\x01", b"\x01\x01"]) == 1
     # bytes beside tuples of equal sparsity: the sort must not compare the two types
     assert affine_dimension([b"\x00\x01", (1, 0), b"\x01\x00"]) == 1
+
+
+# 0/1 clouds whose ranks the rank-route tests above pin, built when the test runs
+@pytest.mark.parametrize("cloud, rank", [
+    (lambda: [b"\x00\x01", b"\x01\x00", b"\x01\x01"], 2),
+    (lambda: [b"\0\0\0", b"\1\1\0", b"\1\0\1", b"\0\1\1"], 3),
+    (lambda: _census_cloud(10, 1), 1023),
+    (lambda: _family_cloud(_example_47_family()), 14),
+], ids=["three-points", "parity-short", "diagnosis-10-1", "example-4-7"])
+def test_a_vertex_cloud_is_ranked_on_its_vertices(cloud, rank):
+    cloud = cloud()
+    assert affine_dimension(VertexCloud(cloud)) == affine_dimension(cloud) == rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_a_vertex_cloud_ranks_as_its_list_of_vertices(d, data):
+    cloud = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * d), min_size=1, max_size=9))
+    assert affine_dimension(VertexCloud(cloud)) == affine_dimension(cloud) \
+        == _reference_rank(cloud)
+
+
+def test_an_empty_cloud_has_no_columns_and_no_lanes():
+    empty = VertexCloud([])
+    assert empty.columns() == ()
+    assert empty.lanes(1) == (1, 0, ())
+    with pytest.raises(DomainError, match="empty cloud"):
+        affine_dimension(empty)
 
 
 # --- facet certification --------------------------------------------------
@@ -1528,7 +1559,7 @@ def test_lane_width_edges_match_the_per_coordinate_rule(bound, width, sign):
             cert = oracle_facet_check((s, row), vertices)
             want = _per_row_verdict(row, cloud, bytes(vertex_block_vector(2, s)))
             assert (cert.verified, cert.payload["failing"]) == want
-            assert list(vertices._lanes) == [width]
+            assert vertices._lanes[0] == width
 
 
 def test_a_scaled_row_is_summed_in_the_lanes_of_its_reduced_row():
@@ -1537,7 +1568,7 @@ def test_a_scaled_row_is_summed_in_the_lanes_of_its_reduced_row():
     cloud = VertexCloud(_block_cloud(k))
     assert oracle_facet_check((0, [(2 ** 200 + 7) * c for c in facet]), cloud).verified
     # the reduced row's bound is 8, so one-byte lanes hold every value
-    assert list(cloud._lanes) == [1]
+    assert cloud._lanes[0] == 1
 
 
 @pytest.mark.parametrize("k", [7, 8])
@@ -1556,7 +1587,36 @@ def test_two_byte_lane_rows_of_wide_blocks_match_the_per_coordinate_rule(k):
             want = _per_row_verdict(r, block, bytes(vertex_block_vector(k, s)))
             assert (cert.verified, cert.payload["failing"]) == want
         assert cert.replay() is cert.verified
-    assert 2 in cloud._lanes
+    # s = {} comes first and needs two bytes: every later row reads its lanes
+    assert cloud._lanes[0] == 2
+
+
+def test_a_cloud_holds_one_lane_width_and_packs_again_only_to_widen():
+    # at k = 8 the row of s has 2**(8 - |s|) coefficients of 1 or -1, so the
+    # full set's row fits one-byte lanes and the row of s = {} needs two; the
+    # one-byte rows after it are summed in the two-byte lanes it packed
+    k = 8
+    sysk = facet_matrix(k)
+    block = list(map(bytes, _block_cloud(k)))
+    full = (1 << k) - 1
+    order = [full, 0, full, 0b11, full ^ 1, 0b10110]
+    rows = [sysk.dense_row(s) for s in order]
+    assert [((2 * sum(map(abs, r))).bit_length() + 7) // 8 for r in rows] == [1, 2, 1, 1, 1, 1]
+    wants = [_per_row_verdict(r, block, bytes(vertex_block_vector(k, s)))
+             for s, r in zip(order, rows)]
+    cloud = VertexCloud(block)
+    held = []
+    with mock.patch.object(cimset.oracle, "_column_blocks",
+                           wraps=cimset.oracle._column_blocks) as packed:
+        for s, row, want in zip(order, rows, wants):
+            cert = oracle_facet_check((s, row), cloud)
+            assert (cert.verified, cert.payload["failing"]) == want
+            held.append(cloud._lanes[0])
+    assert packed.call_count == 2
+    assert held == [1, 2, 2, 2, 2, 2]
+    _, ones, columns = cloud._lanes
+    assert ones == int.from_bytes(b"\x01\x00" * len(block), "little")
+    assert len(columns) == full and max(columns).bit_length() <= 16 * len(block)
 
 
 def test_a_repeated_or_missing_facet_vertex_leaves_the_fast_path():

@@ -17,7 +17,8 @@ import cimset.imsets
 import cimset.oracle
 import cimset.verify
 from cimset.errors import FormatError, ResourceError
-from cimset.graphs import diagnosis_family, family_from_json, full_ordered_family
+from cimset.graphs import (FamilySpec, NodeOrdering, diagnosis_family, family_from_json,
+                           full_ordered_family)
 from cimset.verify import CHECKS, verify_family
 from test_graphs import family_specs
 
@@ -101,9 +102,9 @@ def test_facet_blocks_over_the_limit_are_skipped_by_name():
     assert records == []
 
 
-def test_facets_build_no_member_matrix_when_every_block_is_skipped(monkeypatch):
-    # the member matrix is built for the first block certified, so a run
-    # that skips every block never reaches numpy
+def test_facets_reach_no_numpy_when_every_block_is_skipped(monkeypatch):
+    # numpy only cuts a certified block's slices to its minimal lifts, so a
+    # run that skips every block never reaches it
     monkeypatch.setattr(cimset.verify, "np", None)
     rows = verify_family(_diag_2_2(), ["facets"], 2, 0)
     assert rows == [("facets", True, "0 rows certified; skipped blocks over --limit: b1, b2")]
@@ -185,6 +186,51 @@ def test_facets_are_certified_on_the_members_imsets(monkeypatch):
     assert rows == [("facets", False, "4 rows falsified")]
     assert [(r["child"], r["verified"]) for r in _records(lines)] == \
         [("b1", False)] * 4 + [("b2", True)] * 4
+
+
+
+def _reference_facet_clouds(spec, limit):
+    """Each distinct facet cloud verify certifies, in child order: the distinct
+    rows of the members' imset bits over the block's minimal lifts, sorted."""
+    idx = cimset.imsets.coordinate_index(spec)
+    bits = [cimset.imsets.characteristic_imset(g, idx).bits
+            for g in cimset.graphs.enumerate_family(spec)]
+    clouds = []
+    for i in range(spec.n):
+        k = spec.free_mask(i).bit_count()
+        if k == 0 or 1 << k > limit:
+            continue
+        cols = (idx.block_for_child(i).offset + idx.lift_rows(i)).tolist()
+        cloud = tuple(sorted({bytes(v[c] for c in cols) for v in bits}))
+        if cloud not in clouds:
+            clouds.append(cloud)
+    return clouds
+
+
+def _assert_facet_clouds_are_the_reference(spec):
+    with mock.patch.object(cimset.verify, "VertexCloud",
+                           wraps=cimset.oracle.VertexCloud) as made:
+        rows = verify_family(spec, ["facets"], 2000, 0)
+    assert rows[0][1], rows
+    assert [call.args[0] for call in made.call_args_list] == \
+        _reference_facet_clouds(spec, 2000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_specs())
+def test_facet_clouds_are_the_members_distinct_rows_over_the_lifts(spec):
+    spec = dataclasses.replace(spec, max_parents=None)
+    assume(spec.family_size() <= 64)
+    _assert_facet_clouds_are_the_reference(spec)
+
+
+def test_facet_clouds_of_a_floor_family_are_cut_to_the_lifts():
+    # c1 keeps n0 and c2 keeps n0 and n1: 32 * 16 members, whose blocks of
+    # 63 rows are cut to 31 and 15 lift rows
+    names = tuple(f"n{i}" for i in range(6)) + ("c1", "c2")
+    spec = FamilySpec(NodeOrdering(names), (0,) * 6 + (0b1, 0b11), (0,) * 6 + (0b111111,) * 2)
+    assert spec.family_size() == 512
+    _assert_facet_clouds_are_the_reference(spec)
 
 
 @pytest.mark.parametrize("size, limit", [(20, 50), (200, 10), (9, 0)])
